@@ -13,16 +13,17 @@ from fractions import Fraction
 
 from .directions import (
     DirectionIndex,
-    arc_left_vertex,
     arc_right_vertex,
     coordinate_of_index,
+    neighbor_chain,
 )
-from .golden import GoldenNum, PentaNum
+from .golden import P_ZERO, PHI, S_SQUARED, GoldenNum, PentaNum
 from .orbits import (
     CyclicWord,
     OrbitVector,
     orbit_of_index,
     roman_of_arabic,
+    rotations,
     vector_of,
 )
 from .periods import PeriodPair, period_of_index
@@ -31,19 +32,18 @@ from .tracer import (
     TraceResult,
     U_VEC,
     V_VEC,
+    billiard_budget,
     direction_of_coordinate,
+    strip_cells_for_coordinate,
     trace_billiard,
 )
-
-PHI = GoldenNum.of(0, 1)
-S_SQ = GoldenNum.of(Fraction(3, 4), Fraction(-1, 4))
 
 
 def displacement(v: OrbitVector) -> PlanePoint:
     """Exact plane displacement of a closed orbit with symbol counts v."""
     p = PHI * GoldenNum.of(v.c) + GoldenNum.of(v.e)
     q = PHI * GoldenNum.of(v.f) + GoldenNum.of(v.d)
-    return U_VEC.scale(PentaNum(p, GoldenNum.of(0))) + V_VEC.scale(PentaNum(q, GoldenNum.of(0)))
+    return U_VEC.scale(PentaNum.of(p)) + V_VEC.scale(PentaNum.of(q))
 
 
 def displacement_norm_squared(v: OrbitVector) -> GoldenNum:
@@ -61,7 +61,7 @@ def length_squared_formula(v: OrbitVector, x: GoldenNum) -> GoldenNum:
     the squared length is phi^4 (x^2 + s^2) ((c+f) phi + (d+e))^2.
     """
     count = PHI * GoldenNum.of(v.c + v.f) + GoldenNum.of(v.d + v.e)
-    return (PHI ** 4) * (x * x + S_SQ) * count * count
+    return (PHI ** 4) * (x * x + S_SQUARED) * count * count
 
 
 def length_identity_holds(v: OrbitVector, x: GoldenNum) -> bool:
@@ -123,34 +123,29 @@ def _billiard_from_cell(lo: GoldenNum, hi: GoldenNum, direction,
                         cap: int) -> TraceResult:
     """Billiard trace from the strip cell, avoiding the isolated odd-period
     axis by retrying from other exact offsets inside the cell."""
-    from .tracer import PlanePoint, _pn, P_ZERO
-
     width = hi - lo
     for num, den in ((1, 2), (5, 13), (3, 7), (7, 19), (11, 29), (13, 31)):
         p = lo + width * GoldenNum.of(Fraction(num, den))
-        start = PlanePoint(_pn(p), P_ZERO)
+        start = PlanePoint(PentaNum.of(p), P_ZERO)
         res = trace_billiard(start, direction, max_reflections=cap)
         if res.closed and len(res.word) % 2 == 0:
             return res
     raise ArithmeticError("no even-period billiard representative found in cell")
 
 
-def billiard_report(idx: DirectionIndex, budget_factor: int = 10) -> BilliardReport:
+def billiard_report(idx: DirectionIndex) -> BilliardReport:
     """Trace both strips on the surface and the matching pentagon billiards,
     checking the exact length multiple and the golden ratio of lengths."""
-    from .tracer import strip_cells_for_coordinate
-
     x = coordinate_of_index(idx).value
     periods = period_of_index(idx)
-    cells = strip_cells_for_coordinate(x, expected_long=periods.long,
-                                       budget_factor=budget_factor)
+    cells = strip_cells_for_coordinate(x, expected_long=periods.long)
     (s_lo, s_hi, s_tr), (l_lo, l_hi, l_tr) = cells
     sv = vector_of(s_tr.word)
     lv = vector_of(l_tr.word)
     mult_s = billiard_multiplier(sv)
     mult_l = billiard_multiplier(lv)
     direction = direction_of_coordinate(x)
-    cap = budget_factor * mult_s * 2 * periods.long * 2 + 40
+    cap = billiard_budget(mult_s, periods.long)
     b_s = _billiard_from_cell(s_lo, s_hi, direction, cap)
     b_l = _billiard_from_cell(l_lo, l_hi, direction, cap)
 
@@ -180,17 +175,13 @@ def _arc_for_endpoints(left: DirectionIndex, right: DirectionIndex) -> tuple[int
     raise ValueError(f"{left} and {right} are not joined by a pentagon side")
 
 
-def _rotations(word: tuple[int, ...]):
-    return [word[k:] + word[:k] for k in range(len(word))] or [()]
-
-
 def _concat_witness(target: CyclicWord, pieces: list[tuple[int, ...]]):
     """Search rotations: does some rotation of target split into rotations
     of the pieces, in order?  Returns the witness offsets or None."""
     total = target.symbols
     if sum(len(p) for p in pieces) != len(total):
         return None
-    piece_rots = [set(_rotations(p)) for p in pieces]
+    piece_rots = [set(rotations(p)) for p in pieces]
     for off in range(len(total)):
         rot = total[off:] + total[:off]
         pos = 0
@@ -201,7 +192,7 @@ def _concat_witness(target: CyclicWord, pieces: list[tuple[int, ...]]):
             if seg not in rots:
                 ok = False
                 break
-            offsets.append(_rotations(p).index(seg) if p else 0)
+            offsets.append(list(rotations(p)).index(seg))
             pos += len(p)
         if ok:
             return (off, tuple(offsets))
@@ -262,32 +253,6 @@ def check_conjecture_concat(left: DirectionIndex,
 # experiment 2: aligned splittings along a neighbor chain
 
 
-def _chain(beta: DirectionIndex, side: str, radius: int) -> list[DirectionIndex]:
-    """Neighbors of beta approached along one side: position 0 is the far
-    anchor, later entries converge to beta."""
-    out: list[DirectionIndex] = []
-    if side == "upper":
-        if beta.bottom:
-            arc: tuple[int, ...] = ()
-        elif not beta.digits:
-            return []
-        else:
-            arc = beta.digits[:-1] + (beta.digits[-1] - 1,)
-        out.append(arc_left_vertex(arc))
-        while len(out) <= radius:
-            arc = arc + (3,)
-            out.append(DirectionIndex(arc))
-    else:
-        if beta.bottom:
-            return []
-        arc = beta.digits
-        out.append(arc_right_vertex(arc))
-        while len(out) <= radius:
-            out.append(DirectionIndex(arc + (1,)))
-            arc = arc + (0,)
-    return out
-
-
 @dataclass(frozen=True)
 class SplittingWitness:
     side: str
@@ -323,7 +288,7 @@ def check_conjecture_splitting(beta: DirectionIndex, radius: int) -> ConjectureR
     corner = beta.bottom or not beta.digits
     results = []
     for side in ("upper", "lower"):
-        chain = _chain(beta, side, radius)
+        chain = neighbor_chain(beta, side, radius + 1)
         if not chain:
             continue
         shorts = [roman_of_arabic(orbit_of_index(g, "short")) for g in chain]
@@ -346,7 +311,7 @@ def _find_splitting(S, L, shorts, longs, side) -> SplittingWitness | None:
     ab_primes = []
     cut = len(s0)
     if cut <= n_l:
-        for rot in _rotations(L):
+        for rot in rotations(L):
             ap, bp = rot[:cut], rot[cut:]
             if ap and CyclicWord.roman_word(ap) == s0:
                 ab_primes.append((ap, bp))
@@ -354,13 +319,13 @@ def _find_splitting(S, L, shorts, longs, side) -> SplittingWitness | None:
         return None
 
     # candidate (a, b) and (c, d): d + a must tile long_0
-    for rot_l in _rotations(L):
+    for rot_l in rotations(L):
         for cut_a in range(n_l + 1):
             a, b = rot_l[:cut_a], rot_l[cut_a:]
             d_len = len(l0) - cut_a
             if not 0 <= d_len <= n_s:
                 continue
-            for rot_s in _rotations(S):
+            for rot_s in rotations(S):
                 c, d = rot_s[:n_s - d_len], rot_s[n_s - d_len:]
                 if len(d) + len(a) == 0:
                     continue
@@ -392,14 +357,14 @@ def _find_corner_splitting(S, L, shorts, longs, side) -> SplittingWitness | None
     short_i = s0 L^i and long_i = l0 L^i S^i, over aligned rotations."""
     s0 = shorts[0].symbols
     l0 = longs[0].symbols
-    for rs0 in _rotations(s0):
-        for rl in _rotations(L):
+    for rs0 in rotations(s0):
+        for rl in rotations(L):
             if any(CyclicWord.roman_word(rs0 + rl * i) != shorts[i]
                    for i in range(1, len(shorts))):
                 continue
-            for rl0 in _rotations(l0):
-                for rl2 in _rotations(L):
-                    for rs in _rotations(S):
+            for rl0 in rotations(l0):
+                for rl2 in rotations(L):
+                    for rs in rotations(S):
                         if all(CyclicWord.roman_word(rl0 + rl2 * i + rs * i) == longs[i]
                                for i in range(1, len(longs))):
                             return SplittingWitness(side, rs, (), rl2, (), rl, rs0, 0)

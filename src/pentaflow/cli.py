@@ -15,11 +15,17 @@ from fractions import Fraction
 from . import analysis, orbits, periods, tracer
 from .directions import (
     BOTTOM,
+    DepthExceeded,
     DirectionIndex,
+    SectorError,
+    arc_left_vertex,
+    arc_right_vertex,
     coordinate_of_index,
+    in_closed_sector,
+    index_of_coordinate,
     index_strings_to_depth,
 )
-from .golden import GoldenNum
+from .golden import PHI, GoldenNum, PentaNum, ProjectivePoint
 from .orbits import orbit_of_index, roman_of_arabic, vector_of
 from .periods import child_periods, period_of_index
 from .tracer import periodic_orbits_for_coordinate
@@ -30,12 +36,12 @@ EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
 
-def _parse_index(digits: list[str]) -> DirectionIndex:
+def _parse_index(args) -> DirectionIndex:
+    text = " ".join(args.index)
     try:
-        if digits == ["bottom"]:
-            return BOTTOM
-        return DirectionIndex.from_digits(int(d) for d in digits)
+        return DirectionIndex.parse(text)
     except ValueError as e:
+        print(f"{args.command}: bad index '{text}': {e}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE) from e
 
 
@@ -46,7 +52,7 @@ def _coord_json(x) -> dict:
 
 
 def cmd_direction(args) -> int:
-    idx = _parse_index(args.index)
+    idx = _parse_index(args)
     coord = coordinate_of_index(idx)
     pp = period_of_index(idx)
     sv = vector_of(orbit_of_index(idx, "short"))
@@ -74,7 +80,7 @@ def cmd_direction(args) -> int:
 
 
 def cmd_orbit(args) -> int:
-    idx = _parse_index(args.index)
+    idx = _parse_index(args)
     kind = "long" if args.long else "short"
     w = orbit_of_index(idx, kind)
     if args.roman:
@@ -190,7 +196,7 @@ def _suite_oracle(depth: int) -> list[dict]:
 
 def _suite_displacement(depth: int) -> list[dict]:
     rows = []
-    phi = tracer._pn(GoldenNum.of(0, 1))
+    phi = PentaNum.of(PHI)
     for idx in _all_indices(depth):
         x = coordinate_of_index(idx).value
         sv, lv = orbits.vectors_of_index(idx)
@@ -219,7 +225,6 @@ def _suite_conjectures(depth: int) -> list[dict]:
     for _ in range(depth):
         prefixes = [p + (j,) for p in prefixes for j in range(4)]
         all_prefixes.extend(prefixes)
-    from .directions import arc_left_vertex, arc_right_vertex
     for p in all_prefixes:
         rep = analysis.check_conjecture_concat(arc_left_vertex(p), arc_right_vertex(p))
         rows.append({"case": f"concat:{rep.subject}", "ok": rep.passed})
@@ -259,14 +264,7 @@ def cmd_verify(args) -> int:
     failures = 0
     conjecture_failures = 0
     try:
-        if args.workers > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=args.workers) as pool:
-                results = dict(zip(names, pool.map(
-                    lambda n: SUITES[n](args.depth), names)))
-        else:
-            results = {n: SUITES[n](args.depth) for n in names}
+        results = {n: SUITES[n](args.depth) for n in names}
     except tracer.TraceBudgetExceeded as e:
         print(f"verify: budget exhausted: {e}", file=sys.stderr)
         return EXIT_BUDGET
@@ -323,93 +321,48 @@ def _svg_polyline(points, color, width=0.012) -> str:
             f'stroke-width="{width}"/>')
 
 
-def _surface_segments(result, direction):
-    """Fold the trace back into segments inside the two pentagons."""
-    segs = []
-    pos = result.start
-    pent = tracer.locate_pentagon(pos)
-    d = direction
-    n = result.crossings
-    for _ in range(n):
-        side, hit, _t = tracer._exit_side(pos, d, pent)
-        segs.append(((float(pos.x), float(pos.y)), (float(hit.x), float(hit.y))))
-        pos = hit + side.translation
-        pent = 1 - pent
-    if result.closed:
-        segs.append(((float(pos.x), float(pos.y)),
-                     (float(result.start.x), float(result.start.y))))
-    return segs
+def _xy(p) -> tuple[float, float]:
+    return (float(p.x), float(p.y))
 
 
 def cmd_render(args) -> int:
-    lines = []
-    bounds = None
-
-    def draw_trace(res, direction, color):
-        for (x0, y0), (x1, y1) in _surface_segments(res, direction):
-            lines.append(_svg_polyline([(x0, y0), (x1, y1)], color))
-
     if args.u is not None:
-        from .directions import in_closed_sector
-        from .golden import ProjectivePoint
-
         x = GoldenNum.of(Fraction(args.u))
         if not in_closed_sector(ProjectivePoint(x)):
             print("render: --u must lie in the closed principal sector",
                   file=sys.stderr)
             return EXIT_USAGE
-    elif args.index is not None:
-        idx = _parse_index(args.index)
-        x = coordinate_of_index(idx).value
     else:
-        print("render: need an index or --u", file=sys.stderr)
-        return EXIT_USAGE
+        x = coordinate_of_index(_parse_index(args)).value
 
     try:
-        from .directions import index_of_coordinate
         pp = period_of_index(index_of_coordinate(x))
-    except Exception:
+    except (DepthExceeded, SectorError):
         pp = None
     expected = pp.long if pp else None
+    try:
+        s_tr, l_tr = periodic_orbits_for_coordinate(x, expected_long=expected)
+    except tracer.TraceBudgetExceeded as e:
+        print(f"render: {e}", file=sys.stderr)
+        return EXIT_BUDGET
 
+    lines = []
     if args.billiard:
-        direction = tracer.direction_of_coordinate(x)
-        try:
-            s_tr, l_tr = periodic_orbits_for_coordinate(x, expected_long=expected)
-        except tracer.TraceBudgetExceeded as e:
-            print(f"render: {e}", file=sys.stderr)
-            return EXIT_BUDGET
-        sv = vector_of(s_tr.word)
-        mult = analysis.billiard_multiplier(sv)
-        cap = 10 * mult * 2 * (expected or 40) * 2 + 40
-        res = tracer.trace_billiard(s_tr.start, direction, max_reflections=cap)
-        pts = [(float(res.start.x), float(res.start.y))]
-        pos, d = res.start, direction
-        labels = res.word.symbols if res.closed else res.word
-        for _ in range(len(labels)):
-            side, hit, _t = tracer._exit_side(pos, d, 0)
-            pts.append((float(hit.x), float(hit.y)))
-            refl = tracer._reflect_matrix(side.v1 - side.v0)
-            d = tracer._mat_apply(refl, d)
-            pos = hit
-        if res.closed:
-            pts.append((float(res.start.x), float(res.start.y)))
-        else:
+        mult = analysis.billiard_multiplier(vector_of(s_tr.word))
+        cap = tracer.billiard_budget(mult, expected)
+        res = tracer.trace_billiard(s_tr.start, s_tr.direction, max_reflections=cap)
+        if not res.closed:
             lines.append('<!-- warning: orbit did not close within budget -->')
         lines.append(_svg_polygon(tracer.PENTAGON_UPPER, "#333333"))
-        lines.append(_svg_polyline(pts, "#c02020"))
+        lines.append(_svg_polyline([_xy(p) for p in tracer.billiard_points(res)],
+                                   "#c02020"))
         verts = list(tracer.PENTAGON_UPPER)
     else:
-        try:
-            s_tr, l_tr = periodic_orbits_for_coordinate(x, expected_long=expected)
-        except tracer.TraceBudgetExceeded as e:
-            print(f"render: {e}", file=sys.stderr)
-            return EXIT_BUDGET
-        direction = tracer.direction_of_coordinate(x)
         lines.append(_svg_polygon(tracer.PENTAGON_UPPER, "#333333"))
         lines.append(_svg_polygon(tracer.PENTAGON_LOWER, "#333333"))
-        draw_trace(s_tr, direction, "#c02020")
-        draw_trace(l_tr, direction, "#2040c0")
+        for res, color in ((s_tr, "#c02020"), (l_tr, "#2040c0")):
+            for a, b in tracer.surface_segments(res):
+                lines.append(_svg_polyline([_xy(a), _xy(b)], color))
         verts = list(tracer.PENTAGON_UPPER) + list(tracer.PENTAGON_LOWER)
 
     xs = [float(v.x) for v in verts]
@@ -452,9 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--suite", action="append",
                    help=f"one of {', '.join(sorted(SUITES))}; repeatable")
     v.add_argument("--json-out", help="write the ledger as JSON")
-    v.add_argument("--workers", type=int, default=1,
-                   help="suites to run concurrently (results are sorted, "
-                        "so the ledger is identical at any level)")
     v.add_argument("--conjectures-advisory", action="store_true",
                    help="conjecture failures do not affect the exit code")
     v.set_defaults(func=cmd_verify)
@@ -474,8 +424,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as e:
-        raise
     except tracer.TraceBudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET

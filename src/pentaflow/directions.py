@@ -87,13 +87,18 @@ class DirectionIndex:
 
     @staticmethod
     def parse(text: str) -> "DirectionIndex":
+        """Read a digit string; every non-space character is one digit, so
+        '01 2', '0 1 2' and '012' are the same index."""
         text = text.strip().lower()
         if text in ("", "alpha", "()"):
             return DirectionIndex()
         if text == "bottom":
             return BOTTOM
-        parts = text.split() if " " in text else list(text)
-        return DirectionIndex.from_digits(int(p) for p in parts)
+        try:
+            digits = [int(c) for c in text if not c.isspace()]
+        except ValueError:
+            raise ValueError(f"not a digit string: {text!r}") from None
+        return DirectionIndex.from_digits(digits)
 
     @property
     def generation(self) -> int:
@@ -105,8 +110,7 @@ class DirectionIndex:
             return DirectionIndex()
         if not self.digits:
             return BOTTOM
-        ds = tuple(3 - d for d in self.digits[:-1]) + (4 - self.digits[-1],)
-        return DirectionIndex(ds)
+        return DirectionIndex(mirror_digits(self.digits))
 
     def __str__(self) -> str:
         if self.bottom:
@@ -213,12 +217,12 @@ def _fold_digits(ms: list[int]) -> tuple[int, ...]:
     reflect the tail."""
     digits: tuple[int, ...] = ()
     for m in reversed(ms):
-        digits = (m,) if not digits else (m - 1,) + _conj(digits)
+        digits = (m,) if not digits else (m - 1,) + mirror_digits(digits)
     return digits
 
 
-def _conj(digits: tuple[int, ...]) -> tuple[int, ...]:
-    """Digit reflection: all digits complement to 3, the last to 4."""
+def mirror_digits(digits: tuple[int, ...]) -> tuple[int, ...]:
+    """Digit reflection x -> -x: all digits complement to 3, the last to 4."""
     if not digits:
         return ()
     return tuple(3 - d for d in digits[:-1]) + (4 - digits[-1],)
@@ -331,6 +335,31 @@ class NeighborFamily:
     members: tuple[tuple[int, DirectionIndex, ProjectivePoint], ...]
 
 
+def neighbor_chain(beta: DirectionIndex, side: str, n: int) -> list[DirectionIndex]:
+    """The first n tessellation neighbors of beta on one side ('upper' or
+    'lower'): the far anchor first, later entries converging to beta.  A
+    corner has no neighbors on its outer side."""
+    if side == "upper":
+        if not beta.bottom and not beta.digits:
+            return []
+        # the upper chain runs down the arc above beta through digit 3
+        arc = () if beta.bottom else beta.digits[:-1] + (beta.digits[-1] - 1,)
+        chain = [arc_left_vertex(arc)]
+        while len(chain) < n:
+            arc = arc + (3,)
+            chain.append(DirectionIndex(arc))
+    else:
+        if beta.bottom:
+            return []
+        # the lower chain climbs the arc below beta through digit 0
+        arc = beta.digits
+        chain = [arc_right_vertex(arc)]
+        while len(chain) < n:
+            chain.append(DirectionIndex(arc + (1,)))
+            arc = arc + (0,)
+    return chain[:n]
+
+
 def neighbor_family(beta: DirectionIndex, radius: int,
                     depth: int | None = None) -> NeighborFamily:
     """The 2*radius + 1 neighbors of beta, combinatorially enumerated."""
@@ -341,36 +370,13 @@ def neighbor_family(beta: DirectionIndex, radius: int,
     if depth is not None and depth < needed:
         raise InsufficientDepth(needed)
 
-    upper: list[DirectionIndex] = []
-    lower: list[DirectionIndex] = []
-
-    if beta.bottom:
-        # bottom corner: all neighbors lie above, chain through digit 3
-        arc: tuple[int, ...] = ()
-        upper.append(arc_left_vertex(arc))
-        while len(upper) < total:
-            arc = arc + (3,)
-            upper.append(DirectionIndex(arc))
-    elif not beta.digits:
-        # top corner: all neighbors lie below, chain through digit 0
-        arc = ()
-        lower.append(arc_right_vertex(arc))
-        while len(lower) < total:
-            lower.append(DirectionIndex(arc + (1,)))
-            arc = arc + (0,)
+    if beta.bottom or not beta.digits:
+        # a corner's neighbors all lie on its inner side
+        upper = neighbor_chain(beta, "upper", total)
+        lower = neighbor_chain(beta, "lower", total)
     else:
-        prefix, j = beta.digits[:-1], beta.digits[-1]
-        arc_up = prefix + (j - 1,)
-        upper.append(arc_left_vertex(arc_up))
-        while len(upper) < radius + 1:
-            arc_up = arc_up + (3,)
-            upper.append(DirectionIndex(arc_up))
-        if radius >= 1:
-            arc_dn = prefix + (j,)
-            lower.append(arc_right_vertex(arc_dn))
-            while len(lower) < radius:
-                lower.append(DirectionIndex(arc_dn + (1,)))
-                arc_dn = arc_dn + (0,)
+        upper = neighbor_chain(beta, "upper", radius + 1)
+        lower = neighbor_chain(beta, "lower", radius)
 
     members: list[tuple[int, DirectionIndex, ProjectivePoint]] = []
     for t, v in enumerate(upper):

@@ -46,12 +46,8 @@ class GoldenNum:
         a, b, c, d = self.a, self.b, other.a, other.b
         return GoldenNum(a * c + b * d, a * d + b * c + b * d)
 
-    def conj(self) -> "GoldenNum":
-        # Galois conjugate phi -> 1 - phi
-        return GoldenNum(self.a + self.b, -self.b)
-
     def norm(self) -> Fraction:
-        # x * conj(x), a rational number
+        # x times its Galois conjugate (phi -> 1 - phi), a rational number
         return self.a * self.a + self.a * self.b - self.b * self.b
 
     def inverse(self) -> "GoldenNum":
@@ -267,10 +263,6 @@ class ProjectivePoint:
 
     value: GoldenNum | None  # None encodes infinity
 
-    @staticmethod
-    def finite(x: GoldenNum) -> "ProjectivePoint":
-        return ProjectivePoint(x)
-
     @property
     def is_infinity(self) -> bool:
         return self.value is None
@@ -290,9 +282,6 @@ class MoebiusMap:
     b: GoldenNum
     c: GoldenNum
     d: GoldenNum
-
-    def det(self) -> GoldenNum:
-        return self.a * self.d - self.b * self.c
 
     def apply(self, x: ProjectivePoint | GoldenNum) -> ProjectivePoint:
         if isinstance(x, GoldenNum):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Literal
 
-from .directions import DirectionIndex
+from .directions import DirectionIndex, mirror_digits
 
 ROMAN_NAMES = {1: "I", 2: "II", 3: "III", 4: "IV"}
 ROMAN_VALUES = {v: k for k, v in ROMAN_NAMES.items()}
@@ -69,13 +69,8 @@ class CyclicWord:
     def __len__(self) -> int:
         return len(self.symbols)
 
-    def rotations(self):
-        s = self.symbols
-        for k in range(len(s)):
-            yield s[k:] + s[:k]
-
     def canonical(self) -> tuple[int, ...]:
-        return min(self.rotations())
+        return min(rotations(self.symbols))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CyclicWord):
@@ -85,15 +80,19 @@ class CyclicWord:
     def __hash__(self) -> int:
         return hash((self.roman, self.canonical()))
 
-    def rotate(self, k: int) -> "CyclicWord":
-        s = self.symbols
-        k %= len(s)
-        return CyclicWord(s[k:] + s[:k], self.roman)
-
     def __str__(self) -> str:
         if self.roman:
             return " ".join(ROMAN_NAMES[s] for s in self.symbols)
         return " ".join(str(s) for s in self.symbols)
+
+
+def rotations(s: tuple[int, ...]):
+    """Every rotation of a symbol sequence, s itself first; the empty
+    sequence has the one rotation ()."""
+    if not s:
+        yield ()
+    for k in range(len(s)):
+        yield s[k:] + s[:k]
 
 
 def rotate_alphabet(w: CyclicWord, j: int) -> CyclicWord:
@@ -179,12 +178,6 @@ BASE_ORBITS = {
 }
 
 
-def _conj(digits: tuple[int, ...]) -> tuple[int, ...]:
-    if not digits:
-        return ()
-    return tuple(3 - d for d in digits[:-1]) + (4 - digits[-1],)
-
-
 @lru_cache(maxsize=None)
 def _orbit_cached(digits: tuple[int, ...], bottom: bool, kind: Kind) -> CyclicWord:
     if bottom or not digits:
@@ -192,7 +185,7 @@ def _orbit_cached(digits: tuple[int, ...], bottom: bool, kind: Kind) -> CyclicWo
     if len(digits) == 1:
         parent = _orbit_cached((), False, kind)
         return enhance(rotate_alphabet(parent, digits[0]))
-    parent_digits = _conj(digits[1:])
+    parent_digits = mirror_digits(digits[1:])
     parent = _orbit_cached(parent_digits, False, kind)
     return enhance(rotate_alphabet(parent, digits[0] + 1))
 
@@ -208,7 +201,7 @@ def reduction_parent(idx: DirectionIndex) -> DirectionIndex:
     """The index whose orbit the reduction of idx's orbit lands on."""
     if idx.bottom or len(idx.digits) < 2:
         raise ValueError("reduction parent needs at least two digits")
-    return DirectionIndex(_conj(idx.digits[1:]))
+    return DirectionIndex(mirror_digits(idx.digits[1:]))
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +232,6 @@ class OrbitVector:
         return f"({self.c},{self.d},{self.e},{self.f})"
 
 
-ZERO_VECTOR = OrbitVector(0, 0, 0, 0)
-
-
 def vector_of(w: CyclicWord) -> OrbitVector:
     r = roman_of_arabic(w)
     return OrbitVector(*(r.symbols.count(k) for k in (1, 2, 3, 4)))
@@ -261,16 +251,8 @@ def apply_L(i: int, v: OrbitVector) -> OrbitVector:
     raise ValueError("shift must lie in 1..4")
 
 
-#: long = M . short, and M^2 = M + I
-M_MATRIX = (
-    (1, 0, 1, 0),
-    (0, 0, 0, 1),
-    (1, 0, 0, 0),
-    (0, 1, 0, 1),
-)
-
-
 def apply_M(v: OrbitVector) -> OrbitVector:
+    """long = M . short, and M^2 = M + I."""
     c, d, e, f = v.as_tuple()
     return OrbitVector(c + e, f, c, d + f)
 

@@ -12,10 +12,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .directions import DirectionIndex, NeighborFamily, neighbor_family
-from .golden import GoldenNum
+from .golden import ONE, PHI, ZERO, GoldenNum
 
-PHI = GoldenNum.of(0, 1)
-ONE = GoldenNum.of(1)
 PHI2 = PHI * PHI
 
 
@@ -48,10 +46,10 @@ class PeriodPair:
 
 #: the four digit matrices acting on (upper, lower) period columns
 X_MATRICES = (
-    ((ONE, GoldenNum.of(0)), (PHI, ONE)),       # digit 0
+    ((ONE, ZERO), (PHI, ONE)),                  # digit 0
     ((PHI, ONE), (PHI, PHI)),                   # digit 1
     ((PHI, PHI), (ONE, PHI)),                   # digit 2
-    ((ONE, PHI), (GoldenNum.of(0), ONE)),       # digit 3
+    ((ONE, PHI), (ZERO, ONE)),                  # digit 3
 )
 
 

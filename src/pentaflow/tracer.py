@@ -12,19 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal
 
 from .golden import (
-    GoldenNum,
+    HALF,
+    P_ONE,
     P_ZERO,
-    PentaNum,
+    PHI,
+    SIN36,
     ZERO,
+    GoldenNum,
+    PentaNum,
 )
 from .orbits import CyclicWord, roman_of_arabic
-
-PHI = GoldenNum.of(0, 1)
-HALF = GoldenNum.of(Fraction(1, 2))
-ONE = GoldenNum.of(1)
 
 
 class SaddleConnectionError(RuntimeError):
@@ -37,14 +36,6 @@ class TraceBudgetExceeded(RuntimeError):
 
 class SingularOrbit(RuntimeError):
     """A section orbit hit a division point."""
-
-
-def _g(a, b=0) -> GoldenNum:
-    return GoldenNum.of(Fraction(a), Fraction(b))
-
-
-def _pn(g: GoldenNum) -> PentaNum:
-    return PentaNum(g, ZERO)
 
 
 def _ps(g: GoldenNum) -> PentaNum:
@@ -87,17 +78,17 @@ def dot(a: PlanePoint, b: PlanePoint) -> PentaNum:
 # ---------------------------------------------------------------------------
 # the chart: unit pentagon with a horizontal diagonal plus its central mirror
 
-_A = PlanePoint(_pn(_g(0, Fraction(1, 2))), _ps(ONE))            # apex
-_B = PlanePoint(_pn(ZERO), _pn(ZERO))
-_D = PlanePoint(_pn(_g(Fraction(-1, 2), Fraction(1, 2))), _ps(_g(0, -1)))
-_E = PlanePoint(_pn(_g(Fraction(1, 2), Fraction(1, 2))), _ps(_g(0, -1)))
-_C = PlanePoint(_pn(PHI), _pn(ZERO))
+_A = PlanePoint(PentaNum.of(GoldenNum.of(0, Fraction(1, 2))), SIN36)        # apex
+_B = PlanePoint(P_ZERO, P_ZERO)
+_D = PlanePoint(PentaNum.of(GoldenNum.of(Fraction(-1, 2), Fraction(1, 2))), _ps(-PHI))
+_E = PlanePoint(PentaNum.of(GoldenNum.of(Fraction(1, 2), Fraction(1, 2))), _ps(-PHI))
+_C = PlanePoint(PentaNum.of(PHI), P_ZERO)
 
 #: vertices of the upper pentagon, counterclockwise
 PENTAGON_UPPER = (_A, _B, _D, _E, _C)
 
 #: offset taking -V onto the lower copy
-_T0 = PlanePoint(_pn(PHI), _ps(_g(0, -2)))
+_T0 = PlanePoint(PentaNum.of(PHI), _ps(GoldenNum.of(0, -2)))
 
 PENTAGON_LOWER = tuple(-v + _T0 for v in PENTAGON_UPPER)
 
@@ -133,23 +124,20 @@ SIDES_UPPER, SIDES_LOWER = _build_sides()
 _SIDES = (SIDES_UPPER, SIDES_LOWER)
 
 #: the diagonals bounding the principal sector, length phi each
-U_VEC = PlanePoint(_pn(HALF), _ps(_g(1, 1)))
-V_VEC = PlanePoint(_pn(-HALF), _ps(_g(1, 1)))
-
-
-SIN36_Y = _ps(ONE)
+U_VEC = PlanePoint(PentaNum.of(HALF), _ps(GoldenNum.of(1, 1)))
+V_VEC = PlanePoint(PentaNum.of(-HALF), _ps(GoldenNum.of(1, 1)))
 
 
 def direction_of_coordinate(x: GoldenNum) -> PlanePoint:
     """Exact plane direction for a boundary coordinate in the closed sector."""
-    return PlanePoint(_pn(x), SIN36_Y)
+    return PlanePoint(PentaNum.of(x), SIN36)
 
 
 def direction_of_vector(p: GoldenNum, q: GoldenNum) -> PlanePoint:
     """p times the upper sector diagonal plus q times the lower one."""
     if p.is_zero() and q.is_zero():
         raise ValueError("zero vector has no direction")
-    return U_VEC.scale(_pn(p)) + V_VEC.scale(_pn(q))
+    return U_VEC.scale(PentaNum.of(p)) + V_VEC.scale(PentaNum.of(q))
 
 
 def _point_in_pentagon(p: PlanePoint, verts: tuple[PlanePoint, ...]) -> bool:
@@ -184,10 +172,10 @@ def _exit_side(pos: PlanePoint, direction: PlanePoint, pent: int):
         theta = cross(rel, direction) / den
         # theta must lie in [0, 1]; hits at the ends are cone points
         ts = theta.sign()
-        if ts < 0 or (theta - PENT_ONE).sign() > 0:
+        if ts < 0 or (theta - P_ONE).sign() > 0:
             continue
         if best is None or (t - best[2]).sign() < 0:
-            if ts == 0 or (theta - PENT_ONE).is_zero():
+            if ts == 0 or (theta - P_ONE).is_zero():
                 best = (side, None, t)  # vertex hit candidate
             else:
                 hit = pos + direction.scale(t)
@@ -197,9 +185,6 @@ def _exit_side(pos: PlanePoint, direction: PlanePoint, pent: int):
     if best[1] is None:
         raise SaddleConnectionError("trajectory hits a cone point")
     return best
-
-
-PENT_ONE = PentaNum(ONE, ZERO)
 
 
 def _passes_through(pos: PlanePoint, target: PlanePoint,
@@ -264,6 +249,16 @@ class TraceResult:
         return out
 
 
+def _surface_steps(pos: PlanePoint, direction: PlanePoint, pent: int):
+    """The flow from pos in pentagon pent, one side crossing at a time:
+    yields the side left through, the exit point, and the position and
+    pentagon after the pairing jump."""
+    while True:
+        side, hit, _t = _exit_side(pos, direction, pent)
+        pos, pent = hit + side.translation, 1 - pent
+        yield side, hit, pos, pent
+
+
 def trace_surface(start: PlanePoint, direction: PlanePoint,
                   max_crossings: int = 10 ** 6) -> TraceResult:
     """Follow the straight-line flow, jumping by the side pairings.
@@ -275,6 +270,7 @@ def trace_surface(start: PlanePoint, direction: PlanePoint,
         raise ValueError("direction must be nonzero")
     start_pent = locate_pentagon(start)
     pos, pent = start, start_pent
+    steps = _surface_steps(start, direction, start_pent)
     labels: list[int] = []
     tx, ty = P_ZERO, P_ZERO  # accumulated pairing translations
 
@@ -282,159 +278,33 @@ def trace_surface(start: PlanePoint, direction: PlanePoint,
         if labels and pent == start_pent and _passes_through(pos, start, direction):
             return TraceResult(CyclicWord.arabic(labels), True, (-tx, -ty),
                                len(labels), start, direction)
-        side, hit, _t = _exit_side(pos, direction, pent)
+        side, _hit, pos, pent = next(steps)
         labels.append(side.label)
-        pos = hit + side.translation
         tx = tx + side.translation.x
         ty = ty + side.translation.y
-        pent = 1 - pent
 
     rel = pos - start
     return TraceResult(tuple(labels), False,
                        (rel.x - tx, rel.y - ty), len(labels), start, direction)
 
 
+def surface_segments(result: TraceResult) -> list[tuple[PlanePoint, PlanePoint]]:
+    """The straight pieces of a surface trace inside the two pentagons,
+    one per crossing, plus the closing piece back to the start."""
+    segs = []
+    pos = result.start
+    steps = _surface_steps(pos, result.direction, locate_pentagon(pos))
+    for _ in range(result.crossings):
+        _side, hit, nxt, _pent = next(steps)
+        segs.append((pos, hit))
+        pos = nxt
+    if result.closed:
+        segs.append((pos, result.start))
+    return segs
+
+
 # ---------------------------------------------------------------------------
 # the diagonal section and its interval exchange
-
-_P3_COEFF = GoldenNum.of(1, 1)  # phi + 1; fixed at calibration
-
-_MIRROR_ROMAN = {1: 4, 2: 3, 3: 2, 4: 1}
-
-
-def section_division_points(x: GoldenNum) -> tuple[GoldenNum, GoldenNum, GoldenNum]:
-    """Division points of the first-return map to the horizontal diagonal,
-    for the direction with boundary coordinate x (signed)."""
-    p1 = HALF - x * _P3_COEFF
-    p2 = GoldenNum.of(0, Fraction(1, 2)) - x
-    p3 = PHI - HALF - x * _P3_COEFF
-    return p1, p2, p3
-
-
-_T_COEFF = GoldenNum.of(1, 2)  # 2 phi + 1
-
-
-def section_map(p: GoldenNum, x: GoldenNum) -> tuple[GoldenNum, int]:
-    """One return to the diagonal: new abscissa and the Roman symbol read."""
-    if x.sign() < 0:
-        q, sym = section_map(PHI - p, -x)
-        return PHI - q, _MIRROR_ROMAN[sym]
-    p1, p2, p3 = section_division_points(x)
-    for d in (p1, p2, p3):
-        if p == d:
-            raise SingularOrbit(f"section orbit hit division point {d}")
-    if p < p1:
-        return p + GoldenNum.of(0, Fraction(1, 2)) + x * _T_COEFF, 4
-    if p < p2:
-        return p - HALF + x * _P3_COEFF, 3
-    if p < p3:
-        return p + HALF + x * _P3_COEFF, 2
-    return p - GoldenNum.of(0, Fraction(1, 2)) + x * _T_COEFF, 1
-
-
-def _one_sided_branch(p: GoldenNum, x: GoldenNum, side: str) -> tuple[GoldenNum, int]:
-    """Image of p viewed as p + eps (side 'R') or p - eps (side 'L')."""
-    if x.sign() < 0:
-        img, sym = _one_sided_branch(PHI - p, -x, "L" if side == "R" else "R")
-        return PHI - img, _MIRROR_ROMAN[sym]
-    p1, p2, p3 = section_division_points(x)
-    bounds = [ZERO, p1, p2, p3, PHI]
-    shifts = [
-        GoldenNum.of(0, Fraction(1, 2)) + x * _T_COEFF,
-        -HALF + x * _P3_COEFF,
-        HALF + x * _P3_COEFF,
-        -GoldenNum.of(0, Fraction(1, 2)) + x * _T_COEFF,
-    ]
-    syms = [4, 3, 2, 1]
-    for i in range(4):
-        lo, hi = bounds[i], bounds[i + 1]
-        if side == "R":
-            inside = lo <= p < hi
-        else:
-            inside = lo < p <= hi
-        if inside and not (hi - lo).is_zero():
-            return p + shifts[i], syms[i]
-    raise SingularOrbit(f"no one-sided branch at {p}")
-
-
-def section_cell_points(x: GoldenNum, steps: int) -> list[GoldenNum]:
-    """Partition points separating the return words of length <= steps."""
-    p1, p2, p3 = section_division_points(x)
-    pts = {ZERO, PHI, p1, p2, p3}
-    frontier = [(d, s) for d in (p1, p2, p3) for s in ("L", "R")]
-    for _ in range(steps):
-        nxt = []
-        for v, side in frontier:
-            if v == ZERO or v == PHI:
-                continue  # singular leaf reached the diagonal endpoint
-            img, _sym = _one_sided_branch(v, x, side)
-            if img == ZERO or img == PHI:
-                continue
-            pts.add(img)
-            nxt.append((img, side))
-        frontier = nxt
-    return sorted(pts)
-
-
-def strip_cells_for_coordinate(x: GoldenNum,
-                               expected_long: int | None = None,
-                               budget_factor: int = 10
-                               ) -> list[tuple[GoldenNum, GoldenNum, TraceResult]]:
-    """One section cell per parallel strip of a periodic direction.
-
-    Returns two entries (lo, hi, trace-from-midpoint), ordered short then
-    long by combinatorial length, breaking ties by geometric length."""
-    direction = direction_of_coordinate(x)
-    guess = expected_long if expected_long else 40
-    cap = budget_factor * 2 * guess + 20
-    pts = section_cell_points(x, guess + 2)
-    found: dict[tuple, tuple[GoldenNum, GoldenNum, TraceResult]] = {}
-    for lo, hi in zip(pts, pts[1:]):
-        if (hi - lo).is_zero():
-            continue
-        mid = (lo + hi) / GoldenNum.of(2)
-        start = PlanePoint(_pn(mid), P_ZERO)
-        try:
-            res = trace_surface(start, direction, max_crossings=cap)
-        except SaddleConnectionError:
-            continue
-        if not res.closed:
-            raise TraceBudgetExceeded(
-                f"orbit at coordinate {x} did not close within {cap} crossings")
-        key = res.word.canonical()
-        if key not in found:
-            found[key] = (lo, hi, res)
-            if len(found) == 2:
-                break
-    if len(found) < 2:
-        raise TraceBudgetExceeded(f"could not find both strips at {x}")
-    cells = list(found.values())
-
-    def order_key(cell):
-        res = cell[2]
-        return (len(res.word), res.length_squared)
-
-    a, b = cells
-    ka, kb = order_key(a), order_key(b)
-    if ka[0] < kb[0] or (ka[0] == kb[0] and ka[1] < kb[1]):
-        return [a, b]
-    return [b, a]
-
-
-def periodic_orbits_for_coordinate(x: GoldenNum,
-                                   expected_long: int | None = None,
-                                   budget_factor: int = 10
-                                   ) -> tuple[TraceResult, TraceResult]:
-    """Trace one orbit from each of the two parallel strips of a periodic
-    direction; returns (short, long).  x is the boundary coordinate."""
-    cells = strip_cells_for_coordinate(x, expected_long, budget_factor)
-    return cells[0][2], cells[1][2]
-
-
-# ---------------------------------------------------------------------------
-# the published interval-exchange form
-
-Interval = Literal["I", "II", "III", "IV"]
 
 
 @dataclass(frozen=True)
@@ -481,20 +351,24 @@ class IETSpec:
         return p + self.translations[k], k
 
 
-IMAGE_ORDER = ("III", "I", "IV", "II")
-
-
 def iet_build(u: GoldenNum) -> IETSpec:
-    """The section exchange at parameter u = |boundary coordinate|."""
+    """The section exchange at parameter u = |boundary coordinate|: the
+    first-return map to the horizontal diagonal of the direction with
+    boundary coordinate u >= 0.  Its coefficients are written only here."""
     limit = GoldenNum.of(1, Fraction(-1, 2))  # 1 - phi/2
     if u.sign() < 0 or (u - limit).sign() > 0:
         raise ValueError("u must lie in [0, 1 - phi/2]")
-    p1, p2, p3 = section_division_points(u)
+    half_phi = GoldenNum.of(0, Fraction(1, 2))
+    t_coeff = GoldenNum.of(1, 2)  # 2 phi + 1
+    p3_coeff = GoldenNum.of(1, 1)  # phi + 1; fixed at calibration
+    p1 = HALF - u * p3_coeff
+    p2 = half_phi - u
+    p3 = PHI - HALF - u * p3_coeff
     translations = {
-        4: GoldenNum.of(0, Fraction(1, 2)) + u * _T_COEFF,
-        3: -HALF + u * _P3_COEFF,
-        2: HALF + u * _P3_COEFF,
-        1: -GoldenNum.of(0, Fraction(1, 2)) + u * _T_COEFF,
+        4: half_phi + u * t_coeff,
+        3: -HALF + u * p3_coeff,
+        2: HALF + u * p3_coeff,
+        1: -half_phi + u * t_coeff,
     }
     return IETSpec(u, p1, p2, p3, translations)
 
@@ -514,6 +388,119 @@ def iet_orbit(spec: IETSpec, x0: GoldenNum,
     return tuple(word), False
 
 
+_MIRROR_ROMAN = {1: 4, 2: 3, 3: 2, 4: 1}
+_MIRROR_SIDE = {"L": "R", "R": "L", None: None}
+
+
+def _section_spec(x: GoldenNum) -> tuple[IETSpec, bool]:
+    """The exchange for the direction with signed boundary coordinate x,
+    and whether it is seen through the mirror p -> phi - p (x < 0)."""
+    mirror = x.sign() < 0
+    return iet_build(-x if mirror else x), mirror
+
+
+def _section_step(spec: IETSpec, mirror: bool, p: GoldenNum,
+                  side: str | None) -> tuple[GoldenNum, int]:
+    """Image of p and the Roman symbol read.  side 'R' reads p + eps and
+    'L' reads p - eps, so a division point has both one-sided images; None
+    reads p itself, which must not be a division point.  Through the
+    mirror the Roman symbols and the two sides swap."""
+    if mirror:
+        img, sym = _section_step(spec, False, PHI - p, _MIRROR_SIDE[side])
+        return PHI - img, _MIRROR_ROMAN[sym]
+    if side is None:
+        return spec.step(p)
+    bounds = (ZERO, *spec.division_points, PHI)
+    for k, lo, hi in zip((4, 3, 2, 1), bounds, bounds[1:]):
+        inside = lo <= p < hi if side == "R" else lo < p <= hi
+        if inside and not (hi - lo).is_zero():
+            return p + spec.translations[k], k
+    raise SingularOrbit(f"no one-sided branch at {p}")
+
+
+def section_map(p: GoldenNum, x: GoldenNum) -> tuple[GoldenNum, int]:
+    """One return to the diagonal: new abscissa and the Roman symbol read."""
+    return _section_step(*_section_spec(x), p, None)
+
+
+def section_cell_points(x: GoldenNum, steps: int) -> list[GoldenNum]:
+    """Partition points separating the return words of length <= steps."""
+    spec, mirror = _section_spec(x)
+    divs = [PHI - d if mirror else d for d in spec.division_points]
+    pts = {ZERO, PHI, *divs}
+    frontier = [(d, s) for d in divs for s in ("L", "R")]
+    for _ in range(steps):
+        nxt = []
+        for v, side in frontier:
+            if v == ZERO or v == PHI:
+                continue  # singular leaf reached the diagonal endpoint
+            img, _sym = _section_step(spec, mirror, v, side)
+            if img == ZERO or img == PHI:
+                continue
+            pts.add(img)
+            nxt.append((img, side))
+        frontier = nxt
+    return sorted(pts)
+
+
+#: a trace may run this many times its expected length before it is
+#: declared unclosed
+BUDGET_FACTOR = 10
+#: the long period assumed when the caller does not know it
+GUESSED_LONG = 40
+
+
+def strip_cells_for_coordinate(x: GoldenNum, expected_long: int | None = None
+                               ) -> list[tuple[GoldenNum, GoldenNum, TraceResult]]:
+    """One section cell per parallel strip of a periodic direction.
+
+    Returns two entries (lo, hi, trace-from-midpoint), ordered short then
+    long by combinatorial length, breaking ties by geometric length."""
+    direction = direction_of_coordinate(x)
+    guess = expected_long or GUESSED_LONG
+    cap = BUDGET_FACTOR * 2 * guess + 20
+    pts = section_cell_points(x, guess + 2)
+    found: dict[tuple, tuple[GoldenNum, GoldenNum, TraceResult]] = {}
+    for lo, hi in zip(pts, pts[1:]):
+        if (hi - lo).is_zero():
+            continue
+        mid = (lo + hi) / GoldenNum.of(2)
+        start = PlanePoint(PentaNum.of(mid), P_ZERO)
+        try:
+            res = trace_surface(start, direction, max_crossings=cap)
+        except SaddleConnectionError:
+            continue
+        if not res.closed:
+            raise TraceBudgetExceeded(
+                f"orbit at coordinate {x} did not close within {cap} crossings")
+        key = res.word.canonical()
+        if key not in found:
+            found[key] = (lo, hi, res)
+            if len(found) == 2:
+                break
+    if len(found) < 2:
+        raise TraceBudgetExceeded(f"could not find both strips at {x}")
+    cells = list(found.values())
+
+    def order_key(cell):
+        res = cell[2]
+        return (len(res.word), res.length_squared)
+
+    a, b = cells
+    ka, kb = order_key(a), order_key(b)
+    if ka[0] < kb[0] or (ka[0] == kb[0] and ka[1] < kb[1]):
+        return [a, b]
+    return [b, a]
+
+
+def periodic_orbits_for_coordinate(x: GoldenNum, expected_long: int | None = None
+                                   ) -> tuple[TraceResult, TraceResult]:
+    """Trace one orbit from each of the two parallel strips of a periodic
+    direction; returns (short, long).  x is the boundary coordinate."""
+    cells = strip_cells_for_coordinate(x, expected_long)
+    return cells[0][2], cells[1][2]
+
+
 # ---------------------------------------------------------------------------
 # billiards in the single pentagon
 
@@ -522,10 +509,10 @@ def _reflect_matrix(w: PlanePoint):
     """Reflection matrix across the line with direction w, over PentaNum."""
     n2 = dot(w, w)
     inv = n2.inverse()
-    two = PentaNum(GoldenNum.of(2), ZERO)
-    m00 = two * w.x * w.x * inv - PENT_ONE
+    two = PentaNum.rational(2)
+    m00 = two * w.x * w.x * inv - P_ONE
     m01 = two * w.x * w.y * inv
-    m11 = two * w.y * w.y * inv - PENT_ONE
+    m11 = two * w.y * w.y * inv - P_ONE
     return (m00, m01, m01, m11)
 
 
@@ -540,7 +527,24 @@ def _mat_mul(m, n):
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-_MAT_ID = (PENT_ONE, P_ZERO, P_ZERO, PENT_ONE)
+_MAT_ID = (P_ONE, P_ZERO, P_ZERO, P_ONE)
+
+
+def billiard_budget(multiplier: int, expected_long: int | None = None) -> int:
+    """Reflections allowed for a billiard orbit that closes after
+    multiplier surface periods, in a direction of the given long period."""
+    return BUDGET_FACTOR * multiplier * 2 * (expected_long or GUESSED_LONG) * 2 + 40
+
+
+def _billiard_steps(pos: PlanePoint, d: PlanePoint):
+    """The billiard from pos in direction d, one reflection at a time:
+    yields the side hit, the hit point, the reflection matrix and the
+    reflected direction."""
+    while True:
+        side, pos, _t = _exit_side(pos, d, 0)
+        refl = _reflect_matrix(side.v1 - side.v0)
+        d = _mat_apply(refl, d)
+        yield side, pos, refl, d
 
 
 def trace_billiard(start: PlanePoint, direction: PlanePoint,
@@ -556,6 +560,7 @@ def trace_billiard(start: PlanePoint, direction: PlanePoint,
     if not _point_in_pentagon(start, PENTAGON_UPPER):
         raise ValueError("start must lie strictly inside the pentagon")
     pos, d = start, direction
+    steps = _billiard_steps(start, direction)
     mat = _MAT_ID
     off = PlanePoint(P_ZERO, P_ZERO)  # unfolded(x) = mat x + off
     labels: list[int] = []
@@ -570,17 +575,24 @@ def trace_billiard(start: PlanePoint, direction: PlanePoint,
                 raise ArithmeticError("unfolded displacement not parallel")
             return TraceResult(CyclicWord.arabic(labels), True,
                                (disp.x, disp.y), len(labels), start, direction)
-        side, hit, _t = _exit_side(pos, d, 0)
+        side, pos, refl, d = next(steps)
         labels.append(side.label)
-        w = side.v1 - side.v0
-        refl = _reflect_matrix(w)
         # compose the unfolding with this reflection (acting first)
         refl_off = side.v0 - _mat_apply(refl, side.v0)
         off = _mat_apply(mat, refl_off) + off
         mat = _mat_mul(mat, refl)
-        d = _mat_apply(refl, d)
-        pos = hit
 
     rel = pos - start
     return TraceResult(tuple(labels), False, (rel.x, rel.y),
                        len(labels), start, direction)
+
+
+def billiard_points(result: TraceResult) -> list[PlanePoint]:
+    """The corners of a billiard trace in the pentagon: the start, each
+    reflection point, and the start again when the orbit closed."""
+    steps = _billiard_steps(result.start, result.direction)
+    pts = [result.start]
+    pts.extend(next(steps)[1] for _ in range(result.crossings))
+    if result.closed:
+        pts.append(result.start)
+    return pts

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 import pytest
 
-from pentaflow import tracer
 from pentaflow.analysis import (
     billiard_report,
     check_conjecture_concat,
@@ -32,7 +31,7 @@ from pentaflow.directions import (
     index_of_coordinate,
     index_strings_to_depth,
 )
-from pentaflow.golden import GoldenNum, PHI
+from pentaflow.golden import GoldenNum, PentaNum, PHI
 from pentaflow.orbits import (
     CyclicWord,
     OrbitVector,
@@ -205,7 +204,7 @@ def test_criterion_07_arithmetic_families():
 
 
 def test_criterion_08_length_identities():
-    phi = tracer._pn(PHI)
+    phi = PentaNum.of(PHI)
     for s in index_strings_to_depth(3):
         idx = DirectionIndex.from_digits(s)
         x = coordinate_of_index(idx).value

@@ -21,7 +21,7 @@ from pentaflow.directions import (
     coordinate_of_index,
     index_strings_to_depth,
 )
-from pentaflow.golden import GoldenNum, PHI
+from pentaflow.golden import GoldenNum, PentaNum, PHI
 from pentaflow.orbits import CyclicWord, OrbitVector, orbit_of_index, roman_of_arabic, vectors_of_index
 from pentaflow.periods import child_periods, period_of_index
 from pentaflow import tracer
@@ -35,7 +35,7 @@ def test_displacement_examples():
     d = displacement(OrbitVector(0, 0, 1, 0))
     assert d.x == tracer.U_VEC.x and d.y == tracer.U_VEC.y
     d = displacement(OrbitVector(1, 0, 0, 0))
-    phi = tracer._pn(PHI)
+    phi = PentaNum.of(PHI)
     assert d.x == tracer.U_VEC.x * phi and d.y == tracer.U_VEC.y * phi
     # the symmetric vector is vertical
     d = displacement(OrbitVector(1, 0, 0, 1))
@@ -43,7 +43,7 @@ def test_displacement_examples():
 
 
 def test_long_displacement_is_phi_times_short():
-    phi = tracer._pn(PHI)
+    phi = PentaNum.of(PHI)
     for s in index_strings_to_depth(3):
         idx = DirectionIndex.from_digits(s)
         sv, lv = vectors_of_index(idx)

@@ -1,5 +1,6 @@
 import json
 import xml.dom.minidom
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,13 @@ def test_direction_report(capsys):
     assert "short 1, long 1" in out
 
 
+def test_direction_index_forms_agree(capsys):
+    # one argument per digit or one run of digits: the same index
+    _, spaced = run(capsys, "direction", "0", "1")
+    code, joined = run(capsys, "direction", "01")
+    assert code == EXIT_OK and joined == spaced
+
+
 def test_direction_json_round_trips(capsys):
     code, out = run(capsys, "direction", "1", "--json")
     assert code == EXIT_OK
@@ -33,9 +41,12 @@ def test_direction_json_round_trips(capsys):
 
 
 def test_direction_usage_error(capsys):
-    with pytest.raises(SystemExit) as e:
-        main(["direction", "9"])
-    assert e.value.code == EXIT_USAGE
+    for digits in ("9", "5"):
+        with pytest.raises(SystemExit) as e:
+            main(["direction", digits])
+        assert e.value.code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"direction: bad index '{digits}'" in err
 
 
 def test_orbit_outputs(capsys):
@@ -73,14 +84,27 @@ def test_verify_usage(capsys):
 
 def test_verify_deterministic_ledger(tmp_path, capsys):
     outs = []
-    for name, workers in (("a", "1"), ("b", "1"), ("c", "3")):
+    for name in ("a", "b"):
         out = tmp_path / f"{name}.json"
         code, _ = run(capsys, "verify", "--depth", "2",
                       "--suite", "m-relation", "--suite", "reduction",
-                      "--workers", workers, "--json-out", str(out))
+                      "--json-out", str(out))
         assert code == EXIT_OK
         outs.append(out.read_text())
-    assert outs[0] == outs[1] == outs[2]
+    assert outs[0] == outs[1]
+
+
+def test_verify_ledger_matches_pinned_file(tmp_path, capsys):
+    # the ledger of the fast suites at depth 3, byte for byte as committed;
+    # a change that alters any row shows here
+    out = tmp_path / "ledger.json"
+    code, _ = run(capsys, "verify", "--depth", "3", "--suite", "periods",
+                  "--suite", "m-relation", "--suite", "reduction",
+                  "--suite", "displacement", "--suite", "conjectures",
+                  "--json-out", str(out))
+    assert code == EXIT_OK
+    pinned = Path(__file__).parent / "data" / "ledger_depth3_fast.json"
+    assert out.read_bytes() == pinned.read_bytes()
 
 
 def test_render_surface_and_billiard(tmp_path, capsys):

@@ -38,7 +38,10 @@ def test_index_validation():
     assert DirectionIndex.from_digits((1, 0, 0)) == DirectionIndex((1,))
     assert DirectionIndex.from_digits((0, 0)) == DirectionIndex()
     assert DirectionIndex.parse("0 3") == DirectionIndex((0, 3))
+    assert DirectionIndex.parse("01 2") == DirectionIndex((0, 1, 2))
     assert DirectionIndex.parse("bottom") == BOTTOM
+    with pytest.raises(ValueError):
+        DirectionIndex.parse("0x")
 
 
 def test_generation0_coordinates():

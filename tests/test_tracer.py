@@ -1,11 +1,18 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 
 from pentaflow.directions import BOTTOM, DirectionIndex, coordinate_of_index, index_strings_to_depth
-from pentaflow.golden import GoldenNum, PHI, ZERO
-from pentaflow.orbits import CyclicWord, orbit_of_index, roman_of_arabic, vector_of
+from pentaflow.golden import GoldenNum, PentaNum, PHI, ZERO
+from pentaflow.orbits import (
+    ROMAN_OF_PAIR,
+    CyclicWord,
+    orbit_of_index,
+    roman_of_arabic,
+    vector_of,
+)
 from pentaflow.periods import period_of_index
 from pentaflow import tracer
 from pentaflow.tracer import (
@@ -36,7 +43,7 @@ def g(a, b=0):
 
 
 def section_point(p: GoldenNum) -> PlanePoint:
-    return PlanePoint(tracer._pn(p), tracer.P_ZERO)
+    return PlanePoint(PentaNum.of(p), tracer.P_ZERO)
 
 
 def test_chart_pairings_are_parallel_translations():
@@ -58,7 +65,7 @@ def test_pentagons_disjoint_and_located():
     probe = PlanePoint(inner_low.x, inner_low.y + tracer._ps(g(0, Fraction(1, 2))))
     assert locate_pentagon(probe) == 1
     with pytest.raises(ValueError):
-        locate_pentagon(PlanePoint(tracer._pn(g(100)), tracer.P_ZERO))
+        locate_pentagon(PlanePoint(PentaNum.of(g(100)), tracer.P_ZERO))
 
 
 def test_side_labeling_is_the_unique_calibrated_one():
@@ -98,7 +105,7 @@ def test_boundary_strip_words_and_displacements():
     dx, dy = short.displacement
     assert dx == U_VEC.x and dy == U_VEC.y
     lx, ly = long.displacement
-    phi = tracer._pn(PHI)
+    phi = PentaNum.of(PHI)
     assert lx == U_VEC.x * phi and ly == U_VEC.y * phi
     assert short.length_squared == PHI * PHI
     assert long.length_squared == PHI ** 4
@@ -125,7 +132,7 @@ def test_direction_of_vector():
     assert u.x == U_VEC.x and u.y == U_VEC.y
     v = direction_of_vector(g(0), g(1))
     assert v.x == V_VEC.x and v.y == V_VEC.y
-    assert (U_VEC.x * U_VEC.x + U_VEC.y * U_VEC.y - tracer._pn(PHI * PHI)).is_zero()
+    assert (U_VEC.x * U_VEC.x + U_VEC.y * U_VEC.y - PentaNum.of(PHI * PHI)).is_zero()
     # the symmetric combination is vertical
     w = direction_of_vector(g(0, 1), g(0, 1))
     assert w.x.is_zero() and w.y.sign() > 0
@@ -246,6 +253,27 @@ def test_section_map_agrees_with_geometric_returns():
         assert roman_of_arabic(res.word) == CyclicWord.roman_word(word)
 
 
+def test_section_map_agrees_with_traced_prefix_at_random_parameters():
+    # away from tree vertices: K returns of the formula map against the
+    # first 2K crossings of the 2-D flow, read as Roman pairs
+    rng = random.Random(20111005)
+    K = 6
+    limit = g(1, Fraction(-1, 2))  # 1 - phi/2, the sector's edge
+    for n in range(8):
+        x = g(Fraction(rng.randint(1, 190), 1000) * (-1) ** n)
+        assert -limit < x < limit
+        p = g(Fraction(rng.randint(1, 999), 1000)) * PHI
+        q, word = p, []
+        for _ in range(K):
+            q, sym = section_map(q, x)
+            word.append(sym)
+        res = trace_surface(section_point(p), direction_of_coordinate(x),
+                            max_crossings=2 * K)
+        assert not res.closed and len(res.word) == 2 * K
+        pairs = zip(res.word[::2], res.word[1::2])
+        assert [ROMAN_OF_PAIR[pair] for pair in pairs] == word
+
+
 def test_surface_words_match_engine_to_generation_two():
     for s in index_strings_to_depth(2):
         idx = DirectionIndex.from_digits(s)
@@ -298,7 +326,7 @@ def test_billiard_budget_and_guards():
                          direction_of_coordinate(x), max_reflections=2)
     assert not res.closed and len(res.word) == 2
     with pytest.raises(ValueError):
-        trace_billiard(PlanePoint(tracer._pn(g(50)), tracer.P_ZERO),
+        trace_billiard(PlanePoint(PentaNum.of(g(50)), tracer.P_ZERO),
                        direction_of_coordinate(x), 10)
 
 
