@@ -25,6 +25,7 @@ from .orbits import (
     roman_of_arabic,
     rotations,
     vector_of,
+    vectors_of_index,
 )
 from .periods import PeriodPair, period_of_index
 from .tracer import (
@@ -32,7 +33,7 @@ from .tracer import (
     TraceResult,
     U_VEC,
     V_VEC,
-    billiard_budget,
+    TraceBudgetExceeded,
     direction_of_coordinate,
     strip_cells_for_coordinate,
     trace_billiard,
@@ -92,8 +93,7 @@ class LengthReport:
 
 def length_report(idx: DirectionIndex) -> LengthReport:
     x = coordinate_of_index(idx).value
-    sv = vector_of(orbit_of_index(idx, "short"))
-    lv = vector_of(orbit_of_index(idx, "long"))
+    sv, lv = vectors_of_index(idx)
     return LengthReport(
         idx,
         period_of_index(idx),
@@ -121,37 +121,35 @@ class BilliardReport:
 
 def _billiard_from_cell(lo: GoldenNum, hi: GoldenNum, direction,
                         cap: int) -> TraceResult:
-    """Billiard trace from the strip cell, avoiding the isolated odd-period
-    axis by retrying from other exact offsets inside the cell."""
-    width = hi - lo
-    for num, den in ((1, 2), (5, 13), (3, 7), (7, 19), (11, 29), (13, 31)):
-        p = lo + width * GoldenNum.of(Fraction(num, den))
-        start = PlanePoint(PentaNum.of(p), P_ZERO)
+    """Billiard trace from the strip cell, which closes after exactly cap
+    reflections.  The cell meets the band's odd-period axis at most once,
+    where the orbit closes after half as many; if the midpoint lies on it,
+    the trace starts 5/13 of the way across instead."""
+    for t in (Fraction(1, 2), Fraction(5, 13)):
+        start = PlanePoint(PentaNum.of(lo + (hi - lo) * GoldenNum.of(t)), P_ZERO)
         res = trace_billiard(start, direction, max_reflections=cap)
-        if res.closed and len(res.word) % 2 == 0:
-            return res
-    raise ArithmeticError("no even-period billiard representative found in cell")
+        if not res.closed:
+            raise TraceBudgetExceeded(direction, cap, res.crossings)
+        if len(res.word) % 2 == 0:
+            break
+    return res
 
 
 def billiard_report(idx: DirectionIndex) -> BilliardReport:
     """Trace both strips on the surface and the matching pentagon billiards,
     checking the exact length multiple and the golden ratio of lengths."""
     x = coordinate_of_index(idx).value
-    periods = period_of_index(idx)
-    cells = strip_cells_for_coordinate(x, expected_long=periods.long)
+    cells = strip_cells_for_coordinate(x, expected_long=period_of_index(idx).long)
     (s_lo, s_hi, s_tr), (l_lo, l_hi, l_tr) = cells
-    sv = vector_of(s_tr.word)
-    lv = vector_of(l_tr.word)
-    mult_s = billiard_multiplier(sv)
-    mult_l = billiard_multiplier(lv)
+    mult_s = billiard_multiplier(vector_of(s_tr.word))
+    mult_l = billiard_multiplier(vector_of(l_tr.word))
     direction = direction_of_coordinate(x)
-    cap = billiard_budget(mult_s, periods.long)
-    b_s = _billiard_from_cell(s_lo, s_hi, direction, cap)
-    b_l = _billiard_from_cell(l_lo, l_hi, direction, cap)
+    b_s = _billiard_from_cell(s_lo, s_hi, direction, mult_s * s_tr.crossings)
+    b_l = _billiard_from_cell(l_lo, l_hi, direction, mult_l * l_tr.crossings)
 
     msq = GoldenNum.of(mult_s * mult_s)
     lengths_exact = (
-        b_s.closed and b_l.closed and mult_s == mult_l
+        mult_s == mult_l
         and (b_s.length_squared - msq * s_tr.length_squared).is_zero()
         and (b_l.length_squared - GoldenNum.of(mult_l * mult_l) * l_tr.length_squared).is_zero()
     )

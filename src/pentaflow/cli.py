@@ -1,8 +1,8 @@
 """Command line surface: direction reports, orbit printing, batch
 verification and SVG rendering.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 budget
-exhaustion.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 a trace
+missed its exact period or renormalization ran out of depth.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .directions import (
     BOTTOM,
     DepthExceeded,
     DirectionIndex,
-    SectorError,
     arc_left_vertex,
     arc_right_vertex,
     coordinate_of_index,
@@ -26,7 +25,7 @@ from .directions import (
     index_strings_to_depth,
 )
 from .golden import PHI, GoldenNum, PentaNum, ProjectivePoint
-from .orbits import orbit_of_index, roman_of_arabic, vector_of
+from .orbits import orbit_of_index, roman_of_arabic, vector_of, vectors_of_index
 from .periods import child_periods, period_of_index
 from .tracer import periodic_orbits_for_coordinate
 
@@ -55,8 +54,7 @@ def cmd_direction(args) -> int:
     idx = _parse_index(args)
     coord = coordinate_of_index(idx)
     pp = period_of_index(idx)
-    sv = vector_of(orbit_of_index(idx, "short"))
-    lv = vector_of(orbit_of_index(idx, "long"))
+    sv, lv = vectors_of_index(idx)
     mult = analysis.billiard_multiplier(sv)
     if args.json:
         out = {
@@ -336,23 +334,29 @@ def cmd_render(args) -> int:
         x = coordinate_of_index(_parse_index(args)).value
 
     try:
-        pp = period_of_index(index_of_coordinate(x))
-    except (DepthExceeded, SectorError):
-        pp = None
-    expected = pp.long if pp else None
+        idx = index_of_coordinate(x)
+    except DepthExceeded as e:
+        print(f"render: {e}", file=sys.stderr)
+        return EXIT_BUDGET
+    pp = period_of_index(idx)
+    billiard = (f" and a billiard of at most {10 * pp.short} reflections"
+                if args.billiard else "")
+    print(f"render: index {idx}, periods {pp.short}/{pp.long}: tracing strips "
+          f"of {2 * pp.short} and {2 * pp.long} crossings{billiard}",
+          file=sys.stderr)
     try:
-        s_tr, l_tr = periodic_orbits_for_coordinate(x, expected_long=expected)
+        s_tr, l_tr = periodic_orbits_for_coordinate(x, expected_long=pp.long)
+        if args.billiard:
+            cap = analysis.billiard_multiplier(vector_of(s_tr.word)) * s_tr.crossings
+            res = tracer.trace_billiard(s_tr.start, s_tr.direction, max_reflections=cap)
+            if not res.closed:
+                raise tracer.TraceBudgetExceeded(s_tr.direction, cap, res.crossings)
     except tracer.TraceBudgetExceeded as e:
         print(f"render: {e}", file=sys.stderr)
         return EXIT_BUDGET
 
     lines = []
     if args.billiard:
-        mult = analysis.billiard_multiplier(vector_of(s_tr.word))
-        cap = tracer.billiard_budget(mult, expected)
-        res = tracer.trace_billiard(s_tr.start, s_tr.direction, max_reflections=cap)
-        if not res.closed:
-            lines.append('<!-- warning: orbit did not close within budget -->')
         lines.append(_svg_polygon(tracer.PENTAGON_UPPER, "#333333"))
         lines.append(_svg_polyline([_xy(p) for p in tracer.billiard_points(res)],
                                    "#c02020"))

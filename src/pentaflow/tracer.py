@@ -31,7 +31,14 @@ class SaddleConnectionError(RuntimeError):
 
 
 class TraceBudgetExceeded(RuntimeError):
-    pass
+    """A trace ran to its cap, the exact closing count, without closing."""
+
+    def __init__(self, direction: PlanePoint, cap: int, crossings: int):
+        super().__init__(f"trace in direction {direction} made {crossings} "
+                         f"crossings without closing (cap {cap})")
+        self.direction = direction
+        self.cap = cap
+        self.crossings = crossings
 
 
 class SingularOrbit(RuntimeError):
@@ -260,11 +267,12 @@ def _surface_steps(pos: PlanePoint, direction: PlanePoint, pent: int):
 
 
 def trace_surface(start: PlanePoint, direction: PlanePoint,
-                  max_crossings: int = 10 ** 6) -> TraceResult:
+                  max_crossings: int) -> TraceResult:
     """Follow the straight-line flow, jumping by the side pairings.
 
     Declares closure on exact return to the start point in the starting
-    copy (the direction never changes); cone-point hits raise.
+    copy (the direction never changes), also at the last crossing allowed;
+    cone-point hits raise.
     """
     if direction.is_zero():
         raise ValueError("direction must be nonzero")
@@ -275,13 +283,13 @@ def trace_surface(start: PlanePoint, direction: PlanePoint,
     tx, ty = P_ZERO, P_ZERO  # accumulated pairing translations
 
     while len(labels) < max_crossings:
-        if labels and pent == start_pent and _passes_through(pos, start, direction):
-            return TraceResult(CyclicWord.arabic(labels), True, (-tx, -ty),
-                               len(labels), start, direction)
         side, _hit, pos, pent = next(steps)
         labels.append(side.label)
         tx = tx + side.translation.x
         ty = ty + side.translation.y
+        if pent == start_pent and _passes_through(pos, start, direction):
+            return TraceResult(CyclicWord.arabic(labels), True, (-tx, -ty),
+                               len(labels), start, direction)
 
     rel = pos - start
     return TraceResult(tuple(labels), False,
@@ -374,7 +382,7 @@ def iet_build(u: GoldenNum) -> IETSpec:
 
 
 def iet_orbit(spec: IETSpec, x0: GoldenNum,
-              max_steps: int = 10 ** 6) -> tuple[CyclicWord | tuple[int, ...], bool]:
+              max_steps: int) -> tuple[CyclicWord | tuple[int, ...], bool]:
     """Iterate the exchange from x0, recording interval symbols."""
     if x0.sign() < 0 or (x0 - PHI).sign() >= 0:
         raise ValueError("starting point outside [0, phi)")
@@ -443,23 +451,17 @@ def section_cell_points(x: GoldenNum, steps: int) -> list[GoldenNum]:
     return sorted(pts)
 
 
-#: a trace may run this many times its expected length before it is
-#: declared unclosed
-BUDGET_FACTOR = 10
-#: the long period assumed when the caller does not know it
-GUESSED_LONG = 40
-
-
-def strip_cells_for_coordinate(x: GoldenNum, expected_long: int | None = None
+def strip_cells_for_coordinate(x: GoldenNum, expected_long: int
                                ) -> list[tuple[GoldenNum, GoldenNum, TraceResult]]:
     """One section cell per parallel strip of a periodic direction.
 
-    Returns two entries (lo, hi, trace-from-midpoint), ordered short then
-    long by combinatorial length, breaking ties by geometric length."""
+    expected_long is the exact long period: every orbit closes within
+    2 * expected_long crossings, and one that does not raises.  Returns two
+    entries (lo, hi, trace-from-midpoint), ordered short then long by
+    combinatorial length, breaking ties by geometric length."""
     direction = direction_of_coordinate(x)
-    guess = expected_long or GUESSED_LONG
-    cap = BUDGET_FACTOR * 2 * guess + 20
-    pts = section_cell_points(x, guess + 2)
+    cap = 2 * expected_long
+    pts = section_cell_points(x, expected_long + 2)
     found: dict[tuple, tuple[GoldenNum, GoldenNum, TraceResult]] = {}
     for lo, hi in zip(pts, pts[1:]):
         if (hi - lo).is_zero():
@@ -471,32 +473,23 @@ def strip_cells_for_coordinate(x: GoldenNum, expected_long: int | None = None
         except SaddleConnectionError:
             continue
         if not res.closed:
-            raise TraceBudgetExceeded(
-                f"orbit at coordinate {x} did not close within {cap} crossings")
+            raise TraceBudgetExceeded(direction, cap, res.crossings)
         key = res.word.canonical()
         if key not in found:
             found[key] = (lo, hi, res)
             if len(found) == 2:
                 break
     if len(found) < 2:
-        raise TraceBudgetExceeded(f"could not find both strips at {x}")
-    cells = list(found.values())
-
-    def order_key(cell):
-        res = cell[2]
-        return (len(res.word), res.length_squared)
-
-    a, b = cells
-    ka, kb = order_key(a), order_key(b)
-    if ka[0] < kb[0] or (ka[0] == kb[0] and ka[1] < kb[1]):
-        return [a, b]
-    return [b, a]
+        raise ArithmeticError(f"found {len(found)} strip(s) at {x}, not two")
+    return sorted(found.values(),
+                  key=lambda c: (len(c[2].word), c[2].length_squared))
 
 
-def periodic_orbits_for_coordinate(x: GoldenNum, expected_long: int | None = None
+def periodic_orbits_for_coordinate(x: GoldenNum, expected_long: int
                                    ) -> tuple[TraceResult, TraceResult]:
     """Trace one orbit from each of the two parallel strips of a periodic
-    direction; returns (short, long).  x is the boundary coordinate."""
+    direction; returns (short, long).  x is the boundary coordinate and
+    expected_long the exact long period."""
     cells = strip_cells_for_coordinate(x, expected_long)
     return cells[0][2], cells[1][2]
 
@@ -530,12 +523,6 @@ def _mat_mul(m, n):
 _MAT_ID = (P_ONE, P_ZERO, P_ZERO, P_ONE)
 
 
-def billiard_budget(multiplier: int, expected_long: int | None = None) -> int:
-    """Reflections allowed for a billiard orbit that closes after
-    multiplier surface periods, in a direction of the given long period."""
-    return BUDGET_FACTOR * multiplier * 2 * (expected_long or GUESSED_LONG) * 2 + 40
-
-
 def _billiard_steps(pos: PlanePoint, d: PlanePoint):
     """The billiard from pos in direction d, one reflection at a time:
     yields the side hit, the hit point, the reflection matrix and the
@@ -548,12 +535,13 @@ def _billiard_steps(pos: PlanePoint, d: PlanePoint):
 
 
 def trace_billiard(start: PlanePoint, direction: PlanePoint,
-                   max_reflections: int = 10 ** 6) -> TraceResult:
+                   max_reflections: int) -> TraceResult:
     """Exact billiard in the unit pentagon with the surface side labels.
 
     Unfolds the reflections into an exact isometry; closure is exact return
-    of both position and direction, and the displacement is the unfolded
-    straight-line vector of the closed path.
+    of both position and direction, also at the last reflection allowed,
+    and the displacement is the unfolded straight-line vector of the closed
+    path.
     """
     if direction.is_zero():
         raise ValueError("direction must be nonzero")
@@ -566,7 +554,13 @@ def trace_billiard(start: PlanePoint, direction: PlanePoint,
     labels: list[int] = []
 
     while len(labels) < max_reflections:
-        if labels and d == direction and _passes_through(pos, start, d):
+        side, pos, refl, d = next(steps)
+        labels.append(side.label)
+        # compose the unfolding with this reflection (acting first)
+        refl_off = side.v0 - _mat_apply(refl, side.v0)
+        off = _mat_apply(mat, refl_off) + off
+        mat = _mat_mul(mat, refl)
+        if d == direction and _passes_through(pos, start, d):
             # the unfolded path is a straight run along the direction, even
             # when the composed holonomy is a reflection (odd period)
             end = _mat_apply(mat, start) + off
@@ -575,12 +569,6 @@ def trace_billiard(start: PlanePoint, direction: PlanePoint,
                 raise ArithmeticError("unfolded displacement not parallel")
             return TraceResult(CyclicWord.arabic(labels), True,
                                (disp.x, disp.y), len(labels), start, direction)
-        side, pos, refl, d = next(steps)
-        labels.append(side.label)
-        # compose the unfolding with this reflection (acting first)
-        refl_off = side.v0 - _mat_apply(refl, side.v0)
-        off = _mat_apply(mat, refl_off) + off
-        mat = _mat_mul(mat, refl)
 
     rel = pos - start
     return TraceResult(tuple(labels), False, (rel.x, rel.y),

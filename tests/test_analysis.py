@@ -24,7 +24,7 @@ from pentaflow.directions import (
 from pentaflow.golden import GoldenNum, PentaNum, PHI
 from pentaflow.orbits import CyclicWord, OrbitVector, orbit_of_index, roman_of_arabic, vectors_of_index
 from pentaflow.periods import child_periods, period_of_index
-from pentaflow import tracer
+from pentaflow import analysis, tracer
 
 
 def g(a, b=0):
@@ -83,6 +83,19 @@ def test_billiard_report_examples():
     assert rep.passed and rep.multiplier == 1
     rep = billiard_report(DirectionIndex())
     assert rep.passed and rep.multiplier == 5
+    # each billiard closes at its exact cap, the multiplier times the
+    # surface crossings, also where the midpoint lies on the odd axis
+    for surface, billiard in ((rep.surface_short, rep.billiard_short),
+                              (rep.surface_long, rep.billiard_long)):
+        assert billiard.crossings == 5 * surface.crossings
+
+
+def test_billiard_below_its_exact_cap_fails_loudly():
+    x = coordinate_of_index(DirectionIndex((2,))).value
+    (lo, hi, s_tr), _ = tracer.strip_cells_for_coordinate(x, expected_long=4)
+    with pytest.raises(tracer.TraceBudgetExceeded) as e:
+        analysis._billiard_from_cell(lo, hi, s_tr.direction, s_tr.crossings - 1)
+    assert e.value.cap == e.value.crossings == s_tr.crossings - 1
 
 
 def test_concat_children_period_bookkeeping():

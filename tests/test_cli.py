@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from pentaflow.cli import EXIT_OK, EXIT_USAGE, main
+from pentaflow.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
 from pentaflow.golden import GoldenNum
 
 
@@ -124,6 +124,16 @@ def test_render_surface_and_billiard(tmp_path, capsys):
 
 def test_render_strip_parameter(tmp_path, capsys):
     out = tmp_path / "strips.svg"
-    code, _ = run(capsys, "render", "--u", "0", "--out", str(out))
+    code = main(["render", "--u", "0", "--out", str(out)])
     assert code == EXIT_OK
     xml.dom.minidom.parse(str(out))
+    # before tracing, stderr names the index and its exact periods
+    captured = capsys.readouterr()
+    assert captured.out == f"wrote {out}\n"
+    assert "index 2, periods 2/4" in captured.err
+
+    # this close to the vertex 2, renormalization runs out of depth first
+    code = main(["render", "--u", "1/100000", "--out", str(out)])
+    assert code == EXIT_BUDGET
+    assert capsys.readouterr().err.startswith("render: no index found within "
+                                              "depth budget; prefix (")

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from pentaflow.directions import BOTTOM, DirectionIndex, index_strings_to_depth
 from pentaflow.golden import GoldenNum
+from pentaflow.orbits import orbit_of_index
 from pentaflow.periods import (
     PeriodPair,
     arithmetic_family_check,
@@ -46,6 +49,21 @@ def _period_via_tree(digits):
         bounds = [left, *kids, right]
         left, right = bounds[d], bounds[d + 1]
     return child_periods(left, right)[digits[-1] - 1]
+
+
+def test_periods_agree_by_matrix_tree_and_word_length_at_random_depth():
+    # seeded indices at depth 10-14: the digit-matrix product, the arc
+    # recursion and the lengths of the engine's words (two Arabic symbols
+    # per return) give the same periods
+    rng = random.Random(20110318)
+    for _ in range(8):
+        n = rng.randint(10, 14)
+        digits = tuple(rng.randint(0, 3) for _ in range(n - 1)) + (rng.randint(1, 3),)
+        idx = DirectionIndex(digits)
+        got = period_of_index(idx)
+        assert _period_via_tree(digits) == got
+        words = (len(orbit_of_index(idx, "short")), len(orbit_of_index(idx, "long")))
+        assert words == got.arabic
 
 
 def test_child_periods_rows():

@@ -119,6 +119,17 @@ def test_budget_exhaustion_reports_open_trace():
     assert isinstance(res.word, tuple) and len(res.word) == 3
 
 
+def test_strip_search_fails_loudly_below_the_exact_period():
+    # index 2 has periods 2/4; a long period of 1 caps every trace at 2
+    # crossings, so the first cell's orbit cannot close
+    x = coordinate_of_index(DirectionIndex((2,))).value
+    with pytest.raises(tracer.TraceBudgetExceeded) as e:
+        tracer.strip_cells_for_coordinate(x, expected_long=1)
+    assert e.value.cap == 2 and e.value.crossings == 2
+    assert e.value.direction == direction_of_coordinate(x)
+    assert "cap 2" in str(e.value) and str(e.value.direction) in str(e.value)
+
+
 def test_vertex_hit_is_a_distinct_error():
     # aim straight at the apex cone point
     start = section_point(g(0, Fraction(1, 2)))
@@ -220,7 +231,7 @@ def test_iet_matches_surface_words():
         for lo, hi in zip(pts, pts[1:]):
             if (hi - lo).is_zero():
                 continue
-            w, closed = iet_orbit(spec, (lo + hi) / g(2), 10 * 2 * pp.long + 20)
+            w, closed = iet_orbit(spec, (lo + hi) / g(2), pp.long)
             assert closed
             got.add(w)
             if len(got) == 2:
@@ -241,14 +252,14 @@ def test_section_map_agrees_with_geometric_returns():
         p = g(Fraction(3, 11))
         word = []
         q = p
-        for _ in range(2 * pp.long + 4):
+        for _ in range(pp.long):
             q, sym = section_map(q, x)
             word.append(sym)
             if q == p:
                 break
         assert q == p  # closes, matching complete periodicity
         res = trace_surface(section_point(p), direction_of_coordinate(x),
-                            max_crossings=10 * 2 * pp.long + 20)
+                            max_crossings=2 * pp.long)
         assert res.closed
         assert roman_of_arabic(res.word) == CyclicWord.roman_word(word)
 
