@@ -148,7 +148,10 @@ def _suite_m_relation(depth: int) -> list[dict]:
     for idx in _all_indices(depth):
         sv, lv = orbits.vectors_of_index(idx)
         pp = period_of_index(idx)
-        ok = (orbits.check_M(sv, lv)
+        # the vector recursion against the symbol counts of the built words
+        by_words = (vector_of(orbit_of_index(idx, "short")),
+                    vector_of(orbit_of_index(idx, "long")))
+        ok = (orbits.check_M(sv, lv) and (sv, lv) == by_words
               and sv.period == pp.short and lv.period == pp.long)
         rows.append({"case": str(idx), "ok": ok,
                      "short": sv.as_tuple(), "long": lv.as_tuple()})

@@ -10,7 +10,7 @@ by calibration against the geometric tracer and recorded in CONVENTIONS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Literal
 
@@ -40,6 +40,9 @@ class CyclicWord:
 
     symbols: tuple[int, ...]
     roman: bool = False
+    #: the least rotation, filled in by the first canonical() call
+    _canonical: tuple[int, ...] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.symbols:
@@ -70,7 +73,11 @@ class CyclicWord:
         return len(self.symbols)
 
     def canonical(self) -> tuple[int, ...]:
-        return min(rotations(self.symbols))
+        """The lexicographically least rotation, computed once per word."""
+        if self._canonical is None:
+            k = _least_rotation_start(self.symbols)
+            object.__setattr__(self, "_canonical", self.symbols[k:] + self.symbols[:k])
+        return self._canonical
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CyclicWord):
@@ -93,6 +100,33 @@ def rotations(s: tuple[int, ...]):
         yield ()
     for k in range(len(s)):
         yield s[k:] + s[:k]
+
+
+def _least_rotation_start(s: tuple[int, ...]) -> int:
+    """Start of the lexicographically least rotation of s, in O(len(s)).
+
+    Booth, "Lexicographically least circular substrings" (1980): the
+    Knuth-Morris-Pratt failure function of s s, kept relative to the best
+    start k found so far; a mismatch against a smaller symbol moves k.
+    """
+    ss = s + s
+    fail = [-1] * len(ss)
+    k = 0
+    for j in range(1, len(ss)):
+        c = ss[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != ss[k + i + 1]:
+            if c < ss[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if c != ss[k + i + 1]:
+            # here i == -1, so c was compared with ss[k]
+            if c < ss[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
 
 
 def rotate_alphabet(w: CyclicWord, j: int) -> CyclicWord:
@@ -178,16 +212,24 @@ BASE_ORBITS = {
 }
 
 
+def _generation_step(digits: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(alphabet shift, parent digits) of the generation step that builds
+    a nonempty index's orbit from its parent's: at generation 1 the shift
+    is the digit and the parent is (); deeper, the shift is the first
+    digit plus one and the parent is the mirror of the remaining digits."""
+    if len(digits) == 1:
+        return digits[0], ()
+    return digits[0] + 1, mirror_digits(digits[1:])
+
+
 @lru_cache(maxsize=None)
 def _orbit_cached(digits: tuple[int, ...], bottom: bool, kind: Kind) -> CyclicWord:
+    """Rotate the parent's orbit by the step's shift, then enhance it;
+    BOTTOM and () are their own base."""
     if bottom or not digits:
         return BASE_ORBITS[(bottom, kind)]
-    if len(digits) == 1:
-        parent = _orbit_cached((), False, kind)
-        return enhance(rotate_alphabet(parent, digits[0]))
-    parent_digits = mirror_digits(digits[1:])
-    parent = _orbit_cached(parent_digits, False, kind)
-    return enhance(rotate_alphabet(parent, digits[0] + 1))
+    shift, parent = _generation_step(digits)
+    return enhance(rotate_alphabet(_orbit_cached(parent, False, kind), shift))
 
 
 def orbit_of_index(idx: DirectionIndex, kind: Kind) -> CyclicWord:
@@ -273,8 +315,25 @@ def quintuple_relation(a: OrbitVector, A: OrbitVector,
 
 
 def vectors_of_index(idx: DirectionIndex) -> tuple[OrbitVector, OrbitVector]:
-    return (vector_of(orbit_of_index(idx, "short")),
-            vector_of(orbit_of_index(idx, "long")))
+    """(short, long) orbit vectors without building a word.
+
+    The same recursion as the orbit engine, on counts: the generation step
+    with shift i (the digit at generation 1, the first digit plus one
+    deeper, the parent being the mirror of the remaining digits) maps the
+    parent's vector v to apply_L(i, v).  BOTTOM and () are their own base.
+    Short and long each start from their own base orbit, so long = M short
+    stays a check.  O(depth) vector operations.
+    """
+    shifts = []
+    digits = idx.digits
+    while digits:
+        shift, digits = _generation_step(digits)
+        shifts.append(shift)
+    short = vector_of(BASE_ORBITS[(idx.bottom, "short")])
+    long = vector_of(BASE_ORBITS[(idx.bottom, "long")])
+    for shift in reversed(shifts):
+        short, long = apply_L(shift, short), apply_L(shift, long)
+    return short, long
 
 
 def mirror_vector(v: OrbitVector) -> OrbitVector:

@@ -1,5 +1,9 @@
+import random
+import tracemalloc
+
 import pytest
 
+from pentaflow import orbits
 from pentaflow.directions import BOTTOM, DirectionIndex, index_strings_to_depth
 from pentaflow.orbits import (
     CyclicWord,
@@ -17,6 +21,7 @@ from pentaflow.orbits import (
     reduction_parent,
     roman_of_arabic,
     rotate_alphabet,
+    rotations,
     vector_of,
     vectors_of_index,
 )
@@ -46,6 +51,23 @@ def test_cyclic_equality():
     assert W("2 5") == W("5 2")
     assert W("2 5") != W("2 3")
     assert hash(W("2 5")) == hash(W("5 2"))
+
+
+def test_canonical_is_least_rotation():
+    rng = random.Random(19800101)
+    words = [(1, 2) * 7, (2, 1) * 7, (3,) * 9, (4,), (2, 1), (1, 2), (5, 5)]
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        hi = rng.choice((2, 3, 5))
+        words.append(tuple(rng.randint(1, hi) for _ in range(n)))
+    for s in words:
+        w = CyclicWord.arabic(s)
+        assert w.canonical() == min(rotations(s)), s
+    # the cache is filled on first use and plays no part in equality or repr
+    a, b = W("4 1 4 3 2 3 4 1"), W("4 3 2 3 4 1 4 1")
+    a.canonical()
+    assert a == b and hash(a) == hash(b)
+    assert repr(a) == "CyclicWord(symbols=(4, 1, 4, 3, 2, 3, 4, 1), roman=False)"
 
 
 def test_rotate_alphabet():
@@ -129,6 +151,35 @@ def test_vector_examples():
     for idx, (ws, wl) in zip(idxs, published):
         sv, lv = vectors_of_index(idx)
         assert sv.as_tuple() == ws and lv.as_tuple() == wl
+
+
+def test_vectors_of_index_agree_with_word_vectors():
+    # the apply_L recursion against the symbol counts of the built words
+    idxs = {DirectionIndex.from_digits(s) for s in index_strings_to_depth(6)}
+    idxs |= {DirectionIndex(), BOTTOM}
+    for idx in idxs:
+        sv, lv = vectors_of_index(idx)
+        assert sv == vector_of(orbit_of_index(idx, "short")), idx
+        assert lv == vector_of(orbit_of_index(idx, "long")), idx
+
+
+def test_vectors_of_index_at_depth_16_build_no_word(monkeypatch):
+    # periods 26,721,756 / 43,236,712: the words would need gigabytes
+    def no_words(w):
+        raise AssertionError("vectors_of_index built a word")
+
+    monkeypatch.setattr(orbits, "enhance", no_words)
+    idx = DirectionIndex.parse("1212121212121212")
+    tracemalloc.start()
+    try:
+        sv, lv = vectors_of_index(idx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+    pp = period_of_index(idx)
+    assert (sv.period, lv.period) == (pp.short, pp.long) == (26_721_756, 43_236_712)
+    assert check_M(sv, lv)
 
 
 def test_apply_L():
