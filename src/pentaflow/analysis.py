@@ -8,8 +8,8 @@ exhaustively over rotations and record explicit witnesses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .directions import (
     DirectionIndex,
@@ -74,8 +74,7 @@ def billiard_multiplier(v: OrbitVector) -> int:
     return 1 if ((v.c - v.f) + 2 * (v.e - v.d)) % 5 == 0 else 5
 
 
-@dataclass(frozen=True)
-class LengthReport:
+class LengthReport(NamedTuple):
     index: DirectionIndex
     periods: PeriodPair
     short_length_squared: GoldenNum
@@ -103,8 +102,7 @@ def length_report(idx: DirectionIndex) -> LengthReport:
     )
 
 
-@dataclass(frozen=True)
-class BilliardReport:
+class BilliardReport(NamedTuple):
     index: DirectionIndex
     multiplier: int
     surface_short: TraceResult
@@ -197,8 +195,7 @@ def _concat_witness(target: CyclicWord, pieces: list[tuple[int, ...]]):
     return None
 
 
-@dataclass(frozen=True)
-class ChildConcatResult:
+class ChildConcatResult(NamedTuple):
     child: DirectionIndex
     kind: str
     pattern: str
@@ -209,8 +206,7 @@ class ChildConcatResult:
         return self.witness is not None
 
 
-@dataclass(frozen=True)
-class ConjectureReport:
+class ConjectureReport(NamedTuple):
     subject: str
     results: tuple
     passed: bool
@@ -251,8 +247,7 @@ def check_conjecture_concat(left: DirectionIndex,
 # experiment 2: aligned splittings along a neighbor chain
 
 
-@dataclass(frozen=True)
-class SplittingWitness:
+class SplittingWitness(NamedTuple):
     side: str
     c: tuple[int, ...]
     d: tuple[int, ...]

@@ -13,12 +13,15 @@ and coordinates decrease toward the bottom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from itertools import accumulate
+from operator import matmul
+from typing import Iterable, NamedTuple, Sequence
 
 from .golden import (
+    FrozenValue,
     GoldenNum,
+    IDENTITY_MAP,
     INFINITY,
     ProjectivePoint,
     R_MAP,
@@ -61,21 +64,21 @@ GENERATION0_COORDS = (
 )
 
 
-@dataclass(frozen=True)
-class DirectionIndex:
+class DirectionIndex(FrozenValue):
     """Digit string n1..nk with 0 <= ni <= 3 and nk != 0, or the BOTTOM endpoint."""
 
-    digits: tuple[int, ...] = ()
-    bottom: bool = False
+    __slots__ = ("digits", "bottom")
 
-    def __post_init__(self):
-        if self.bottom and self.digits:
+    def __init__(self, digits: tuple[int, ...] = (), bottom: bool = False):
+        if bottom and digits:
             raise ValueError("BOTTOM carries no digits")
-        for d in self.digits:
+        for d in digits:
             if not 0 <= d <= 3:
                 raise ValueError(f"digit out of range: {d}")
-        if self.digits and self.digits[-1] == 0:
+        if digits and digits[-1] == 0:
             raise ValueError("last digit must be nonzero (strip trailing zeros)")
+        object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "bottom", bottom)
 
     @staticmethod
     def from_digits(digits: Iterable[int]) -> "DirectionIndex":
@@ -137,24 +140,29 @@ def _exponents(digits: Sequence[int]) -> list[int]:
     return out
 
 
+#: T^-m for m = 0..4, as powers of the adjugate (equal up to a scalar)
+_T_INV_POWERS = list(accumulate([T_MAP.inverse()] * 4, matmul, initial=IDENTITY_MAP))
+#: R T^m at index m = 1..4, one map per generator-word factor; T^m is taken
+#: as T^(m-5), since T^5 is the identity projectively
+_FACTOR_MAPS = (None, *(R_MAP @ _T_INV_POWERS[5 - m] for m in (1, 2, 3, 4)))
+#: T^-m R for m = 1..4: the four candidates of one renormalization step
+_RENORM_MAPS = tuple(_T_INV_POWERS[m] @ R_MAP for m in (1, 2, 3, 4))
+
+
 @lru_cache(maxsize=None)
 def _coordinate_cached(digits: tuple[int, ...], bottom: bool) -> ProjectivePoint:
     if bottom:
         return ProjectivePoint(BOTTOM_COORD)
     x = ProjectivePoint(ALPHA_COORD)
-    exps = _exponents(digits)
     # innermost factor acts first
-    for m in reversed(exps):
-        x = R_MAP.apply(T_MAP.power(m).apply(x))
+    for m in reversed(_exponents(digits)):
+        x = _FACTOR_MAPS[m].apply(x)
     return x
 
 
 def coordinate_of_index(idx: DirectionIndex) -> ProjectivePoint:
     """Exact boundary coordinate of a direction index."""
     return _coordinate_cached(idx.digits, idx.bottom)
-
-
-_T_INV_POWERS = [T_MAP.inverse().power(m) for m in range(5)]
 
 
 def in_closed_sector(x: ProjectivePoint) -> bool:
@@ -186,23 +194,18 @@ def index_of_coordinate(x: ProjectivePoint | GoldenNum,
     while len(ms) < max_depth:
         if pt.value == ALPHA_COORD:
             break
-        y = R_MAP.apply(pt)
-        step = None
-        for m in (1, 2, 3, 4):
-            z = _T_INV_POWERS[m].apply(y)
-            if not z.is_infinity and z.value == ALPHA_COORD:
-                step = (m, z, True)
-                break
-        if step is None:
-            for m in (1, 2, 3, 4):
-                z = _T_INV_POWERS[m].apply(y)
-                if in_closed_sector(z) and z.value != BOTTOM_COORD:
-                    step = (m, z, False)
-                    break
-        if step is None:
+        # a candidate at the top endpoint ends the run; otherwise the first
+        # one in the sector, short of its bottom endpoint, is the next point
+        cands = [f.apply(pt) for f in _RENORM_MAPS]
+        k = next((k for k, z in enumerate(cands) if z.value == ALPHA_COORD), None)
+        terminal = k is not None
+        if not terminal:
+            k = next((k for k, z in enumerate(cands)
+                      if in_closed_sector(z) and z.value != BOTTOM_COORD), None)
+        if k is None:
             raise SectorError(f"renormalization failed at {pt}")
-        m, pt, terminal = step
-        ms.append(m)
+        pt = cands[k]
+        ms.append(k + 1)
         if terminal:
             break
 
@@ -252,17 +255,19 @@ def arc_right_vertex(prefix: tuple[int, ...]) -> DirectionIndex:
     return DirectionIndex(tuple(ds))
 
 
-@dataclass(frozen=True)
-class IdealPentagon:
-    """Five boundary vertices in decreasing coordinate order along the arc."""
+class IdealPentagon(FrozenValue):
+    """Five boundary vertices in decreasing coordinate order along the arc;
+    arc is None for the base pentagon."""
 
-    vertices: tuple[ProjectivePoint, ...]
-    generation: int
-    arc: tuple[int, ...] | None = None  # None for the base pentagon
+    __slots__ = ("vertices", "generation", "arc")
 
-    def __post_init__(self):
-        if len(self.vertices) != 5:
+    def __init__(self, vertices: tuple[ProjectivePoint, ...], generation: int,
+                 arc: tuple[int, ...] | None = None):
+        if len(vertices) != 5:
             raise ValueError("an ideal pentagon has five vertices")
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "generation", generation)
+        object.__setattr__(self, "arc", arc)
 
 
 def pentagon_for_arc(prefix: tuple[int, ...]) -> IdealPentagon:
@@ -321,8 +326,7 @@ def index_strings_to_depth(d: int) -> list[tuple[int, ...]]:
     return out
 
 
-@dataclass(frozen=True)
-class NeighborFamily:
+class NeighborFamily(NamedTuple):
     """Tessellation vertices joined to a center by a pentagon side.
 
     members maps the family position i to (index, coordinate); positions

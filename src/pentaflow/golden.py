@@ -10,9 +10,9 @@ the output boundary via to_decimal / __float__.
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from operator import attrgetter
+from typing import NamedTuple, Union
 
 Rational = Union[int, Fraction]
 
@@ -21,12 +21,56 @@ def _sgn(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
-@dataclass(frozen=True)
-class GoldenNum:
+_set = object.__setattr__  # writes a slot past FrozenValue.__setattr__
+
+
+class FrozenValue:
+    """Base of the package's immutable __slots__ value types.
+
+    The public slots are the fields.  They give equality between values of
+    the same type, the hash of the field tuple, the repr
+    Name(field=value, ...) and pickling; assigning an attribute raises
+    AttributeError.  A slot whose name starts with an underscore is a cache
+    and takes part in none of these.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        cls._key = attrgetter(*cls._fields)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._key(self)
+
+
+class GoldenNum(FrozenValue):
     """Element a + b*phi of Q[phi], stored in lowest terms (Fraction does that)."""
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ("a", "b")
+
+    def __init__(self, a: Fraction, b: Fraction):
+        _set(self, "a", a)
+        _set(self, "b", b)
 
     @staticmethod
     def of(a: Rational, b: Rational = 0) -> "GoldenNum":
@@ -152,12 +196,14 @@ HALF = GoldenNum.of(Fraction(1, 2))
 S_SQUARED = GoldenNum.of(Fraction(3, 4), Fraction(-1, 4))
 
 
-@dataclass(frozen=True)
-class PentaNum:
+class PentaNum(FrozenValue):
     """Element p + q*s of Q[phi][s] with s = sin 36 degrees."""
 
-    p: GoldenNum
-    q: GoldenNum
+    __slots__ = ("p", "q")
+
+    def __init__(self, p: GoldenNum, q: GoldenNum):
+        _set(self, "p", p)
+        _set(self, "q", q)
 
     @staticmethod
     def of(p: GoldenNum, q: GoldenNum = ZERO) -> "PentaNum":
@@ -257,8 +303,7 @@ P_ONE = PentaNum(ONE, ZERO)
 SIN36 = PentaNum(ZERO, ONE)
 
 
-@dataclass(frozen=True)
-class ProjectivePoint:
+class ProjectivePoint(NamedTuple):
     """A point of the boundary circle: a golden number or the point at infinity."""
 
     value: GoldenNum | None  # None encodes infinity
@@ -274,14 +319,16 @@ class ProjectivePoint:
 INFINITY = ProjectivePoint(None)
 
 
-@dataclass(frozen=True)
-class MoebiusMap:
+class MoebiusMap(FrozenValue):
     """2x2 matrix over Q[phi] acting on the boundary circle by x -> (ax+b)/(cx+d)."""
 
-    a: GoldenNum
-    b: GoldenNum
-    c: GoldenNum
-    d: GoldenNum
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a: GoldenNum, b: GoldenNum, c: GoldenNum, d: GoldenNum):
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "c", c)
+        _set(self, "d", d)
 
     def apply(self, x: ProjectivePoint | GoldenNum) -> ProjectivePoint:
         if isinstance(x, GoldenNum):

@@ -10,11 +10,11 @@ by calibration against the geometric tracer and recorded in CONVENTIONS.md.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Literal
 
 from .directions import DirectionIndex, mirror_digits
+from .golden import FrozenValue
 
 ROMAN_NAMES = {1: "I", 2: "II", 3: "III", 4: "IV"}
 ROMAN_VALUES = {v: k for k, v in ROMAN_NAMES.items()}
@@ -34,23 +34,24 @@ class WordError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class CyclicWord:
-    """A nonempty word considered up to rotation; equality is cyclic."""
+class CyclicWord(FrozenValue):
+    """A nonempty word considered up to rotation; equality is cyclic.
 
-    symbols: tuple[int, ...]
-    roman: bool = False
-    #: the least rotation, filled in by the first canonical() call
-    _canonical: tuple[int, ...] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    _canonical caches the least rotation, filled in by the first
+    canonical() call."""
 
-    def __post_init__(self):
-        if not self.symbols:
+    __slots__ = ("symbols", "roman", "_canonical")
+
+    def __init__(self, symbols: tuple[int, ...], roman: bool = False):
+        if not symbols:
             raise WordError("empty word")
-        hi = 4 if self.roman else 5
-        for s in self.symbols:
+        hi = 4 if roman else 5
+        for s in symbols:
             if not 1 <= s <= hi:
                 raise WordError(f"symbol {s} out of range for this alphabet")
+        object.__setattr__(self, "symbols", symbols)
+        object.__setattr__(self, "roman", roman)
+        object.__setattr__(self, "_canonical", None)
 
     @staticmethod
     def arabic(symbols: Iterable[int]) -> "CyclicWord":
@@ -250,14 +251,16 @@ def reduction_parent(idx: DirectionIndex) -> DirectionIndex:
 # orbit vectors
 
 
-@dataclass(frozen=True)
-class OrbitVector:
+class OrbitVector(FrozenValue):
     """Counts (c, d, e, f) of the Roman symbols I, II, III, IV per period."""
 
-    c: int
-    d: int
-    e: int
-    f: int
+    __slots__ = ("c", "d", "e", "f")
+
+    def __init__(self, c: int, d: int, e: int, f: int):
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "e", e)
+        object.__setattr__(self, "f", f)
 
     def __add__(self, other: "OrbitVector") -> "OrbitVector":
         return OrbitVector(self.c + other.c, self.d + other.d,

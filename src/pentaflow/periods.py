@@ -8,23 +8,23 @@ digit, and along any pentagon arc by a three-child recursion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .directions import DirectionIndex, NeighborFamily, neighbor_family
-from .golden import ONE, PHI, ZERO, GoldenNum
+from .golden import ONE, PHI, ZERO, FrozenValue, GoldenNum
 
 PHI2 = PHI * PHI
 
 
-@dataclass(frozen=True)
-class PeriodPair:
-    short: int
-    long: int
+class PeriodPair(FrozenValue):
+    __slots__ = ("short", "long")
 
-    def __post_init__(self):
-        if not (0 < self.short <= self.long):
-            raise ValueError(f"invalid period pair {(self.short, self.long)}")
+    def __init__(self, short: int, long: int):
+        if not (0 < short <= long):
+            raise ValueError(f"invalid period pair {(short, long)}")
+        object.__setattr__(self, "short", short)
+        object.__setattr__(self, "long", long)
 
     def encode(self) -> GoldenNum:
         """The element short + long*phi of Z[phi]."""
@@ -84,8 +84,7 @@ def child_periods(left: PeriodPair, right: PeriodPair) -> tuple[PeriodPair, Peri
     )
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(NamedTuple):
     """Arithmetic-progression check over a neighbor family."""
 
     center: DirectionIndex

@@ -10,10 +10,11 @@ by calibration (see CONVENTIONS.md) and frozen here as constants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .golden import (
+    FrozenValue,
     HALF,
     P_ONE,
     P_ZERO,
@@ -50,10 +51,12 @@ def _ps(g: GoldenNum) -> PentaNum:
     return PentaNum(ZERO, g)
 
 
-@dataclass(frozen=True)
-class PlanePoint:
-    x: PentaNum
-    y: PentaNum
+class PlanePoint(FrozenValue):
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: PentaNum, y: PentaNum):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     def __add__(self, other: "PlanePoint") -> "PlanePoint":
         return PlanePoint(self.x + other.x, self.y + other.y)
@@ -106,8 +109,7 @@ SIDE_LABELS = {"AB": 2, "BD": 5, "DE": 3, "EC": 1, "CA": 4}
 _SIDE_ORDER = (("AB", 0, 1), ("BD", 1, 2), ("DE", 2, 3), ("EC", 3, 4), ("CA", 4, 0))
 
 
-@dataclass(frozen=True)
-class Side:
+class Side(NamedTuple):
     name: str
     label: int
     v0: PlanePoint
@@ -208,8 +210,7 @@ def _passes_through(pos: PlanePoint, target: PlanePoint,
     return t.sign() >= 0
 
 
-@dataclass(frozen=True)
-class TraceResult:
+class TraceResult(NamedTuple):
     """Outcome of an exact trace.
 
     word is cyclic when the orbit closed, otherwise the crossing prefix.
@@ -315,8 +316,7 @@ def surface_segments(result: TraceResult) -> list[tuple[PlanePoint, PlanePoint]]
 # the diagonal section and its interval exchange
 
 
-@dataclass(frozen=True)
-class IETSpec:
+class IETSpec(NamedTuple):
     """Exchange of four intervals on [0, phi].
 
     Intervals are labelled consecutively from the right end: I = [p3, phi),

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from pentaflow import directions
 from pentaflow.directions import (
     ALPHA_COORD,
     BOTTOM,
@@ -23,7 +24,14 @@ from pentaflow.directions import (
     pentagon_for_arc,
     pentagons_to_depth,
 )
-from pentaflow.golden import GoldenNum, INFINITY
+from pentaflow.golden import (
+    GoldenNum,
+    INFINITY,
+    MoebiusMap,
+    ProjectivePoint,
+    R_MAP,
+    T_MAP,
+)
 
 
 def g(a, b=0):
@@ -61,6 +69,48 @@ def test_coordinate_examples():
     assert coordinate_of_index(BOTTOM).value == BOTTOM_COORD
     # one level deeper: the third child of the top arc
     assert coordinate_of_index(DirectionIndex((0, 3))).value == g(Fraction(5, 2), Fraction(-3, 2))
+
+
+T_POWERS = {m: T_MAP.power(m) for m in (1, 2, 3, 4)}
+
+
+def _coordinate_sequential(idx: DirectionIndex) -> ProjectivePoint:
+    """The reference route: T^m, then R, for every generator-word factor."""
+    if idx.bottom:
+        return ProjectivePoint(BOTTOM_COORD)
+    x = ProjectivePoint(ALPHA_COORD)
+    for m in reversed(directions._exponents(idx.digits)):
+        x = R_MAP.apply(T_POWERS[m].apply(x))
+    return x
+
+
+def test_precomposed_factor_maps_match_the_sequential_route():
+    rng = random.Random(20111021)
+    deep = []
+    for _ in range(8):
+        n = rng.randint(20, 40)
+        deep.append(DirectionIndex(tuple(rng.randint(0, 3) for _ in range(n - 1))
+                                   + (rng.randint(1, 3),)))
+    shallow = {DirectionIndex.from_digits(s) for s in index_strings_to_depth(6)}
+    assert len(shallow) == 4096
+    for idx in sorted(shallow, key=str) + [DirectionIndex(), BOTTOM] + deep:
+        assert coordinate_of_index(idx) == _coordinate_sequential(idx), idx
+
+
+def test_one_map_application_per_digit(monkeypatch):
+    """coordinate_of_index applies one precomposed map per digit (three
+    golden multiplications); a renormalization step applies at most four."""
+    idx = DirectionIndex((1, 2) * 8)
+    want = _coordinate_sequential(idx)
+    muls, applies = [], []
+    mul, apply = GoldenNum.__mul__, MoebiusMap.apply
+    monkeypatch.setattr(GoldenNum, "__mul__", lambda a, b: muls.append(1) or mul(a, b))
+    monkeypatch.setattr(MoebiusMap, "apply", lambda f, x: applies.append(1) or apply(f, x))
+    assert directions._coordinate_cached.__wrapped__(idx.digits, False) == want
+    assert len(applies) == 16 and len(muls) <= 3 * 16
+    applies.clear()
+    assert index_of_coordinate(want) == idx
+    assert len(applies) <= 4 * 16
 
 
 def test_index_of_coordinate_examples():
