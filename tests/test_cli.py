@@ -7,6 +7,7 @@ import pytest
 from pentaflow.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
 from pentaflow.golden import GoldenNum
 
+PINNED = Path(__file__).parent / "data"
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -103,8 +104,7 @@ def test_verify_ledger_matches_pinned_file(tmp_path, capsys):
                   "--suite", "displacement", "--suite", "conjectures",
                   "--json-out", str(out))
     assert code == EXIT_OK
-    pinned = Path(__file__).parent / "data" / "ledger_depth3_fast.json"
-    assert out.read_bytes() == pinned.read_bytes()
+    assert out.read_bytes() == (PINNED / "ledger_depth3_fast.json").read_bytes()
 
 
 def test_render_surface_and_billiard(tmp_path, capsys):
@@ -137,3 +137,18 @@ def test_render_strip_parameter(tmp_path, capsys):
     assert code == EXIT_BUDGET
     assert capsys.readouterr().err.startswith("render: no index found within "
                                               "depth budget; prefix (")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("2",), "render_2.svg"),
+    (("2", "--billiard"), "render_2_billiard.svg"),
+    (("0", "3"), "render_03.svg"),
+    (("bottom", "--billiard"), "render_bottom_billiard.svg"),
+    (("--u", "0"), "render_u0.svg"),
+])
+def test_render_matches_pinned_svg(tmp_path, capsys, argv, name):
+    # the drawing, byte for byte as committed: every coordinate is printed
+    # to 15 significant digits, so a change in the plane geometry shows here
+    out = tmp_path / name
+    assert main(["render", *argv, "--out", str(out)]) == EXIT_OK
+    assert out.read_bytes() == (PINNED / name).read_bytes()

@@ -1,6 +1,8 @@
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -342,10 +344,6 @@ def test_billiard_budget_and_guards():
 
 
 def test_trace_json_report():
-    import json
-
-    from pentaflow.golden import PentaNum
-
     x = coordinate_of_index(DirectionIndex((2,))).value
     s_tr, _ = periodic_orbits_for_coordinate(x, expected_long=4)
     data = json.loads(json.dumps(s_tr.to_json()))
@@ -353,3 +351,14 @@ def test_trace_json_report():
     dx = PentaNum.from_json(data["displacement"]["x"])
     assert dx == s_tr.displacement[0]
     assert GoldenNum.from_json(data["length_squared"]) == s_tr.length_squared
+
+
+def test_trace_json_matches_pinned_file():
+    # both strips at 121 (periods 17/27), byte for byte as committed
+    idx = DirectionIndex((1, 2, 1))
+    x = coordinate_of_index(idx).value
+    short, long = periodic_orbits_for_coordinate(x, period_of_index(idx).long)
+    text = json.dumps({"short": short.to_json(), "long": long.to_json()},
+                      indent=2, sort_keys=True) + "\n"
+    pinned = Path(__file__).parent / "data" / "trace_121.json"
+    assert text == pinned.read_text()
