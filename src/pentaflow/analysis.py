@@ -17,7 +17,7 @@ from .directions import (
     coordinate_of_index,
     neighbor_chain,
 )
-from .golden import P_ZERO, PHI, S_SQUARED, GoldenNum, PentaNum
+from .golden import PHI, S_SQUARED, ZERO, GoldenNum
 from .orbits import (
     CyclicWord,
     OrbitVector,
@@ -31,28 +31,26 @@ from .periods import PeriodPair, period_of_index
 from .tracer import (
     PlanePoint,
     TraceResult,
-    U_VEC,
-    V_VEC,
     TraceBudgetExceeded,
     direction_of_coordinate,
+    direction_of_vector,
+    dot,
     strip_cells_for_coordinate,
     trace_billiard,
 )
 
 
 def displacement(v: OrbitVector) -> PlanePoint:
-    """Exact plane displacement of a closed orbit with symbol counts v."""
+    """Exact displacement, in the tracer's chart, of a closed orbit with
+    symbol counts v."""
     p = PHI * GoldenNum.of(v.c) + GoldenNum.of(v.e)
     q = PHI * GoldenNum.of(v.f) + GoldenNum.of(v.d)
-    return U_VEC.scale(PentaNum.of(p)) + V_VEC.scale(PentaNum.of(q))
+    return direction_of_vector(p, q)
 
 
 def displacement_norm_squared(v: OrbitVector) -> GoldenNum:
     d = displacement(v)
-    val = d.x * d.x + d.y * d.y
-    if not val.q.is_zero():
-        raise ArithmeticError("squared norm fell outside Q[phi]")
-    return val.p
+    return dot(d, d)
 
 
 def length_squared_formula(v: OrbitVector, x: GoldenNum) -> GoldenNum:
@@ -124,7 +122,7 @@ def _billiard_from_cell(lo: GoldenNum, hi: GoldenNum, direction,
     where the orbit closes after half as many; if the midpoint lies on it,
     the trace starts 5/13 of the way across instead."""
     for t in (Fraction(1, 2), Fraction(5, 13)):
-        start = PlanePoint(PentaNum.of(lo + (hi - lo) * GoldenNum.of(t)), P_ZERO)
+        start = PlanePoint(lo + (hi - lo) * GoldenNum.of(t), ZERO)
         res = trace_billiard(start, direction, max_reflections=cap)
         if not res.closed:
             raise TraceBudgetExceeded(direction, cap, res.crossings)

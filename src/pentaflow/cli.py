@@ -24,7 +24,7 @@ from .directions import (
     index_of_coordinate,
     index_strings_to_depth,
 )
-from .golden import PHI, GoldenNum, PentaNum, ProjectivePoint
+from .golden import PHI, GoldenNum, ProjectivePoint
 from .orbits import orbit_of_index, roman_of_arabic, vector_of, vectors_of_index
 from .periods import child_periods, period_of_index
 from .tracer import periodic_orbits_for_coordinate
@@ -197,13 +197,12 @@ def _suite_oracle(depth: int) -> list[dict]:
 
 def _suite_displacement(depth: int) -> list[dict]:
     rows = []
-    phi = PentaNum.of(PHI)
     for idx in _all_indices(depth):
         x = coordinate_of_index(idx).value
         sv, lv = orbits.vectors_of_index(idx)
         ds = analysis.displacement(sv)
         dl = analysis.displacement(lv)
-        prop = (dl - ds.scale(phi)).is_zero()
+        prop = (dl - ds.scale(PHI)).is_zero()
         ok = (analysis.length_identity_holds(sv, x)
               and analysis.length_identity_holds(lv, x) and prop)
         rows.append({"case": str(idx), "ok": ok})
@@ -221,12 +220,7 @@ def _suite_billiard(depth: int) -> list[dict]:
 
 def _suite_conjectures(depth: int) -> list[dict]:
     rows = []
-    prefixes = [()]
-    all_prefixes = [()]
-    for _ in range(depth):
-        prefixes = [p + (j,) for p in prefixes for j in range(4)]
-        all_prefixes.extend(prefixes)
-    for p in all_prefixes:
+    for p in [(), *index_strings_to_depth(depth)]:
         rep = analysis.check_conjecture_concat(arc_left_vertex(p), arc_right_vertex(p))
         rows.append({"case": f"concat:{rep.subject}", "ok": rep.passed})
     for idx in _all_indices(depth) + [DirectionIndex(), BOTTOM]:
@@ -311,7 +305,7 @@ def _svg_header(xmin, ymin, xmax, ymax) -> list[str]:
 
 
 def _svg_polygon(points, color, width=0.01) -> str:
-    pts = " ".join(f"{_fmt(float(p.x))},{_fmt(float(p.y))}" for p in points)
+    pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in map(_xy, points))
     return (f'<polygon points="{pts}" fill="none" stroke="{color}" '
             f'stroke-width="{width}"/>')
 
@@ -322,8 +316,9 @@ def _svg_polyline(points, color, width=0.012) -> str:
             f'stroke-width="{width}"/>')
 
 
-def _xy(p) -> tuple[float, float]:
-    return (float(p.x), float(p.y))
+def _xy(p: tracer.PlanePoint) -> tuple[float, float]:
+    x, y = p.real()
+    return (float(x), float(y))
 
 
 def cmd_render(args) -> int:
@@ -372,8 +367,7 @@ def cmd_render(args) -> int:
                 lines.append(_svg_polyline([_xy(a), _xy(b)], color))
         verts = list(tracer.PENTAGON_UPPER) + list(tracer.PENTAGON_LOWER)
 
-    xs = [float(v.x) for v in verts]
-    ys = [float(v.y) for v in verts]
+    xs, ys = zip(*map(_xy, verts))
     out = _svg_header(min(xs), min(ys), max(xs), max(ys))
     out.extend(lines)
     out.append("</g></svg>")

@@ -217,11 +217,14 @@ def index_of_coordinate(x: ProjectivePoint | GoldenNum,
 def _fold_digits(ms: list[int]) -> tuple[int, ...]:
     """Rebuild the digit string from the peeled rotation exponents: the
     innermost exponent is a digit verbatim, outer ones shift by one and
-    reflect the tail."""
-    digits: tuple[int, ...] = ()
-    for m in reversed(ms):
-        digits = (m,) if not digits else (m - 1,) + mirror_digits(digits)
-    return digits
+    reflect the tail after them.  Digit i is reflected once per exponent
+    before it, and reflection is an involution, so only the parity of i
+    counts: one pass, no tail rebuilt."""
+    if not ms:
+        return ()
+    digits = [4 - m if i % 2 else m - 1 for i, m in enumerate(ms[:-1])]
+    digits.append(4 - ms[-1] if len(ms) % 2 == 0 else ms[-1])
+    return tuple(digits)
 
 
 def mirror_digits(digits: tuple[int, ...]) -> tuple[int, ...]:
@@ -284,15 +287,9 @@ def pentagons_to_depth(d: int) -> list[IdealPentagon]:
     """The base ideal pentagon plus all sector pentagons on arcs of length < d."""
     if d < 0:
         raise ValueError("depth must be nonnegative")
-    out = [IdealPentagon(GENERATION0_COORDS, generation=0)]
-    prefixes: list[tuple[int, ...]] = [()]
-    for level in range(d):
-        nxt = []
-        for p in prefixes:
-            out.append(pentagon_for_arc(p))
-            nxt.extend(p + (j,) for j in range(4))
-        prefixes = nxt
-    return out
+    arcs = [(), *index_strings_to_depth(d - 1)] if d else []
+    return [IdealPentagon(GENERATION0_COORDS, generation=0),
+            *map(pentagon_for_arc, arcs)]
 
 
 def indices_at_generation(g: int) -> list[DirectionIndex]:

@@ -297,8 +297,6 @@ class PentaNum(FrozenValue):
         return f"({self.p}) + ({self.q})*s"
 
 
-P_ZERO = PentaNum(ZERO, ZERO)
-P_ONE = PentaNum(ONE, ZERO)
 #: sin 36 degrees
 SIN36 = PentaNum(ZERO, ONE)
 

@@ -2,10 +2,14 @@
 billiards in the regular pentagon, and the section interval exchange.
 
 The surface is two centrally symmetric unit pentagons sharing a horizontal
-side, with the remaining sides identified pairwise by translation.  All
-geometry runs over PentaNum, so side hits, closure and displacement are
-decided exactly.  Side labels and the interval conventions are fixed once
-by calibration (see CONVENTIONS.md) and frozen here as constants.
+side, with the remaining sides identified pairwise by translation.  The
+tracer works in a sheared chart: every y is divided by s = sin 36 degrees,
+so each coordinate, direction and displacement lies in Q[phi]^2 and side
+hits, closure and lengths are decided exactly in Q[phi].  Straight lines
+stay straight, the side pairings stay translations, and a cross product is
+the true one divided by s > 0, so its sign is unchanged.  The metric
+appears only in dot.  Side labels and the interval conventions are fixed
+once by calibration (see CONVENTIONS.md) and frozen here as constants.
 """
 
 from __future__ import annotations
@@ -16,10 +20,9 @@ from typing import NamedTuple
 from .golden import (
     FrozenValue,
     HALF,
-    P_ONE,
-    P_ZERO,
+    ONE,
     PHI,
-    SIN36,
+    S_SQUARED,
     ZERO,
     GoldenNum,
     PentaNum,
@@ -46,15 +49,12 @@ class SingularOrbit(RuntimeError):
     """A section orbit hit a division point."""
 
 
-def _ps(g: GoldenNum) -> PentaNum:
-    # a pure multiple of sin 36
-    return PentaNum(ZERO, g)
-
-
 class PlanePoint(FrozenValue):
+    """A point or vector of the chart: the plane point (x, y * sin 36)."""
+
     __slots__ = ("x", "y")
 
-    def __init__(self, x: PentaNum, y: PentaNum):
+    def __init__(self, x: GoldenNum, y: GoldenNum):
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
@@ -67,38 +67,45 @@ class PlanePoint(FrozenValue):
     def __neg__(self) -> "PlanePoint":
         return PlanePoint(-self.x, -self.y)
 
-    def scale(self, k: PentaNum) -> "PlanePoint":
+    def scale(self, k: GoldenNum) -> "PlanePoint":
         return PlanePoint(self.x * k, self.y * k)
 
     def is_zero(self) -> bool:
         return self.x.is_zero() and self.y.is_zero()
 
+    def real(self) -> tuple[PentaNum, PentaNum]:
+        """The true plane coordinates, for display: (x, y * sin 36)."""
+        return PentaNum(self.x, ZERO), PentaNum(ZERO, self.y)
+
     def __str__(self) -> str:
-        return f"({self.x}, {self.y})"
+        x, y = self.real()
+        return f"({x}, {y})"
 
 
-def cross(a: PlanePoint, b: PlanePoint) -> PentaNum:
+def cross(a: PlanePoint, b: PlanePoint) -> GoldenNum:
+    """The true cross product divided by sin 36: same sign, same ratios."""
     return a.x * b.y - a.y * b.x
 
 
-def dot(a: PlanePoint, b: PlanePoint) -> PentaNum:
-    return a.x * b.x + a.y * b.y
+def dot(a: PlanePoint, b: PlanePoint) -> GoldenNum:
+    """The true dot product, the one place the chart's metric appears."""
+    return a.x * b.x + S_SQUARED * (a.y * b.y)
 
 
 # ---------------------------------------------------------------------------
 # the chart: unit pentagon with a horizontal diagonal plus its central mirror
 
-_A = PlanePoint(PentaNum.of(GoldenNum.of(0, Fraction(1, 2))), SIN36)        # apex
-_B = PlanePoint(P_ZERO, P_ZERO)
-_D = PlanePoint(PentaNum.of(GoldenNum.of(Fraction(-1, 2), Fraction(1, 2))), _ps(-PHI))
-_E = PlanePoint(PentaNum.of(GoldenNum.of(Fraction(1, 2), Fraction(1, 2))), _ps(-PHI))
-_C = PlanePoint(PentaNum.of(PHI), P_ZERO)
+_A = PlanePoint(GoldenNum.of(0, Fraction(1, 2)), ONE)  # apex
+_B = PlanePoint(ZERO, ZERO)
+_D = PlanePoint(GoldenNum.of(Fraction(-1, 2), Fraction(1, 2)), -PHI)
+_E = PlanePoint(GoldenNum.of(Fraction(1, 2), Fraction(1, 2)), -PHI)
+_C = PlanePoint(PHI, ZERO)
 
 #: vertices of the upper pentagon, counterclockwise
 PENTAGON_UPPER = (_A, _B, _D, _E, _C)
 
 #: offset taking -V onto the lower copy
-_T0 = PlanePoint(PentaNum.of(PHI), _ps(GoldenNum.of(0, -2)))
+_T0 = PlanePoint(PHI, GoldenNum.of(0, -2))
 
 PENTAGON_LOWER = tuple(-v + _T0 for v in PENTAGON_UPPER)
 
@@ -115,6 +122,17 @@ class Side(NamedTuple):
     v0: PlanePoint
     v1: PlanePoint
     translation: PlanePoint  # jump applied when crossing, either copy
+    reflection: tuple  # billiard reflection across the side, (a, b, c, d)
+
+
+def _reflect_matrix(w: PlanePoint) -> tuple:
+    """Reflection across the line with direction w, in the chart: with
+    G = diag(1, s^2) it is 2 w (G w)^T / (w^T G w) - I, over Q[phi].  Its
+    trace is zero, so the last entry is minus the first."""
+    xx, yy, xy = w.x * w.x, S_SQUARED * (w.y * w.y), w.x * w.y
+    inv = (xx + yy).inverse()
+    a, c = (xx - yy) * inv, (xy + xy) * inv
+    return (a, S_SQUARED * c, c, -a)
 
 
 def _build_sides() -> tuple[tuple[Side, ...], tuple[Side, ...]]:
@@ -122,10 +140,12 @@ def _build_sides() -> tuple[tuple[Side, ...], tuple[Side, ...]]:
     lower = []
     for name, i, j in _SIDE_ORDER:
         label = SIDE_LABELS[name]
+        # the paired sides are parallel, so they share one reflection
+        refl = _reflect_matrix(PENTAGON_UPPER[j] - PENTAGON_UPPER[i])
         for verts, bucket in ((PENTAGON_UPPER, upper), (PENTAGON_LOWER, lower)):
             v0, v1 = verts[i], verts[j]
             t = _T0 - v0 - v1
-            bucket.append(Side(name, label, v0, v1, t))
+            bucket.append(Side(name, label, v0, v1, t, refl))
     return tuple(upper), tuple(lower)
 
 
@@ -133,20 +153,21 @@ SIDES_UPPER, SIDES_LOWER = _build_sides()
 _SIDES = (SIDES_UPPER, SIDES_LOWER)
 
 #: the diagonals bounding the principal sector, length phi each
-U_VEC = PlanePoint(PentaNum.of(HALF), _ps(GoldenNum.of(1, 1)))
-V_VEC = PlanePoint(PentaNum.of(-HALF), _ps(GoldenNum.of(1, 1)))
+U_VEC = PlanePoint(HALF, GoldenNum.of(1, 1))
+V_VEC = PlanePoint(-HALF, GoldenNum.of(1, 1))
 
 
 def direction_of_coordinate(x: GoldenNum) -> PlanePoint:
-    """Exact plane direction for a boundary coordinate in the closed sector."""
-    return PlanePoint(PentaNum.of(x), SIN36)
+    """Exact direction for a boundary coordinate in the closed sector: the
+    plane direction (x, sin 36), which is (x, 1) in the chart."""
+    return PlanePoint(x, ONE)
 
 
 def direction_of_vector(p: GoldenNum, q: GoldenNum) -> PlanePoint:
     """p times the upper sector diagonal plus q times the lower one."""
     if p.is_zero() and q.is_zero():
         raise ValueError("zero vector has no direction")
-    return U_VEC.scale(PentaNum.of(p)) + V_VEC.scale(PentaNum.of(q))
+    return U_VEC.scale(p) + V_VEC.scale(q)
 
 
 def _point_in_pentagon(p: PlanePoint, verts: tuple[PlanePoint, ...]) -> bool:
@@ -181,10 +202,10 @@ def _exit_side(pos: PlanePoint, direction: PlanePoint, pent: int):
         theta = cross(rel, direction) / den
         # theta must lie in [0, 1]; hits at the ends are cone points
         ts = theta.sign()
-        if ts < 0 or (theta - P_ONE).sign() > 0:
+        if ts < 0 or (theta - ONE).sign() > 0:
             continue
         if best is None or (t - best[2]).sign() < 0:
-            if ts == 0 or (theta - P_ONE).is_zero():
+            if ts == 0 or (theta - ONE).is_zero():
                 best = (side, None, t)  # vertex hit candidate
             else:
                 hit = pos + direction.scale(t)
@@ -214,24 +235,22 @@ class TraceResult(NamedTuple):
     """Outcome of an exact trace.
 
     word is cyclic when the orbit closed, otherwise the crossing prefix.
-    displacement is the unfolded end minus start; for a closed orbit its
-    squared norm is the exact squared length.
+    displacement is the unfolded end minus start, as chart components
+    (dx, dy) with the plane vector (dx, dy * sin 36); for a closed orbit
+    its squared norm is the exact squared length.
     """
 
     word: CyclicWord | tuple[int, ...]
     closed: bool
-    displacement: tuple[PentaNum, PentaNum]
+    displacement: tuple[GoldenNum, GoldenNum]
     crossings: int
     start: PlanePoint
     direction: PlanePoint
 
     @property
     def length_squared(self) -> GoldenNum:
-        dx, dy = self.displacement
-        val = dx * dx + dy * dy
-        if not val.q.is_zero():
-            raise ArithmeticError("squared length fell outside Q[phi]")
-        return val.p
+        d = PlanePoint(*self.displacement)
+        return dot(d, d)
 
     @property
     def roman(self) -> CyclicWord:
@@ -240,7 +259,7 @@ class TraceResult(NamedTuple):
         return roman_of_arabic(self.word)
 
     def to_json(self) -> dict:
-        dx, dy = self.displacement
+        dx, dy = PlanePoint(*self.displacement).real()
         word = self.word.symbols if self.closed else self.word
         out = {
             "word": list(word),
@@ -281,7 +300,7 @@ def trace_surface(start: PlanePoint, direction: PlanePoint,
     pos, pent = start, start_pent
     steps = _surface_steps(start, direction, start_pent)
     labels: list[int] = []
-    tx, ty = P_ZERO, P_ZERO  # accumulated pairing translations
+    tx, ty = ZERO, ZERO  # accumulated pairing translations
 
     while len(labels) < max_crossings:
         side, _hit, pos, pent = next(steps)
@@ -342,21 +361,18 @@ class IETSpec(NamedTuple):
             4: self.p1,
         }
 
-    def interval_of(self, p: GoldenNum) -> int:
-        if p < self.p1:
-            return 4
-        if p < self.p2:
-            return 3
-        if p < self.p3:
-            return 2
-        return 1
-
-    def step(self, p: GoldenNum) -> tuple[GoldenNum, int]:
-        for d in self.division_points:
-            if p == d:
-                raise SingularOrbit(f"orbit hit division point {d}")
-        k = self.interval_of(p)
-        return p + self.translations[k], k
+    def step(self, p: GoldenNum, side: str | None = None) -> tuple[GoldenNum, int]:
+        """Image of p and the Roman symbol read.  side 'R' reads p + eps and
+        'L' reads p - eps, so a division point has both one-sided images;
+        None reads p itself, which must not be a division point."""
+        if side is None and p in self.division_points:
+            raise SingularOrbit(f"orbit hit division point {p}")
+        bounds = (ZERO, *self.division_points, PHI)
+        for k, lo, hi in zip((4, 3, 2, 1), bounds, bounds[1:]):
+            inside = lo < p <= hi if side == "L" else lo <= p < hi
+            if inside and not (hi - lo).is_zero():
+                return p + self.translations[k], k
+        raise SingularOrbit(f"no branch of the exchange at {p}")
 
 
 def iet_build(u: GoldenNum) -> IETSpec:
@@ -409,21 +425,12 @@ def _section_spec(x: GoldenNum) -> tuple[IETSpec, bool]:
 
 def _section_step(spec: IETSpec, mirror: bool, p: GoldenNum,
                   side: str | None) -> tuple[GoldenNum, int]:
-    """Image of p and the Roman symbol read.  side 'R' reads p + eps and
-    'L' reads p - eps, so a division point has both one-sided images; None
-    reads p itself, which must not be a division point.  Through the
-    mirror the Roman symbols and the two sides swap."""
+    """IETSpec.step, seen through the mirror p -> phi - p when mirror is
+    set; then the Roman symbols and the two sides swap."""
     if mirror:
-        img, sym = _section_step(spec, False, PHI - p, _MIRROR_SIDE[side])
+        img, sym = spec.step(PHI - p, _MIRROR_SIDE[side])
         return PHI - img, _MIRROR_ROMAN[sym]
-    if side is None:
-        return spec.step(p)
-    bounds = (ZERO, *spec.division_points, PHI)
-    for k, lo, hi in zip((4, 3, 2, 1), bounds, bounds[1:]):
-        inside = lo <= p < hi if side == "R" else lo < p <= hi
-        if inside and not (hi - lo).is_zero():
-            return p + spec.translations[k], k
-    raise SingularOrbit(f"no one-sided branch at {p}")
+    return spec.step(p, side)
 
 
 def section_map(p: GoldenNum, x: GoldenNum) -> tuple[GoldenNum, int]:
@@ -467,7 +474,7 @@ def strip_cells_for_coordinate(x: GoldenNum, expected_long: int
         if (hi - lo).is_zero():
             continue
         mid = (lo + hi) / GoldenNum.of(2)
-        start = PlanePoint(PentaNum.of(mid), P_ZERO)
+        start = PlanePoint(mid, ZERO)
         try:
             res = trace_surface(start, direction, max_crossings=cap)
         except SaddleConnectionError:
@@ -498,17 +505,6 @@ def periodic_orbits_for_coordinate(x: GoldenNum, expected_long: int
 # billiards in the single pentagon
 
 
-def _reflect_matrix(w: PlanePoint):
-    """Reflection matrix across the line with direction w, over PentaNum."""
-    n2 = dot(w, w)
-    inv = n2.inverse()
-    two = PentaNum.rational(2)
-    m00 = two * w.x * w.x * inv - P_ONE
-    m01 = two * w.x * w.y * inv
-    m11 = two * w.y * w.y * inv - P_ONE
-    return (m00, m01, m01, m11)
-
-
 def _mat_apply(m, v: PlanePoint) -> PlanePoint:
     a, b, c, d = m
     return PlanePoint(a * v.x + b * v.y, c * v.x + d * v.y)
@@ -520,18 +516,16 @@ def _mat_mul(m, n):
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-_MAT_ID = (P_ONE, P_ZERO, P_ZERO, P_ONE)
+_MAT_ID = (ONE, ZERO, ZERO, ONE)
 
 
 def _billiard_steps(pos: PlanePoint, d: PlanePoint):
     """The billiard from pos in direction d, one reflection at a time:
-    yields the side hit, the hit point, the reflection matrix and the
-    reflected direction."""
+    yields the side hit, the hit point and the reflected direction."""
     while True:
         side, pos, _t = _exit_side(pos, d, 0)
-        refl = _reflect_matrix(side.v1 - side.v0)
-        d = _mat_apply(refl, d)
-        yield side, pos, refl, d
+        d = _mat_apply(side.reflection, d)
+        yield side, pos, d
 
 
 def trace_billiard(start: PlanePoint, direction: PlanePoint,
@@ -550,16 +544,16 @@ def trace_billiard(start: PlanePoint, direction: PlanePoint,
     pos, d = start, direction
     steps = _billiard_steps(start, direction)
     mat = _MAT_ID
-    off = PlanePoint(P_ZERO, P_ZERO)  # unfolded(x) = mat x + off
+    off = PlanePoint(ZERO, ZERO)  # unfolded(x) = mat x + off
     labels: list[int] = []
 
     while len(labels) < max_reflections:
-        side, pos, refl, d = next(steps)
+        side, pos, d = next(steps)
         labels.append(side.label)
         # compose the unfolding with this reflection (acting first)
-        refl_off = side.v0 - _mat_apply(refl, side.v0)
+        refl_off = side.v0 - _mat_apply(side.reflection, side.v0)
         off = _mat_apply(mat, refl_off) + off
-        mat = _mat_mul(mat, refl)
+        mat = _mat_mul(mat, side.reflection)
         if d == direction and _passes_through(pos, start, d):
             # the unfolded path is a straight run along the direction, even
             # when the composed holonomy is a reflection (odd period)

@@ -31,7 +31,7 @@ from pentaflow.directions import (
     index_of_coordinate,
     index_strings_to_depth,
 )
-from pentaflow.golden import GoldenNum, PentaNum, PHI
+from pentaflow.golden import GoldenNum, PHI
 from pentaflow.orbits import (
     CyclicWord,
     OrbitVector,
@@ -204,14 +204,13 @@ def test_criterion_07_arithmetic_families():
 
 
 def test_criterion_08_length_identities():
-    phi = PentaNum.of(PHI)
     for s in index_strings_to_depth(3):
         idx = DirectionIndex.from_digits(s)
         x = coordinate_of_index(idx).value
         sv, lv = vectors_of_index(idx)
         assert length_identity_holds(sv, x)
         assert length_identity_holds(lv, x)
-        assert (displacement(lv) - displacement(sv).scale(phi)).is_zero()
+        assert (displacement(lv) - displacement(sv).scale(PHI)).is_zero()
     _announce(8, "squared-norm identity and phi-proportional displacements "
                  "through generation 3")
 

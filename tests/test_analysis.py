@@ -21,7 +21,7 @@ from pentaflow.directions import (
     coordinate_of_index,
     index_strings_to_depth,
 )
-from pentaflow.golden import GoldenNum, PentaNum, PHI
+from pentaflow.golden import GoldenNum, PHI
 from pentaflow.orbits import CyclicWord, OrbitVector, orbit_of_index, roman_of_arabic, vectors_of_index
 from pentaflow.periods import child_periods, period_of_index
 from pentaflow import analysis, tracer
@@ -35,20 +35,18 @@ def test_displacement_examples():
     d = displacement(OrbitVector(0, 0, 1, 0))
     assert d.x == tracer.U_VEC.x and d.y == tracer.U_VEC.y
     d = displacement(OrbitVector(1, 0, 0, 0))
-    phi = PentaNum.of(PHI)
-    assert d.x == tracer.U_VEC.x * phi and d.y == tracer.U_VEC.y * phi
+    assert d.x == tracer.U_VEC.x * PHI and d.y == tracer.U_VEC.y * PHI
     # the symmetric vector is vertical
     d = displacement(OrbitVector(1, 0, 0, 1))
     assert d.x.is_zero() and d.y.sign() > 0
 
 
 def test_long_displacement_is_phi_times_short():
-    phi = PentaNum.of(PHI)
     for s in index_strings_to_depth(3):
         idx = DirectionIndex.from_digits(s)
         sv, lv = vectors_of_index(idx)
         ds, dl = displacement(sv), displacement(lv)
-        assert (dl - ds.scale(phi)).is_zero()
+        assert (dl - ds.scale(PHI)).is_zero()
 
 
 def test_length_identity():

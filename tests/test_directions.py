@@ -154,6 +154,23 @@ def test_depth_budget_reports_prefix():
     assert len(e.value.prefix) >= 1
 
 
+def _fold_by_mirroring(ms):
+    # the quadratic fold, kept as the reference: each outer exponent
+    # rebuilds the digit string and mirrors its whole tail
+    digits = ()
+    for m in reversed(ms):
+        digits = (m,) if not digits else (m - 1,) + directions.mirror_digits(digits)
+    return digits
+
+
+def test_linear_fold_matches_the_mirroring_fold():
+    rng = random.Random(20111104)
+    assert directions._fold_digits([]) == ()
+    for _ in range(500):
+        ms = [rng.randint(1, 4) for _ in range(rng.randint(1, 40))]
+        assert directions._fold_digits(ms) == _fold_by_mirroring(ms)
+
+
 def test_pentagon_structure():
     pents = pentagons_to_depth(0)
     assert len(pents) == 1 and pents[0].vertices == GENERATION0_COORDS
@@ -168,6 +185,15 @@ def test_pentagon_structure():
     want = [DirectionIndex(), DirectionIndex((0, 1)), DirectionIndex((0, 2)),
             DirectionIndex((0, 3)), DirectionIndex((1,))]
     assert p0.vertices == tuple(coordinate_of_index(v) for v in want)
+
+
+def test_pentagons_walk_the_arcs_breadth_first():
+    # the base pentagon, then the arcs of length 0, 1, 2 in lexicographic order
+    arcs = [()]
+    for _ in range(2):
+        arcs += [a + (j,) for a in arcs if len(a) == len(arcs[-1]) for j in range(4)]
+    assert [p.arc for p in pentagons_to_depth(3)] == [None, *arcs]
+    assert [p.generation for p in pentagons_to_depth(2)] == [0, 1, 2, 2, 2, 2]
 
 
 def test_pentagons_sorted_and_nested():

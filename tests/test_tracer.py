@@ -16,7 +16,7 @@ from pentaflow.orbits import (
     vector_of,
 )
 from pentaflow.periods import period_of_index
-from pentaflow import tracer
+from pentaflow import analysis, tracer
 from pentaflow.tracer import (
     PENTAGON_LOWER,
     PlanePoint,
@@ -45,7 +45,7 @@ def g(a, b=0):
 
 
 def section_point(p: GoldenNum) -> PlanePoint:
-    return PlanePoint(PentaNum.of(p), tracer.P_ZERO)
+    return PlanePoint(p, ZERO)
 
 
 def test_chart_pairings_are_parallel_translations():
@@ -64,10 +64,10 @@ def test_chart_pairings_are_parallel_translations():
 def test_pentagons_disjoint_and_located():
     assert locate_pentagon(section_point(g(1))) == 0
     inner_low = PENTAGON_LOWER[0]
-    probe = PlanePoint(inner_low.x, inner_low.y + tracer._ps(g(0, Fraction(1, 2))))
+    probe = PlanePoint(inner_low.x, inner_low.y + g(0, Fraction(1, 2)))
     assert locate_pentagon(probe) == 1
     with pytest.raises(ValueError):
-        locate_pentagon(PlanePoint(PentaNum.of(g(100)), tracer.P_ZERO))
+        locate_pentagon(PlanePoint(g(100), ZERO))
 
 
 def test_side_labeling_is_the_unique_calibrated_one():
@@ -107,8 +107,7 @@ def test_boundary_strip_words_and_displacements():
     dx, dy = short.displacement
     assert dx == U_VEC.x and dy == U_VEC.y
     lx, ly = long.displacement
-    phi = PentaNum.of(PHI)
-    assert lx == U_VEC.x * phi and ly == U_VEC.y * phi
+    assert lx == U_VEC.x * PHI and ly == U_VEC.y * PHI
     assert short.length_squared == PHI * PHI
     assert long.length_squared == PHI ** 4
 
@@ -135,7 +134,7 @@ def test_strip_search_fails_loudly_below_the_exact_period():
 def test_vertex_hit_is_a_distinct_error():
     # aim straight at the apex cone point
     start = section_point(g(0, Fraction(1, 2)))
-    up = PlanePoint(tracer.P_ZERO, tracer._ps(g(1)))
+    up = PlanePoint(ZERO, g(1))
     with pytest.raises(SaddleConnectionError):
         trace_surface(start, up, max_crossings=10)
 
@@ -145,7 +144,7 @@ def test_direction_of_vector():
     assert u.x == U_VEC.x and u.y == U_VEC.y
     v = direction_of_vector(g(0), g(1))
     assert v.x == V_VEC.x and v.y == V_VEC.y
-    assert (U_VEC.x * U_VEC.x + U_VEC.y * U_VEC.y - PentaNum.of(PHI * PHI)).is_zero()
+    assert (tracer.dot(U_VEC, U_VEC) - PHI * PHI).is_zero()
     # the symmetric combination is vertical
     w = direction_of_vector(g(0, 1), g(0, 1))
     assert w.x.is_zero() and w.y.sign() > 0
@@ -339,7 +338,7 @@ def test_billiard_budget_and_guards():
                          direction_of_coordinate(x), max_reflections=2)
     assert not res.closed and len(res.word) == 2
     with pytest.raises(ValueError):
-        trace_billiard(PlanePoint(PentaNum.of(g(50)), tracer.P_ZERO),
+        trace_billiard(PlanePoint(g(50), ZERO),
                        direction_of_coordinate(x), 10)
 
 
@@ -349,7 +348,7 @@ def test_trace_json_report():
     data = json.loads(json.dumps(s_tr.to_json()))
     assert data["closed"] and data["word"]
     dx = PentaNum.from_json(data["displacement"]["x"])
-    assert dx == s_tr.displacement[0]
+    assert dx == PentaNum(s_tr.displacement[0], ZERO)
     assert GoldenNum.from_json(data["length_squared"]) == s_tr.length_squared
 
 
@@ -362,3 +361,18 @@ def test_trace_json_matches_pinned_file():
                       indent=2, sort_keys=True) + "\n"
     pinned = Path(__file__).parent / "data" / "trace_121.json"
     assert text == pinned.read_text()
+
+
+def test_tracer_computes_nothing_in_q_phi_s(monkeypatch):
+    # the chart keeps every coordinate in Q[phi], so neither the strip
+    # search nor a billiard report multiplies, inverts or signs a PentaNum
+    def forbidden(*args):
+        raise AssertionError("PentaNum arithmetic in the tracer")
+
+    for name in ("__mul__", "inverse", "sign"):
+        monkeypatch.setattr(PentaNum, name, forbidden)
+    idx = DirectionIndex((1, 2, 1))
+    x = coordinate_of_index(idx).value
+    short, long = periodic_orbits_for_coordinate(x, period_of_index(idx).long)
+    assert (short.crossings, long.crossings) == (34, 54)
+    assert analysis.billiard_report(DirectionIndex((1,))).passed

@@ -27,8 +27,6 @@ from pentaflow.directions import (
 )
 from pentaflow.golden import (
     ONE,
-    P_ONE,
-    P_ZERO,
     T_MAP,
     ZERO,
     GoldenNum,
@@ -58,7 +56,7 @@ def cases():
         (num, "b", Fraction(3)),
         (pnum, "q", ZERO),
         (T_MAP, "d", ZERO),
-        (tracer.PlanePoint(pnum, P_ONE), "y", P_ZERO),
+        (tracer.PlanePoint(num, ONE), "y", ZERO),
         (OrbitVector(1, 2, 3, 4), "f", 5),
         (CyclicWord((2, 5, 4, 3)), "symbols", (2, 5, 3, 4)),
         (idx, "digits", (1, 3)),
