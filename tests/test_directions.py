@@ -189,9 +189,7 @@ def test_pentagon_structure():
 
 def test_pentagons_walk_the_arcs_breadth_first():
     # the base pentagon, then the arcs of length 0, 1, 2 in lexicographic order
-    arcs = [()]
-    for _ in range(2):
-        arcs += [a + (j,) for a in arcs if len(a) == len(arcs[-1]) for j in range(4)]
+    arcs = [(), *((i,) for i in range(4)), *((i, j) for i in range(4) for j in range(4))]
     assert [p.arc for p in pentagons_to_depth(3)] == [None, *arcs]
     assert [p.generation for p in pentagons_to_depth(2)] == [0, 1, 2, 2, 2, 2]
 
