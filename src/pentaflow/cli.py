@@ -356,14 +356,14 @@ def cmd_render(args) -> int:
     lines = []
     if args.billiard:
         lines.append(_svg_polygon(tracer.PENTAGON_UPPER, "#333333"))
-        lines.append(_svg_polyline([_xy(p) for p in tracer.billiard_points(res)],
-                                   "#c02020"))
+        pts = [res.start] + [b for _a, b in res.path]
+        lines.append(_svg_polyline([_xy(p) for p in pts], "#c02020"))
         verts = list(tracer.PENTAGON_UPPER)
     else:
         lines.append(_svg_polygon(tracer.PENTAGON_UPPER, "#333333"))
         lines.append(_svg_polygon(tracer.PENTAGON_LOWER, "#333333"))
         for res, color in ((s_tr, "#c02020"), (l_tr, "#2040c0")):
-            for a, b in tracer.surface_segments(res):
+            for a, b in res.path:
                 lines.append(_svg_polyline([_xy(a), _xy(b)], color))
         verts = list(tracer.PENTAGON_UPPER) + list(tracer.PENTAGON_LOWER)
 

@@ -10,6 +10,8 @@ stay straight, the side pairings stay translations, and a cross product is
 the true one divided by s > 0, so its sign is unchanged.  The metric
 appears only in dot.  Side labels and the interval conventions are fixed
 once by calibration (see CONVENTIONS.md) and frozen here as constants.
+Each trace is one walk over _exit_side, adding up the flight time of the
+pieces it walks and keeping them as its path (see TraceResult).
 """
 
 from __future__ import annotations
@@ -217,18 +219,19 @@ def _exit_side(pos: PlanePoint, direction: PlanePoint, pent: int):
     return best
 
 
-def _passes_through(pos: PlanePoint, target: PlanePoint,
-                    direction: PlanePoint) -> bool:
-    """Does the forward ray from pos pass through target (strictly before
-    leaving)?  Caller guarantees target is interior, so t < t_exit."""
+def _time_to(pos: PlanePoint, target: PlanePoint,
+             direction: PlanePoint) -> GoldenNum | None:
+    """The time at which the forward ray from pos passes through target, or
+    None when it misses.  Caller guarantees target is interior to the
+    pentagon of pos, so a hit comes before the ray leaves."""
     rel = target - pos
     if not cross(rel, direction).is_zero():
-        return False
+        return None
     if not direction.x.is_zero():
         t = rel.x / direction.x
     else:
         t = rel.y / direction.y
-    return t.sign() >= 0
+    return t if t.sign() >= 0 else None
 
 
 class TraceResult(NamedTuple):
@@ -236,8 +239,11 @@ class TraceResult(NamedTuple):
 
     word is cyclic when the orbit closed, otherwise the crossing prefix.
     displacement is the unfolded end minus start, as chart components
-    (dx, dy) with the plane vector (dx, dy * sin 36); for a closed orbit
-    its squared norm is the exact squared length.
+    (dx, dy) with the plane vector (dx, dy * sin 36).  Pairing jumps and
+    reflections keep the speed, so it is the direction times the flight
+    time, to the last crossing or back to the start; for a closed orbit its
+    squared norm is the exact squared length.  path holds the pieces (a, b)
+    walked inside the pentagons, one per crossing, plus the closing piece.
     """
 
     word: CyclicWord | tuple[int, ...]
@@ -246,6 +252,7 @@ class TraceResult(NamedTuple):
     crossings: int
     start: PlanePoint
     direction: PlanePoint
+    path: tuple[tuple[PlanePoint, PlanePoint], ...]
 
     @property
     def length_squared(self) -> GoldenNum:
@@ -276,14 +283,13 @@ class TraceResult(NamedTuple):
         return out
 
 
-def _surface_steps(pos: PlanePoint, direction: PlanePoint, pent: int):
-    """The flow from pos in pentagon pent, one side crossing at a time:
-    yields the side left through, the exit point, and the position and
-    pentagon after the pairing jump."""
-    while True:
-        side, hit, _t = _exit_side(pos, direction, pent)
-        pos, pent = hit + side.translation, 1 - pent
-        yield side, hit, pos, pent
+def _result(labels: list[int], closed: bool, flight: GoldenNum,
+            start: PlanePoint, direction: PlanePoint,
+            path: list) -> TraceResult:
+    disp = direction.scale(flight)
+    word = CyclicWord.arabic(labels) if closed else tuple(labels)
+    return TraceResult(word, closed, (disp.x, disp.y), len(labels),
+                       start, direction, tuple(path))
 
 
 def trace_surface(start: PlanePoint, direction: PlanePoint,
@@ -298,37 +304,24 @@ def trace_surface(start: PlanePoint, direction: PlanePoint,
         raise ValueError("direction must be nonzero")
     start_pent = locate_pentagon(start)
     pos, pent = start, start_pent
-    steps = _surface_steps(start, direction, start_pent)
     labels: list[int] = []
-    tx, ty = ZERO, ZERO  # accumulated pairing translations
+    path = []
+    flight = ZERO
 
     while len(labels) < max_crossings:
-        side, _hit, pos, pent = next(steps)
+        side, hit, t = _exit_side(pos, direction, pent)
         labels.append(side.label)
-        tx = tx + side.translation.x
-        ty = ty + side.translation.y
-        if pent == start_pent and _passes_through(pos, start, direction):
-            return TraceResult(CyclicWord.arabic(labels), True, (-tx, -ty),
-                               len(labels), start, direction)
+        path.append((pos, hit))
+        flight = flight + t
+        pos, pent = hit + side.translation, 1 - pent
+        if pent == start_pent:
+            t_last = _time_to(pos, start, direction)
+            if t_last is not None:
+                path.append((pos, start))
+                return _result(labels, True, flight + t_last, start,
+                               direction, path)
 
-    rel = pos - start
-    return TraceResult(tuple(labels), False,
-                       (rel.x - tx, rel.y - ty), len(labels), start, direction)
-
-
-def surface_segments(result: TraceResult) -> list[tuple[PlanePoint, PlanePoint]]:
-    """The straight pieces of a surface trace inside the two pentagons,
-    one per crossing, plus the closing piece back to the start."""
-    segs = []
-    pos = result.start
-    steps = _surface_steps(pos, result.direction, locate_pentagon(pos))
-    for _ in range(result.crossings):
-        _side, hit, nxt, _pent = next(steps)
-        segs.append((pos, hit))
-        pos = nxt
-    if result.closed:
-        segs.append((pos, result.start))
-    return segs
+    return _result(labels, False, flight, start, direction, path)
 
 
 # ---------------------------------------------------------------------------
@@ -471,8 +464,6 @@ def strip_cells_for_coordinate(x: GoldenNum, expected_long: int
     pts = section_cell_points(x, expected_long + 2)
     found: dict[tuple, tuple[GoldenNum, GoldenNum, TraceResult]] = {}
     for lo, hi in zip(pts, pts[1:]):
-        if (hi - lo).is_zero():
-            continue
         mid = (lo + hi) / GoldenNum.of(2)
         start = PlanePoint(mid, ZERO)
         try:
@@ -510,71 +501,35 @@ def _mat_apply(m, v: PlanePoint) -> PlanePoint:
     return PlanePoint(a * v.x + b * v.y, c * v.x + d * v.y)
 
 
-def _mat_mul(m, n):
-    a, b, c, d = m
-    e, f, g, h = n
-    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
-
-
-_MAT_ID = (ONE, ZERO, ZERO, ONE)
-
-
-def _billiard_steps(pos: PlanePoint, d: PlanePoint):
-    """The billiard from pos in direction d, one reflection at a time:
-    yields the side hit, the hit point and the reflected direction."""
-    while True:
-        side, pos, _t = _exit_side(pos, d, 0)
-        d = _mat_apply(side.reflection, d)
-        yield side, pos, d
-
-
 def trace_billiard(start: PlanePoint, direction: PlanePoint,
                    max_reflections: int) -> TraceResult:
     """Exact billiard in the unit pentagon with the surface side labels.
 
-    Unfolds the reflections into an exact isometry; closure is exact return
-    of both position and direction, also at the last reflection allowed,
-    and the displacement is the unfolded straight-line vector of the closed
-    path.
+    Closure is exact return of both position and direction, also at the
+    last reflection allowed.  The unfolded path runs straight along the
+    start direction, also when the holonomy of an odd period is a
+    reflection.
     """
     if direction.is_zero():
         raise ValueError("direction must be nonzero")
     if not _point_in_pentagon(start, PENTAGON_UPPER):
         raise ValueError("start must lie strictly inside the pentagon")
     pos, d = start, direction
-    steps = _billiard_steps(start, direction)
-    mat = _MAT_ID
-    off = PlanePoint(ZERO, ZERO)  # unfolded(x) = mat x + off
     labels: list[int] = []
+    path = []
+    flight = ZERO
 
     while len(labels) < max_reflections:
-        side, pos, d = next(steps)
+        side, hit, t = _exit_side(pos, d, 0)
         labels.append(side.label)
-        # compose the unfolding with this reflection (acting first)
-        refl_off = side.v0 - _mat_apply(side.reflection, side.v0)
-        off = _mat_apply(mat, refl_off) + off
-        mat = _mat_mul(mat, side.reflection)
-        if d == direction and _passes_through(pos, start, d):
-            # the unfolded path is a straight run along the direction, even
-            # when the composed holonomy is a reflection (odd period)
-            end = _mat_apply(mat, start) + off
-            disp = end - start
-            if not cross(disp, direction).is_zero():
-                raise ArithmeticError("unfolded displacement not parallel")
-            return TraceResult(CyclicWord.arabic(labels), True,
-                               (disp.x, disp.y), len(labels), start, direction)
+        path.append((pos, hit))
+        flight = flight + t
+        pos, d = hit, _mat_apply(side.reflection, d)
+        if d == direction:
+            t_last = _time_to(pos, start, d)
+            if t_last is not None:
+                path.append((pos, start))
+                return _result(labels, True, flight + t_last, start,
+                               direction, path)
 
-    rel = pos - start
-    return TraceResult(tuple(labels), False, (rel.x, rel.y),
-                       len(labels), start, direction)
-
-
-def billiard_points(result: TraceResult) -> list[PlanePoint]:
-    """The corners of a billiard trace in the pentagon: the start, each
-    reflection point, and the start again when the orbit closed."""
-    steps = _billiard_steps(result.start, result.direction)
-    pts = [result.start]
-    pts.extend(next(steps)[1] for _ in range(result.crossings))
-    if result.closed:
-        pts.append(result.start)
-    return pts
+    return _result(labels, False, flight, start, direction, path)

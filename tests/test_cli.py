@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from pentaflow import tracer
 from pentaflow.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
 from pentaflow.golden import GoldenNum
 
@@ -152,3 +153,23 @@ def test_render_matches_pinned_svg(tmp_path, capsys, argv, name):
     out = tmp_path / name
     assert main(["render", *argv, "--out", str(out)]) == EXIT_OK
     assert out.read_bytes() == (PINNED / name).read_bytes()
+
+
+@pytest.mark.parametrize("argv, calls", [
+    (("0", "3"), 20),  # strips of 8 and 12 crossings
+    (("0", "3", "--billiard"), 60),  # and 5 x 8 reflections
+])
+def test_render_traces_each_orbit_once(tmp_path, monkeypatch, argv, calls):
+    # every crossing and reflection asks tracer._exit_side once; the drawing
+    # comes from the paths the traces recorded, not from a second walk
+    count = 0
+    exit_side = tracer._exit_side
+
+    def counted(*args):
+        nonlocal count
+        count += 1
+        return exit_side(*args)
+
+    monkeypatch.setattr(tracer, "_exit_side", counted)
+    assert main(["render", *argv, "--out", str(tmp_path / "o.svg")]) == EXIT_OK
+    assert count == calls
