@@ -175,20 +175,21 @@ def _concat_witness(target: CyclicWord, pieces: list[tuple[int, ...]]):
     total = target.symbols
     if sum(len(p) for p in pieces) != len(total):
         return None
-    piece_rots = [set(rotations(p)) for p in pieces]
+    # each rotation of a piece -> its first offset in rotations(piece)
+    piece_rots = [{} for _ in pieces]
+    for first, p in zip(piece_rots, pieces):
+        for k, r in enumerate(rotations(p)):
+            first.setdefault(r, k)
     for off in range(len(total)):
         rot = total[off:] + total[:off]
-        pos = 0
-        offsets = []
-        ok = True
+        pos, offsets = 0, []
         for p, rots in zip(pieces, piece_rots):
-            seg = rot[pos:pos + len(p)]
-            if seg not in rots:
-                ok = False
+            k = rots.get(rot[pos:pos + len(p)])
+            if k is None:
                 break
-            offsets.append(list(rotations(p)).index(seg))
+            offsets.append(k)
             pos += len(p)
-        if ok:
+        else:
             return (off, tuple(offsets))
     return None
 

@@ -329,11 +329,11 @@ def trace_surface(start: PlanePoint, direction: PlanePoint,
 
 
 class IETSpec(NamedTuple):
-    """Exchange of four intervals on [0, phi].
+    """Exchange of four intervals on [0, phi] at the signed coordinate u.
 
     Intervals are labelled consecutively from the right end: I = [p3, phi),
     II = [p2, p3), III = [p1, p2), IV = [0, p1).  Reading the exchanged line
-    the same way gives the image order III, I, IV, II.
+    the same way gives the image order III, I, IV, II, for either sign of u.
     """
 
     u: GoldenNum
@@ -369,12 +369,19 @@ class IETSpec(NamedTuple):
 
 
 def iet_build(u: GoldenNum) -> IETSpec:
-    """The section exchange at parameter u = |boundary coordinate|: the
-    first-return map to the horizontal diagonal of the direction with
-    boundary coordinate u >= 0.  Its coefficients are written only here."""
+    """The section exchange at the signed boundary coordinate u: the
+    first-return map to the horizontal diagonal of the direction (u, sin 36),
+    for u in [phi/2 - 1, 1 - phi/2].  Its coefficients are written only here.
+    For u < 0 it is the exchange of -u seen through p -> phi - p: the
+    division points are phi - p3, phi - p2, phi - p1, symbol k becomes
+    5 - k and each shift changes sign."""
     limit = GoldenNum.of(1, Fraction(-1, 2))  # 1 - phi/2
-    if u.sign() < 0 or (u - limit).sign() > 0:
-        raise ValueError("u must lie in [0, 1 - phi/2]")
+    if (limit + u).sign() < 0 or (u - limit).sign() > 0:
+        raise ValueError("u must lie in [phi/2 - 1, 1 - phi/2]")
+    if u.sign() < 0:
+        m = iet_build(-u)
+        return IETSpec(u, PHI - m.p3, PHI - m.p2, PHI - m.p1,
+                       {k: -m.translations[5 - k] for k in (4, 3, 2, 1)})
     half_phi = GoldenNum.of(0, Fraction(1, 2))
     t_coeff = GoldenNum.of(1, 2)  # 2 phi + 1
     p3_coeff = GoldenNum.of(1, 1)  # phi + 1; fixed at calibration
@@ -405,49 +412,28 @@ def iet_orbit(spec: IETSpec, x0: GoldenNum,
     return tuple(word), False
 
 
-_MIRROR_ROMAN = {1: 4, 2: 3, 3: 2, 4: 1}
-_MIRROR_SIDE = {"L": "R", "R": "L", None: None}
-
-
-def _section_spec(x: GoldenNum) -> tuple[IETSpec, bool]:
-    """The exchange for the direction with signed boundary coordinate x,
-    and whether it is seen through the mirror p -> phi - p (x < 0)."""
-    mirror = x.sign() < 0
-    return iet_build(-x if mirror else x), mirror
-
-
-def _section_step(spec: IETSpec, mirror: bool, p: GoldenNum,
-                  side: str | None) -> tuple[GoldenNum, int]:
-    """IETSpec.step, seen through the mirror p -> phi - p when mirror is
-    set; then the Roman symbols and the two sides swap."""
-    if mirror:
-        img, sym = spec.step(PHI - p, _MIRROR_SIDE[side])
-        return PHI - img, _MIRROR_ROMAN[sym]
-    return spec.step(p, side)
-
-
 def section_map(p: GoldenNum, x: GoldenNum) -> tuple[GoldenNum, int]:
     """One return to the diagonal: new abscissa and the Roman symbol read."""
-    return _section_step(*_section_spec(x), p, None)
+    return iet_build(x).step(p)
 
 
 def section_cell_points(x: GoldenNum, steps: int) -> list[GoldenNum]:
-    """Partition points separating the return words of length <= steps."""
-    spec, mirror = _section_spec(x)
-    divs = [PHI - d if mirror else d for d in spec.division_points]
-    pts = {ZERO, PHI, *divs}
-    frontier = [(d, s) for d in divs for s in ("L", "R")]
+    """The points cutting the diagonal into cells: the division points, the
+    two ends and up to steps one-sided images of each, where the leaves from
+    the cone points cross the diagonal.  In a periodic direction these
+    leaves are the strips' boundaries, so once steps exceeds the long period
+    by two the cells are exactly the strips' crossings of the diagonal,
+    short plus long of them, and the exchange permutes them."""
+    spec = iet_build(x)
+    pts = {ZERO, PHI, *spec.division_points}
+    # the limits from outside the diagonal, (0, 'L') and (phi, 'R'), are no leaves
+    seeds = {(p, side) for p in pts for side in "LR"} - {(ZERO, "L"), (PHI, "R")}
+    frontier = list(seeds)
     for _ in range(steps):
-        nxt = []
-        for v, side in frontier:
-            if v == ZERO or v == PHI:
-                continue  # singular leaf reached the diagonal endpoint
-            img, _sym = _section_step(spec, mirror, v, side)
-            if img == ZERO or img == PHI:
-                continue
-            pts.add(img)
-            nxt.append((img, side))
-        frontier = nxt
+        frontier = [(spec.step(v, side)[0], side) for v, side in frontier]
+        pts.update(v for v, _side in frontier)
+        # a leaf back at a seed goes on as that seed's leaf, already followed
+        frontier = [leaf for leaf in frontier if leaf not in seeds]
     return sorted(pts)
 
 
@@ -455,32 +441,43 @@ def strip_cells_for_coordinate(x: GoldenNum, expected_long: int
                                ) -> list[tuple[GoldenNum, GoldenNum, TraceResult]]:
     """One section cell per parallel strip of a periodic direction.
 
-    expected_long is the exact long period: every orbit closes within
-    2 * expected_long crossings, and one that does not raises.  Returns two
-    entries (lo, hi, trace-from-midpoint), ordered short then long by
-    combinatorial length, breaking ties by geometric length."""
+    The exchange permutes the cells of section_cell_points, and each cycle
+    of their midpoints is one strip.  Each cycle is followed in 1-D for at
+    most expected_long returns, the exact long period, and its strip traced
+    once in 2-D, from the midpoint of its first cell, capped at
+    2 * expected_long crossings.  A longer cycle or an open trace raises
+    TraceBudgetExceeded; a midpoint sent off the midpoints, or other than
+    two cycles, raises ArithmeticError.  Returns two entries (lo, hi,
+    trace-from-midpoint), ordered short then long by combinatorial length,
+    breaking ties by geometric length."""
     direction = direction_of_coordinate(x)
     cap = 2 * expected_long
+    spec = iet_build(x)
     pts = section_cell_points(x, expected_long + 2)
-    found: dict[tuple, tuple[GoldenNum, GoldenNum, TraceResult]] = {}
-    for lo, hi in zip(pts, pts[1:]):
-        mid = (lo + hi) / GoldenNum.of(2)
-        start = PlanePoint(mid, ZERO)
-        try:
-            res = trace_surface(start, direction, max_crossings=cap)
-        except SaddleConnectionError:
+    cells = {(lo + hi) * HALF: (lo, hi) for lo, hi in zip(pts, pts[1:])}
+    seen: set[GoldenNum] = set()
+    strips = []
+    for mid, (lo, hi) in cells.items():
+        if mid in seen:
             continue
+        p = mid
+        for _ in range(expected_long):
+            seen.add(p)
+            p, _sym = spec.step(p)
+            if p not in cells:
+                raise ArithmeticError(f"the exchange at {x} sends a cell "
+                                      f"midpoint to {p}, off the midpoints")
+            if p == mid:
+                break
+        else:
+            raise TraceBudgetExceeded(direction, cap, cap)
+        res = trace_surface(PlanePoint(mid, ZERO), direction, max_crossings=cap)
         if not res.closed:
             raise TraceBudgetExceeded(direction, cap, res.crossings)
-        key = res.word.canonical()
-        if key not in found:
-            found[key] = (lo, hi, res)
-            if len(found) == 2:
-                break
-    if len(found) < 2:
-        raise ArithmeticError(f"found {len(found)} strip(s) at {x}, not two")
-    return sorted(found.values(),
-                  key=lambda c: (len(c[2].word), c[2].length_squared))
+        strips.append((lo, hi, res))
+    if len(strips) != 2:
+        raise ArithmeticError(f"found {len(strips)} strip(s) at {x}, not two")
+    return sorted(strips, key=lambda c: (len(c[2].word), c[2].length_squared))
 
 
 def periodic_orbits_for_coordinate(x: GoldenNum, expected_long: int

@@ -243,9 +243,10 @@ def test_iet_budget():
 
 def test_iet_bijection_on_sampled_parameters():
     limit = g(1, Fraction(-1, 2))
-    for k in range(1, 21):
+    for k in range(-20, 21):
         u = limit * g(Fraction(k, 21))
         spec = iet_build(u)
+        assert spec.u == u
         # the four image intervals tile [0, phi) exactly
         images = []
         bounds = [ZERO, *spec.division_points, PHI]
@@ -259,30 +260,138 @@ def test_iet_bijection_on_sampled_parameters():
         assert images[-1][1] == PHI
 
 
+def mirrored_step(x: GoldenNum, p: GoldenNum, side: str | None):
+    """The old route for x < 0: the exchange of -x seen through the mirror
+    p -> phi - p, which swaps the Roman symbols and the one-sided reads."""
+    swapped = {"L": "R", "R": "L", None: None}[side]
+    img, sym = iet_build(-x).step(PHI - p, swapped)
+    return PHI - img, 5 - sym
+
+
+def test_signed_exchange_matches_the_mirror_view():
+    rng = random.Random(20111018)
+    limit = g(1, Fraction(-1, 2))
+    for _ in range(40):
+        x = -limit * g(Fraction(rng.randint(0, 60), 60))
+        spec = iet_build(x)
+        points = [p for p in spec.division_points if ZERO < p < PHI]
+        while len(points) < 8:
+            p = g(Fraction(rng.randint(-999, 999), 1000),
+                  Fraction(rng.randint(0, 999), 1000))
+            if ZERO < p < PHI:
+                points.append(p)
+        for p in points:
+            for side in ("L", "R", None):
+                if side is None and p in spec.division_points:
+                    continue
+                assert spec.step(p, side) == mirrored_step(x, p, side)
+
+
+def cells_from_division_points(x: GoldenNum, steps: int) -> list[GoldenNum]:
+    """The old cell points: the one-sided images of the division points
+    alone, each leaf dropped once it reaches an end of the diagonal."""
+    spec = iet_build(x)
+    pts = {ZERO, PHI, *spec.division_points}
+    frontier = [(d, side) for d in spec.division_points for side in ("L", "R")]
+    for _ in range(steps):
+        frontier = [(spec.step(v, side)[0], side) for v, side in frontier
+                    if v != ZERO and v != PHI]
+        pts.update(v for v, _side in frontier)
+    return sorted(pts)
+
+
+def strips_by_trial(x: GoldenNum, expected_long: int):
+    """The old strip search: trace from one old cell's midpoint after
+    another, skipping cone hits, until two distinct words appear."""
+    direction = direction_of_coordinate(x)
+    pts = cells_from_division_points(x, expected_long + 2)
+    found = {}
+    for lo, hi in zip(pts, pts[1:]):
+        start = section_point((lo + hi) / g(2))
+        try:
+            res = trace_surface(start, direction, max_crossings=2 * expected_long)
+        except SaddleConnectionError:
+            continue
+        assert res.closed
+        found.setdefault(res.word.canonical(), res)
+        if len(found) == 2:
+            break
+    return sorted(found.values(), key=lambda r: (len(r.word), r.length_squared))
+
+
+def test_strip_search_matches_the_trial_search():
+    for s in [*index_strings_to_depth(2), (1, 2, 1)]:
+        idx = DirectionIndex.from_digits(s)
+        x = coordinate_of_index(idx).value
+        pp = period_of_index(idx)
+        new = periodic_orbits_for_coordinate(x, expected_long=pp.long)
+        old = strips_by_trial(x, pp.long)
+        assert len(old) == 2
+        for a, b in zip(new, old):
+            assert a.word == b.word
+            assert a.crossings == b.crossings
+            assert a.length_squared == b.length_squared
+
+
+def test_cells_are_the_strips_crossings():
+    # the leaves from the division points and the diagonal's ends cut the
+    # section into the strips' crossings; the exchange permutes them in
+    # two cycles, of the short and the long period
+    depth3 = [DirectionIndex.from_digits(s) for s in index_strings_to_depth(3)]
+    for idx in [DirectionIndex(), BOTTOM, *depth3]:
+        x = coordinate_of_index(idx).value
+        pp = period_of_index(idx)
+        pts = tracer.section_cell_points(x, pp.long + 2)
+        mids = [(lo + hi) / g(2) for lo, hi in zip(pts, pts[1:])]
+        assert len(mids) == pp.short + pp.long, idx
+        assert set(cells_from_division_points(x, pp.long + 2)) <= set(pts)
+        spec = iet_build(x)
+        image = {m: spec.step(m)[0] for m in mids}
+        assert set(image.values()) == set(mids), idx
+        cycles, seen = [], set()
+        for m in mids:
+            if m in seen:
+                continue
+            p, n = m, 0
+            while p not in seen:
+                seen.add(p)
+                p, n = image[p], n + 1
+            cycles.append(n)
+        assert sorted(cycles) == sorted((pp.short, pp.long)), idx
+
+
+def test_strip_search_raises_on_cells_that_are_not_the_strips(monkeypatch):
+    cells_of = tracer.section_cell_points
+    # index 1: the whole diagonal as one cell sends its midpoint elsewhere
+    x = coordinate_of_index(DirectionIndex((1,))).value
+    monkeypatch.setattr(tracer, "section_cell_points", lambda x, steps: [ZERO, PHI])
+    with pytest.raises(ArithmeticError, match="off the midpoints"):
+        tracer.strip_cells_for_coordinate(x, expected_long=3)
+    # the top corner's two fixed cells, one cut in two: three cycles
+    x = coordinate_of_index(DirectionIndex()).value
+    lo, mid, hi = cells_of(x, 3)
+    cut = [lo, (lo + mid) / g(2), mid, hi]
+    monkeypatch.setattr(tracer, "section_cell_points", lambda x, steps: cut)
+    with pytest.raises(ArithmeticError, match="found 3 strip"):
+        tracer.strip_cells_for_coordinate(x, expected_long=1)
+
+
 def test_iet_matches_surface_words():
+    # the signed exchange against 2-D traces: each cell's 1-D orbit reads
+    # the Roman word of one of the two traced strips, for either sign of x
     for s in index_strings_to_depth(2):
         idx = DirectionIndex.from_digits(s)
         x = coordinate_of_index(idx).value
         pp = period_of_index(idx)
         s_tr, l_tr = periodic_orbits_for_coordinate(x, expected_long=pp.long)
-        u = x if x.sign() >= 0 else -x
-        spec = iet_build(u)
+        spec = iet_build(x)
         got = set()
-        pts = tracer.section_cell_points(u, pp.long + 2)
+        pts = tracer.section_cell_points(x, pp.long + 2)
         for lo, hi in zip(pts, pts[1:]):
-            if (hi - lo).is_zero():
-                continue
             w, closed = iet_orbit(spec, (lo + hi) / g(2), pp.long)
             assert closed
             got.add(w)
-            if len(got) == 2:
-                break
-        want = {roman_of_arabic(s_tr.word), roman_of_arabic(l_tr.word)}
-        if x.sign() < 0:
-            mirror = {1: 4, 2: 3, 3: 2, 4: 1}
-            want = {CyclicWord.roman_word(tuple(mirror[a] for a in w.symbols))
-                    for w in want}
-        assert got == want
+        assert got == {roman_of_arabic(s_tr.word), roman_of_arabic(l_tr.word)}
 
 
 def test_section_map_agrees_with_geometric_returns():
