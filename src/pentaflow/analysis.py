@@ -8,7 +8,6 @@ exhaustively over rotations and record explicit witnesses.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
 from .directions import (
@@ -117,17 +116,17 @@ class BilliardReport(NamedTuple):
 
 def _billiard_from_cell(lo: GoldenNum, hi: GoldenNum, direction,
                         cap: int) -> TraceResult:
-    """Billiard trace from the strip cell, which closes after exactly cap
-    reflections.  The cell meets the band's odd-period axis at most once,
-    where the orbit closes after half as many; if the midpoint lies on it,
-    the trace starts 5/13 of the way across instead."""
-    for t in (Fraction(1, 2), Fraction(5, 13)):
-        start = PlanePoint(lo + (hi - lo) * GoldenNum.of(t), ZERO)
-        res = trace_billiard(start, direction, max_reflections=cap)
-        if not res.closed:
-            raise TraceBudgetExceeded(direction, cap, res.crossings)
-        if len(res.word) % 2 == 0:
-            break
+    """Billiard trace from 5/13 of the way across the strip cell, which
+    closes after exactly cap reflections.  An orbit closing after half as
+    many reflections, an odd number, returns under a composition of an odd
+    number of reflections, itself a reflection of D5; it fixes only the
+    directions along its axis, which are parallel to a side.  In the sector
+    only the two corner directions are, and there the axis crosses each
+    cell at its midpoint, so a start off the midpoint closes at the cap."""
+    start = PlanePoint(lo + (hi - lo) * GoldenNum.of("5/13"), ZERO)
+    res = trace_billiard(start, direction, max_reflections=cap)
+    if not res.closed:
+        raise TraceBudgetExceeded(direction, cap, res.crossings)
     return res
 
 

@@ -142,11 +142,14 @@ def _exponents(digits: Sequence[int]) -> list[int]:
 
 #: T^-m for m = 0..4, as powers of the adjugate (equal up to a scalar)
 _T_INV_POWERS = list(accumulate([T_MAP.inverse()] * 4, matmul, initial=IDENTITY_MAP))
-#: R T^m at index m = 1..4, one map per generator-word factor; T^m is taken
-#: as T^(m-5), since T^5 is the identity projectively
-_FACTOR_MAPS = (None, *(R_MAP @ _T_INV_POWERS[5 - m] for m in (1, 2, 3, 4)))
-#: T^-m R for m = 1..4: the four candidates of one renormalization step
+#: T^-m R for m = 1..4: one renormalization step on sub-arc m
 _RENORM_MAPS = tuple(_T_INV_POWERS[m] @ R_MAP for m in (1, 2, 3, 4))
+#: R T^m at index m = 1..4, one map per generator-word factor: the adjugate
+#: of T^-m R, since R is an involution projectively
+_FACTOR_MAPS = (None, *(f.inverse() for f in _RENORM_MAPS))
+#: coordinates of indices 1, 2, 3, decreasing: the cuts between the four
+#: sub-arcs of the sector; map m sends cut m to the top endpoint
+_CUTS = tuple(_FACTOR_MAPS[m].apply(ALPHA_COORD).value for m in (1, 2, 3))
 
 
 @lru_cache(maxsize=None)
@@ -175,10 +178,13 @@ def index_of_coordinate(x: ProjectivePoint | GoldenNum,
                         max_depth: int = 2000) -> DirectionIndex:
     """Invert coordinate_of_index by renormalization.
 
-    Repeatedly reflect into the outer sectors and rotate back, peeling one
-    digit per step.  Points of the golden field always terminate, though
+    The cuts, the coordinates of indices 1, 2, 3, split the sector into
+    four sub-arcs.  Each step reads which sub-arc m holds the point from
+    three exact comparisons and applies T^-m R, which carries sub-arc m
+    onto the closed sector and its lower end to the top endpoint; the run
+    ends there.  Points of the golden field always terminate, though
     points very close to a shallow vertex take long same-digit runs; the
-    depth budget guards against non-field input.
+    depth budget, counted in digits, guards against non-field input.
     """
     if isinstance(x, GoldenNum):
         x = ProjectivePoint(x)
@@ -189,28 +195,13 @@ def index_of_coordinate(x: ProjectivePoint | GoldenNum,
 
     # peel rotation exponents until the top endpoint is reached exactly
     ms: list[int] = []
-    terminal = False
-    pt = x
-    while len(ms) < max_depth:
-        if pt.value == ALPHA_COORD:
-            break
-        # a candidate at the top endpoint ends the run; otherwise the first
-        # one in the sector, short of its bottom endpoint, is the next point
-        cands = [f.apply(pt) for f in _RENORM_MAPS]
-        k = next((k for k, z in enumerate(cands) if z.value == ALPHA_COORD), None)
-        terminal = k is not None
-        if not terminal:
-            k = next((k for k, z in enumerate(cands)
-                      if in_closed_sector(z) and z.value != BOTTOM_COORD), None)
-        if k is None:
-            raise SectorError(f"renormalization failed at {pt}")
-        pt = cands[k]
-        ms.append(k + 1)
-        if terminal:
-            break
-
-    if not terminal and (pt.is_infinity or pt.value != ALPHA_COORD):
-        raise DepthExceeded(_fold_digits(ms))
+    pt = x.value
+    while pt != ALPHA_COORD:
+        if len(ms) >= max_depth:
+            raise DepthExceeded(_fold_digits(ms))
+        m = 1 + sum(pt < c for c in _CUTS)
+        pt = _RENORM_MAPS[m - 1].apply(pt).value
+        ms.append(m)
     return DirectionIndex(_fold_digits(ms))
 
 

@@ -412,11 +412,6 @@ def iet_orbit(spec: IETSpec, x0: GoldenNum,
     return tuple(word), False
 
 
-def section_map(p: GoldenNum, x: GoldenNum) -> tuple[GoldenNum, int]:
-    """One return to the diagonal: new abscissa and the Roman symbol read."""
-    return iet_build(x).step(p)
-
-
 def section_cell_points(x: GoldenNum, steps: int) -> list[GoldenNum]:
     """The points cutting the diagonal into cells: the division points, the
     two ends and up to steps one-sided images of each, where the leaves from

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
@@ -99,7 +100,7 @@ def test_precomposed_factor_maps_match_the_sequential_route():
 
 def test_one_map_application_per_digit(monkeypatch):
     """coordinate_of_index applies one precomposed map per digit (three
-    golden multiplications); a renormalization step applies at most four."""
+    golden multiplications), and so does a renormalization step."""
     idx = DirectionIndex((1, 2) * 8)
     want = _coordinate_sequential(idx)
     muls, applies = [], []
@@ -110,7 +111,76 @@ def test_one_map_application_per_digit(monkeypatch):
     assert len(applies) == 16 and len(muls) <= 3 * 16
     applies.clear()
     assert index_of_coordinate(want) == idx
-    assert len(applies) <= 4 * 16
+    assert len(applies) == 16
+
+
+def test_cuts_are_the_generation_one_vertices():
+    assert directions._CUTS == tuple(
+        coordinate_of_index(DirectionIndex((m,))).value for m in (1, 2, 3))
+    assert directions._CUTS[0] > directions._CUTS[1] > directions._CUTS[2]
+    for m, cut in enumerate(directions._CUTS, start=1):
+        assert directions._RENORM_MAPS[m - 1].apply(cut).value == ALPHA_COORD
+
+
+@lru_cache(maxsize=None)
+def _exponents_by_candidates(x):
+    """The four-candidate rule, kept as the reference: apply every T^-m R
+    and keep one at the top endpoint, else the first in the sector short
+    of its bottom endpoint.  Field points always reach the top endpoint."""
+    pt = ProjectivePoint(x)
+    ms = []
+    while pt.value != ALPHA_COORD:
+        cands = [f.apply(pt) for f in directions._RENORM_MAPS]
+        k = next((k for k, z in enumerate(cands) if z.value == ALPHA_COORD), None)
+        if k is None:
+            k = next(k for k, z in enumerate(cands)
+                     if in_closed_sector(z) and z.value != BOTTOM_COORD)
+        pt = cands[k]
+        ms.append(k + 1)
+    return tuple(ms)
+
+
+def _index_by_candidates(x, max_depth=2000):
+    # the budget only cuts the peeling short, so one unbounded run per
+    # point answers every budget
+    if x == BOTTOM_COORD:
+        return BOTTOM
+    ms = _exponents_by_candidates(x)
+    if len(ms) > max_depth:
+        raise DepthExceeded(directions._fold_digits(ms[:max_depth]))
+    return DirectionIndex(directions._fold_digits(ms))
+
+
+def _seed_2026_samples(n):
+    # field points strictly inside the sector, numerators and denominators
+    # up to 50
+    rng = random.Random(2026)
+    out = []
+    while len(out) < n:
+        a = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+        b = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
+        x = GoldenNum(a, b)
+        if BOTTOM_COORD < x < ALPHA_COORD:
+            out.append(x)
+    return out
+
+
+def _outcome(find, x, max_depth):
+    try:
+        return find(x, max_depth)
+    except DepthExceeded as e:
+        return ("depth exceeded", e.prefix)
+
+
+def test_sub_arc_lookup_matches_the_candidate_rule():
+    shallow = {DirectionIndex.from_digits(s) for s in index_strings_to_depth(5)}
+    points = [coordinate_of_index(idx).value
+              for idx in sorted(shallow, key=str) + [BOTTOM]]
+    points += _seed_2026_samples(20)
+    for x in points:
+        for budget in (3, 40, 2000):
+            want = _outcome(_index_by_candidates, x, budget)
+            assert _outcome(index_of_coordinate, x, budget) == want, (x, budget)
 
 
 def test_index_of_coordinate_examples():
@@ -131,20 +201,11 @@ def test_round_trip_to_generation_four():
 
 
 def test_termination_on_bounded_height_samples():
-    # 100 pseudo-random field points, numerators and denominators up to 50;
-    # runs toward shallow vertices make the expansions long, so the depth
-    # budget is generous (seed 2026 needs 1085)
-    rng = random.Random(2026)
-    count = 0
-    while count < 100:
-        a = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
-        b = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
-        x = GoldenNum(a, b)
-        if not (BOTTOM_COORD < x < ALPHA_COORD):
-            continue
+    # 100 pseudo-random field points; runs toward shallow vertices make the
+    # expansions long, so the depth budget is generous (seed 2026 needs 1085)
+    for x in _seed_2026_samples(100):
         idx = index_of_coordinate(x, max_depth=5000)
         assert coordinate_of_index(idx).value == x
-        count += 1
 
 
 def test_depth_budget_reports_prefix():

@@ -34,7 +34,6 @@ from pentaflow.tracer import (
     iet_orbit,
     locate_pentagon,
     periodic_orbits_for_coordinate,
-    section_map,
     trace_billiard,
     trace_surface,
 )
@@ -399,11 +398,12 @@ def test_section_map_agrees_with_geometric_returns():
     for digs in [(), (1,), (2,), (3,), (0, 3)]:
         x = coordinate_of_index(DirectionIndex(digs)).value
         pp = period_of_index(DirectionIndex(digs))
+        spec = iet_build(x)
         p = g(Fraction(3, 11))
         word = []
         q = p
         for _ in range(pp.long):
-            q, sym = section_map(q, x)
+            q, sym = spec.step(q)
             word.append(sym)
             if q == p:
                 break
@@ -424,9 +424,10 @@ def test_section_map_agrees_with_traced_prefix_at_random_parameters():
         x = g(Fraction(rng.randint(1, 190), 1000) * (-1) ** n)
         assert -limit < x < limit
         p = g(Fraction(rng.randint(1, 999), 1000)) * PHI
+        spec = iet_build(x)
         q, word = p, []
         for _ in range(K):
-            q, sym = section_map(q, x)
+            q, sym = spec.step(q)
             word.append(sym)
         res = trace_surface(section_point(p), direction_of_coordinate(x),
                             max_crossings=2 * K)
