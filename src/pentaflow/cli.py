@@ -11,8 +11,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
-from . import analysis, orbits, periods, tracer
 from .directions import (
     BOTTOM,
     DepthExceeded,
@@ -25,9 +25,12 @@ from .directions import (
     index_strings_to_depth,
 )
 from .golden import PHI, GoldenNum, ProjectivePoint
-from .orbits import orbit_of_index, roman_of_arabic, vector_of, vectors_of_index
-from .periods import child_periods, period_of_index
-from .tracer import periodic_orbits_for_coordinate
+
+# orbits, periods, tracer and analysis are imported by the commands and
+# suites that use them, so that `import pentaflow.cli` stays as cheap as
+# the index tree it needs to build the parser
+if TYPE_CHECKING:
+    from .tracer import PlanePoint
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
@@ -51,11 +54,15 @@ def _coord_json(x) -> dict:
 
 
 def cmd_direction(args) -> int:
+    from .analysis import billiard_multiplier
+    from .orbits import vectors_of_index
+    from .periods import period_of_index
+
     idx = _parse_index(args)
     coord = coordinate_of_index(idx)
     pp = period_of_index(idx)
     sv, lv = vectors_of_index(idx)
-    mult = analysis.billiard_multiplier(sv)
+    mult = billiard_multiplier(sv)
     if args.json:
         out = {
             "index": str(idx),
@@ -78,6 +85,8 @@ def cmd_direction(args) -> int:
 
 
 def cmd_orbit(args) -> int:
+    from .orbits import orbit_of_index, roman_of_arabic
+
     idx = _parse_index(args)
     kind = "long" if args.long else "short"
     w = orbit_of_index(idx, kind)
@@ -107,7 +116,9 @@ def _all_indices(depth: int) -> list[DirectionIndex]:
 def _period_via_tree(digits: tuple[int, ...]):
     """Period pair by descending the arc recursion, independent of the
     digit-matrix product."""
-    left = right = periods.PeriodPair(1, 1)
+    from .periods import PeriodPair, child_periods
+
+    left = right = PeriodPair(1, 1)
     if not digits:
         return left
     for d in digits[:-1]:
@@ -119,6 +130,8 @@ def _period_via_tree(digits: tuple[int, ...]):
 
 def _suite_periods(depth: int) -> list[dict]:
     """Digit-matrix periods against the arc recursion, every index string."""
+    from .periods import period_of_index
+
     rows = []
     for s in index_strings_to_depth(depth):
         idx = DirectionIndex.from_digits(s)
@@ -130,6 +143,8 @@ def _suite_periods(depth: int) -> list[dict]:
 
 
 def _suite_table(depth: int) -> list[dict]:
+    from .periods import period_of_index
+
     table = {
         (): (1, 1), (0, 1): (3, 5), (0, 2): (4, 7), (0, 3): (4, 6),
         (1,): (2, 3), (1, 1): (5, 9), (1, 2): (7, 11), (1, 3): (6, 9),
@@ -144,14 +159,17 @@ def _suite_table(depth: int) -> list[dict]:
 
 
 def _suite_m_relation(depth: int) -> list[dict]:
+    from .orbits import check_M, orbit_of_index, vector_of, vectors_of_index
+    from .periods import period_of_index
+
     rows = []
     for idx in _all_indices(depth):
-        sv, lv = orbits.vectors_of_index(idx)
+        sv, lv = vectors_of_index(idx)
         pp = period_of_index(idx)
         # the vector recursion against the symbol counts of the built words
         by_words = (vector_of(orbit_of_index(idx, "short")),
                     vector_of(orbit_of_index(idx, "long")))
-        ok = (orbits.check_M(sv, lv) and (sv, lv) == by_words
+        ok = (check_M(sv, lv) and (sv, lv) == by_words
               and sv.period == pp.short and lv.period == pp.long)
         rows.append({"case": str(idx), "ok": ok,
                      "short": sv.as_tuple(), "long": lv.as_tuple()})
@@ -159,28 +177,34 @@ def _suite_m_relation(depth: int) -> list[dict]:
 
 
 def _suite_reduction(depth: int) -> list[dict]:
+    from .orbits import orbit_of_index, reduce_word, reduction_parent, rotate_alphabet
+
     rows = []
     for idx in _all_indices(depth):
         if idx.generation < 2:
             continue
-        parent = orbits.reduction_parent(idx)
+        parent = reduction_parent(idx)
         shift = (4 - idx.digits[0]) % 5
         for kind in ("short", "long"):
             w = orbit_of_index(idx, kind)
-            red = orbits.rotate_alphabet(orbits.reduce_word(w), shift)
+            red = rotate_alphabet(reduce_word(w), shift)
             ok = red == orbit_of_index(parent, kind)
             rows.append({"case": f"{idx}:{kind}", "ok": ok})
     return rows
 
 
 def _suite_oracle(depth: int) -> list[dict]:
+    from .orbits import orbit_of_index, roman_of_arabic
+    from .periods import period_of_index
+    from .tracer import TraceBudgetExceeded, periodic_orbits_for_coordinate
+
     rows = []
     for idx in _all_indices(depth):
         x = coordinate_of_index(idx).value
         pp = period_of_index(idx)
         try:
             s_tr, l_tr = periodic_orbits_for_coordinate(x, expected_long=pp.long)
-        except tracer.TraceBudgetExceeded as e:
+        except TraceBudgetExceeded as e:
             rows.append({"case": str(idx), "ok": False, "error": str(e)})
             continue
         ws = orbit_of_index(idx, "short")
@@ -196,35 +220,42 @@ def _suite_oracle(depth: int) -> list[dict]:
 
 
 def _suite_displacement(depth: int) -> list[dict]:
+    from .analysis import displacement, length_identity_holds
+    from .orbits import vectors_of_index
+
     rows = []
     for idx in _all_indices(depth):
         x = coordinate_of_index(idx).value
-        sv, lv = orbits.vectors_of_index(idx)
-        ds = analysis.displacement(sv)
-        dl = analysis.displacement(lv)
+        sv, lv = vectors_of_index(idx)
+        ds = displacement(sv)
+        dl = displacement(lv)
         prop = (dl - ds.scale(PHI)).is_zero()
-        ok = (analysis.length_identity_holds(sv, x)
-              and analysis.length_identity_holds(lv, x) and prop)
+        ok = (length_identity_holds(sv, x)
+              and length_identity_holds(lv, x) and prop)
         rows.append({"case": str(idx), "ok": ok})
     return rows
 
 
 def _suite_billiard(depth: int) -> list[dict]:
+    from .analysis import billiard_report
+
     rows = []
     for idx in _all_indices(depth):
-        rep = analysis.billiard_report(idx)
+        rep = billiard_report(idx)
         rows.append({"case": str(idx), "ok": rep.passed,
                      "multiplier": rep.multiplier})
     return rows
 
 
 def _suite_conjectures(depth: int) -> list[dict]:
+    from .analysis import check_conjecture_concat, check_conjecture_splitting
+
     rows = []
     for p in [(), *index_strings_to_depth(depth)]:
-        rep = analysis.check_conjecture_concat(arc_left_vertex(p), arc_right_vertex(p))
+        rep = check_conjecture_concat(arc_left_vertex(p), arc_right_vertex(p))
         rows.append({"case": f"concat:{rep.subject}", "ok": rep.passed})
     for idx in _all_indices(depth) + [DirectionIndex(), BOTTOM]:
-        rep = analysis.check_conjecture_splitting(idx, radius=1)
+        rep = check_conjecture_splitting(idx, radius=1)
         rows.append({"case": f"split:{rep.subject}", "ok": rep.passed})
     return rows
 
@@ -242,6 +273,8 @@ SUITES = {
 
 
 def cmd_verify(args) -> int:
+    from .tracer import TraceBudgetExceeded
+
     if args.depth < 1:
         print("verify: depth must be at least 1", file=sys.stderr)
         return EXIT_USAGE
@@ -260,7 +293,7 @@ def cmd_verify(args) -> int:
     conjecture_failures = 0
     try:
         results = {n: SUITES[n](args.depth) for n in names}
-    except tracer.TraceBudgetExceeded as e:
+    except TraceBudgetExceeded as e:
         print(f"verify: budget exhausted: {e}", file=sys.stderr)
         return EXIT_BUDGET
     for n in names:
@@ -316,12 +349,17 @@ def _svg_polyline(points, color, width=0.012) -> str:
             f'stroke-width="{width}"/>')
 
 
-def _xy(p: tracer.PlanePoint) -> tuple[float, float]:
+def _xy(p: PlanePoint) -> tuple[float, float]:
     x, y = p.real()
     return (float(x), float(y))
 
 
 def cmd_render(args) -> int:
+    from . import tracer
+    from .analysis import billiard_multiplier
+    from .orbits import vector_of
+    from .periods import period_of_index
+
     if args.u is not None:
         x = GoldenNum.of(Fraction(args.u))
         if not in_closed_sector(ProjectivePoint(x)):
@@ -343,9 +381,9 @@ def cmd_render(args) -> int:
           f"of {2 * pp.short} and {2 * pp.long} crossings{billiard}",
           file=sys.stderr)
     try:
-        s_tr, l_tr = periodic_orbits_for_coordinate(x, expected_long=pp.long)
+        s_tr, l_tr = tracer.periodic_orbits_for_coordinate(x, expected_long=pp.long)
         if args.billiard:
-            cap = analysis.billiard_multiplier(vector_of(s_tr.word)) * s_tr.crossings
+            cap = billiard_multiplier(vector_of(s_tr.word)) * s_tr.crossings
             res = tracer.trace_billiard(s_tr.start, s_tr.direction, max_reflections=cap)
             if not res.closed:
                 raise tracer.TraceBudgetExceeded(s_tr.direction, cap, res.crossings)
@@ -422,10 +460,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    from .tracer import TraceBudgetExceeded
+
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except tracer.TraceBudgetExceeded as e:
+    except TraceBudgetExceeded as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_BUDGET
 

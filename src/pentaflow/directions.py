@@ -34,10 +34,14 @@ class SectorError(ValueError):
 
 
 class DepthExceeded(RuntimeError):
-    """index_of_coordinate ran out of depth; carries the digit prefix found."""
+    """index_of_coordinate ran out of depth; carries the digit prefix found.
+    The message shows the prefix's first and last 8 digits and its length."""
 
     def __init__(self, prefix: tuple[int, ...]):
-        super().__init__(f"no index found within depth budget; prefix {prefix}")
+        shown = prefix if len(prefix) <= 16 else (*prefix[:8], "…", *prefix[-8:])
+        super().__init__(f"no index found within depth budget; prefix "
+                         f"({', '.join(map(str, shown))}) of {len(prefix)} "
+                         f"digit{'s' * (len(prefix) != 1)}")
         self.prefix = prefix
 
 

@@ -215,6 +215,21 @@ def test_depth_budget_reports_prefix():
     assert len(e.value.prefix) >= 1
 
 
+def test_depth_budget_message_shows_the_ends_of_a_long_prefix():
+    # 1/100000 lies next to the top corner: its expansion runs past the
+    # default budget of 2000 digits, almost all of them 3
+    with pytest.raises(DepthExceeded) as e:
+        index_of_coordinate(g(Fraction(1, 100000)))
+    prefix = e.value.prefix
+    assert len(prefix) == 2000
+    shown = ", ".join(map(str, prefix[:8])) + ", …, " + ", ".join(map(str, prefix[-8:]))
+    assert str(e.value) == (f"no index found within depth budget; prefix ({shown}) "
+                            "of 2000 digits")
+    assert len(str(e.value)) < 200
+    assert str(DepthExceeded((1, 2))).endswith("prefix (1, 2) of 2 digits")
+    assert str(DepthExceeded((3,))).endswith("prefix (3) of 1 digit")
+
+
 def _fold_by_mirroring(ms):
     # the quadratic fold, kept as the reference: each outer exponent
     # rebuilds the digit string and mirrors its whole tail

@@ -1,0 +1,72 @@
+"""The package surface: `import pentaflow` loads only the index tree, and
+every re-exported name is the object its owning module defines."""
+
+import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import pentaflow
+
+#: the names `pentaflow` re-exports, by owning module
+EXPORTS = {
+    "golden": ["GoldenNum", "INFINITY", "MoebiusMap", "PentaNum", "ProjectivePoint",
+               "R_MAP", "T_MAP"],
+    "directions": ["BOTTOM", "DirectionIndex", "coordinate_of_index",
+                   "index_of_coordinate", "neighbor_family", "pentagons_to_depth"],
+    "orbits": ["CyclicWord", "OrbitVector", "apply_L", "check_M", "enhance",
+               "orbit_of_index", "reduce_word", "roman_of_arabic", "rotate_alphabet",
+               "vector_of"],
+    "periods": ["PeriodPair", "arithmetic_family_check", "child_periods",
+                "period_of_index"],
+    "tracer": ["IETSpec", "PlanePoint", "TraceResult", "direction_of_coordinate",
+               "direction_of_vector", "iet_build", "iet_orbit",
+               "periodic_orbits_for_coordinate", "trace_billiard", "trace_surface"],
+    "analysis": ["billiard_multiplier", "check_conjecture_concat",
+                 "check_conjecture_splitting", "displacement", "length_report"],
+}
+
+
+def test_import_loads_only_the_field_and_the_directions():
+    code = ("import sys, pentaflow, pentaflow.cli; "
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('pentaflow'))))")
+    # the package under test first, then whatever PYTHONPATH the suite has
+    path = [str(Path(pentaflow.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["pentaflow", "pentaflow.cli", "pentaflow.directions",
+                           "pentaflow.golden"]
+
+
+def test_all_lists_the_42_exported_names():
+    names = sorted(n for names in EXPORTS.values() for n in names)
+    assert len(names) == 42
+    assert sorted(pentaflow.__all__) == names
+
+
+@pytest.mark.parametrize("module", sorted(EXPORTS))
+def test_each_name_is_its_owning_modules_object(module):
+    owner = importlib.import_module(f"pentaflow.{module}")
+    assert getattr(pentaflow, module) is owner
+    for name in EXPORTS[module]:
+        assert getattr(pentaflow, name) is getattr(owner, name), name
+
+
+def test_dir_and_star_import_cover_the_exports():
+    listed = dir(pentaflow)
+    for name in [*pentaflow.__all__, *EXPORTS, "cli", "__version__"]:
+        assert name in listed, name
+    namespace = {}
+    exec("from pentaflow import *", namespace)
+    assert set(pentaflow.__all__) <= set(namespace)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        pentaflow.no_such_name
+    with pytest.raises(ImportError):
+        exec("from pentaflow import no_such_name", {})
