@@ -16,16 +16,16 @@ _EXPORTS = {
                "ProjectivePoint", "R_MAP", "T_MAP"),
     "directions": ("BOTTOM", "DirectionIndex", "coordinate_of_index",
                    "index_of_coordinate", "neighbor_family", "pentagons_to_depth"),
-    "orbits": ("CyclicWord", "OrbitVector", "apply_L", "check_M", "enhance",
-               "orbit_of_index", "reduce_word", "roman_of_arabic",
-               "rotate_alphabet", "vector_of"),
+    "orbits": ("CyclicWord", "OrbitVector", "apply_L", "billiard_multiplier",
+               "check_M", "enhance", "orbit_of_index", "reduce_word",
+               "roman_of_arabic", "rotate_alphabet", "vector_of"),
     "periods": ("PeriodPair", "arithmetic_family_check", "child_periods",
                 "period_of_index"),
     "tracer": ("IETSpec", "PlanePoint", "TraceResult", "direction_of_coordinate",
                "direction_of_vector", "iet_build", "iet_orbit",
                "periodic_orbits_for_coordinate", "trace_billiard", "trace_surface"),
-    "analysis": ("billiard_multiplier", "check_conjecture_concat",
-                 "check_conjecture_splitting", "displacement", "length_report"),
+    "analysis": ("check_conjecture_concat", "check_conjecture_splitting",
+                 "displacement", "length_report"),
     "cli": (),
 }
 

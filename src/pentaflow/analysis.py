@@ -8,6 +8,7 @@ exhaustively over rotations and record explicit witnesses.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import NamedTuple
 
 from .directions import (
@@ -18,8 +19,8 @@ from .directions import (
 )
 from .golden import PHI, S_SQUARED, ZERO, GoldenNum
 from .orbits import (
-    CyclicWord,
     OrbitVector,
+    billiard_multiplier,
     orbit_of_index,
     roman_of_arabic,
     rotations,
@@ -64,11 +65,6 @@ def length_squared_formula(v: OrbitVector, x: GoldenNum) -> GoldenNum:
 
 def length_identity_holds(v: OrbitVector, x: GoldenNum) -> bool:
     return (displacement_norm_squared(v) - length_squared_formula(v, x)).is_zero()
-
-
-def billiard_multiplier(v: OrbitVector) -> int:
-    """1 if the pentagon billiard closes in one surface period, else 5."""
-    return 1 if ((v.c - v.f) + 2 * (v.e - v.d)) % 5 == 0 else 5
 
 
 class LengthReport(NamedTuple):
@@ -168,23 +164,29 @@ def _arc_for_endpoints(left: DirectionIndex, right: DirectionIndex) -> tuple[int
     raise ValueError(f"{left} and {right} are not joined by a pentagon side")
 
 
-def _concat_witness(target: CyclicWord, pieces: list[tuple[int, ...]]):
+def _roman_bytes(idx: DirectionIndex, kind: str) -> bytes:
+    return bytes(roman_of_arabic(orbit_of_index(idx, kind)).symbols)
+
+
+def _is_rotation(x: bytes, ww: bytes) -> bool:
+    """Is x a rotation of the word w, given ww = w w?  Then ww.find(x) is
+    the offset of w's first rotation equal to x."""
+    return 2 * len(x) == len(ww) and x in ww
+
+
+def _concat_witness(target: bytes, pieces: list[bytes]):
     """Search rotations: does some rotation of target split into rotations
     of the pieces, in order?  Returns the witness offsets or None."""
-    total = target.symbols
-    if sum(len(p) for p in pieces) != len(total):
+    n = len(target)
+    if sum(len(p) for p in pieces) != n:
         return None
-    # each rotation of a piece -> its first offset in rotations(piece)
-    piece_rots = [{} for _ in pieces]
-    for first, p in zip(piece_rots, pieces):
-        for k, r in enumerate(rotations(p)):
-            first.setdefault(r, k)
-    for off in range(len(total)):
-        rot = total[off:] + total[:off]
-        pos, offsets = 0, []
-        for p, rots in zip(pieces, piece_rots):
-            k = rots.get(rot[pos:pos + len(p)])
-            if k is None:
+    tt = target + target
+    doubled = [p + p for p in pieces]
+    for off in range(n):
+        pos, offsets = off, []
+        for p, pp in zip(pieces, doubled):
+            k = pp.find(tt[pos:pos + len(p)])
+            if k < 0:
                 break
             offsets.append(k)
             pos += len(p)
@@ -220,10 +222,8 @@ def check_conjecture_concat(left: DirectionIndex,
     long orbits AaB, AaBb, BbA (concatenations searched over rotations).
     """
     prefix = _arc_for_endpoints(left, right)
-    a = roman_of_arabic(orbit_of_index(left, "short")).symbols
-    A = roman_of_arabic(orbit_of_index(left, "long")).symbols
-    b = roman_of_arabic(orbit_of_index(right, "short")).symbols
-    B = roman_of_arabic(orbit_of_index(right, "long")).symbols
+    a, A = _roman_bytes(left, "short"), _roman_bytes(left, "long")
+    b, B = _roman_bytes(right, "short"), _roman_bytes(right, "long")
 
     patterns = [
         ("bA", [b, A], "AaB", [A, a, B]),
@@ -233,8 +233,8 @@ def check_conjecture_concat(left: DirectionIndex,
     results = []
     for j, (sname, spieces, lname, lpieces) in enumerate(patterns, start=1):
         child = DirectionIndex(prefix + (j,))
-        sw = _concat_witness(roman_of_arabic(orbit_of_index(child, "short")), spieces)
-        lw = _concat_witness(roman_of_arabic(orbit_of_index(child, "long")), lpieces)
+        sw = _concat_witness(_roman_bytes(child, "short"), spieces)
+        lw = _concat_witness(_roman_bytes(child, "long"), lpieces)
         results.append(ChildConcatResult(child, "short", sname, sw))
         results.append(ChildConcatResult(child, "long", lname, lw))
     return ConjectureReport(f"arc {left}-{right}", tuple(results),
@@ -274,89 +274,83 @@ def check_conjecture_splitting(beta: DirectionIndex, radius: int) -> ConjectureR
     """
     if radius == 0:
         return ConjectureReport(f"center {beta}", (), True)
-    S = roman_of_arabic(orbit_of_index(beta, "short")).symbols
-    L = roman_of_arabic(orbit_of_index(beta, "long")).symbols
+    S, L = _roman_bytes(beta, "short"), _roman_bytes(beta, "long")
     corner = beta.bottom or not beta.digits
     results = []
     for side in ("upper", "lower"):
         chain = neighbor_chain(beta, side, radius + 1)
         if not chain:
             continue
-        shorts = [roman_of_arabic(orbit_of_index(g, "short")) for g in chain]
-        longs = [roman_of_arabic(orbit_of_index(g, "long")) for g in chain]
-        if corner:
-            witness = _find_corner_splitting(S, L, shorts, longs, side)
-        else:
-            witness = _find_splitting(S, L, shorts, longs, side)
+        shorts = [_roman_bytes(g, "short") for g in chain]
+        longs = [_roman_bytes(g, "long") for g in chain]
+        search = _find_corner_splitting if corner else _find_splitting
+        witness = search(S, L, shorts, longs, side)
         results.append((side, tuple(str(g) for g in chain), witness))
     passed = bool(results) and all(w is not None for _, _, w in results)
     return ConjectureReport(f"center {beta}", tuple(results), passed)
 
 
 def _find_splitting(S, L, shorts, longs, side) -> SplittingWitness | None:
-    s0 = shorts[0]
-    l0 = longs[0]
+    shorts2 = [w + w for w in shorts]
+    longs2 = [w + w for w in longs]
     n_l, n_s = len(L), len(S)
 
     # candidate (a', b'): rotation of L cut at |short_0|, piece matching short_0
-    ab_primes = []
-    cut = len(s0)
-    if cut <= n_l:
-        for rot in rotations(L):
-            ap, bp = rot[:cut], rot[cut:]
-            if ap and CyclicWord.roman_word(ap) == s0:
-                ab_primes.append((ap, bp))
+    cut = len(shorts[0])
+    ab_primes = [(rot[:cut], rot[cut:]) for rot in rotations(L)
+                 if _is_rotation(rot[:cut], shorts2[0])]
     if not ab_primes:
         return None
 
-    # candidate (a, b) and (c, d): d + a must tile long_0
+    # candidate (a, b) and (c, d): d + a must tile long_0, so a must be a
+    # factor of long_0 long_0, and a must share its beginning with some b'
     for rot_l in rotations(L):
         for cut_a in range(n_l + 1):
             a, b = rot_l[:cut_a], rot_l[cut_a:]
-            d_len = len(l0) - cut_a
-            if not 0 <= d_len <= n_s:
+            d_len = len(longs[0]) - cut_a
+            if not 0 <= d_len <= n_s or a not in longs2[0]:
+                continue
+            fits = [(ap, bp, pref) for ap, bp in ab_primes
+                    if (pref := _prefix_compatible(a, bp)) is not None]
+            if not fits:
                 continue
             for rot_s in rotations(S):
                 c, d = rot_s[:n_s - d_len], rot_s[n_s - d_len:]
-                if len(d) + len(a) == 0:
+                if not _is_rotation(d + a, longs2[0]):
                     continue
-                if CyclicWord.roman_word(d + a) != l0:
-                    continue
-                for ap, bp in ab_primes:
-                    pref = _prefix_compatible(a, bp)
-                    if pref is None:
-                        continue
-                    if _verify_chain(ap, bp, a, b, c, d, shorts, longs):
-                        return SplittingWitness(side, c, d, a, b, ap, bp, pref)
+                for ap, bp, pref in fits:
+                    if _verify_chain(ap, bp, a, b, c, d, shorts2, longs2):
+                        return SplittingWitness(side, *map(tuple, (c, d, a, b, ap, bp)), pref)
     return None
 
 
-def _verify_chain(ap, bp, a, b, c, d, shorts, longs) -> bool:
-    for i in range(1, len(shorts)):
-        want_s = ap + (bp + ap) * i
-        want_l = d + (c + d) * i + (a + b) * i + a
-        if CyclicWord.roman_word(want_s) != shorts[i]:
-            return False
-        if CyclicWord.roman_word(want_l) != longs[i]:
-            return False
-    return True
+def _verify_chain(ap, bp, a, b, c, d, shorts2, longs2) -> bool:
+    """Do the pieces tile the chain, given each chain word doubled?"""
+    return all(_is_rotation(ap + (bp + ap) * i, shorts2[i])
+               and _is_rotation(d + (c + d) * i + (a + b) * i + a, longs2[i])
+               for i in range(1, len(shorts2)))
 
 
 def _find_corner_splitting(S, L, shorts, longs, side) -> SplittingWitness | None:
     """Degenerate chains anchored at the opposite corner: the anchor orbits
     are their own pieces, and the center's words tile only the growth:
-    short_i = s0 L^i and long_i = l0 L^i S^i, over aligned rotations."""
-    s0 = shorts[0].symbols
-    l0 = longs[0].symbols
-    for rs0 in rotations(s0):
-        for rl in rotations(L):
-            if any(CyclicWord.roman_word(rs0 + rl * i) != shorts[i]
-                   for i in range(1, len(shorts))):
-                continue
-            for rl0 in rotations(l0):
-                for rl2 in rotations(L):
-                    for rs in rotations(S):
-                        if all(CyclicWord.roman_word(rl0 + rl2 * i + rs * i) == longs[i]
-                               for i in range(1, len(longs))):
-                            return SplittingWitness(side, rs, (), rl2, (), rl, rs0, 0)
+    short_i = s0 L^i and long_i = l0 L^i S^i, over aligned rotations.  The
+    two tilings share no piece, so each is searched once."""
+    short = _first_tiling((shorts[0], L), shorts)
+    long = _first_tiling((longs[0], L, S), longs) if short else None
+    if long is None:
+        return None
+    (rs0, rl), (_rl0, rl2, rs) = short, long
+    return SplittingWitness(side, *map(tuple, (rs, b"", rl2, b"", rl, rs0)), 0)
+
+
+def _first_tiling(pieces: tuple[bytes, ...], words: list[bytes]):
+    """The first rotations (r0, r1, ...) of the pieces, in nested-loop order
+    with the last piece innermost, such that r0 r1^i r2^i ... is a rotation
+    of words[i] for every i >= 1; None if there are none."""
+    doubled = [w + w for w in words[1:]]
+    for rots in product(*map(rotations, pieces)):
+        if all(_is_rotation(rots[0] + b"".join(r * i for r in rots[1:]), ww)
+               for i, ww in enumerate(doubled, start=1)):
+            return rots
     return None

@@ -54,8 +54,7 @@ def _coord_json(x) -> dict:
 
 
 def cmd_direction(args) -> int:
-    from .analysis import billiard_multiplier
-    from .orbits import vectors_of_index
+    from .orbits import billiard_multiplier, vectors_of_index
     from .periods import period_of_index
 
     idx = _parse_index(args)
@@ -356,8 +355,7 @@ def _xy(p: PlanePoint) -> tuple[float, float]:
 
 def cmd_render(args) -> int:
     from . import tracer
-    from .analysis import billiard_multiplier
-    from .orbits import vector_of
+    from .orbits import billiard_multiplier, vector_of
     from .periods import period_of_index
 
     if args.u is not None:
@@ -460,14 +458,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from .tracer import TraceBudgetExceeded
-
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except TraceBudgetExceeded as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_BUDGET
+    return args.func(args)
 
 
 if __name__ == "__main__":

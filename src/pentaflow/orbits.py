@@ -306,6 +306,11 @@ def check_M(short: OrbitVector, long: OrbitVector) -> bool:
     return apply_M(short) == long
 
 
+def billiard_multiplier(v: OrbitVector) -> int:
+    """1 if the pentagon billiard closes in one surface period, else 5."""
+    return 1 if ((v.c - v.f) + 2 * (v.e - v.d)) % 5 == 0 else 5
+
+
 def quintuple_relation(a: OrbitVector, A: OrbitVector,
                        b: OrbitVector, B: OrbitVector
                        ) -> tuple[tuple[OrbitVector, OrbitVector], ...]:

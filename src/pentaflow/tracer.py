@@ -420,10 +420,13 @@ def section_cell_points(x: GoldenNum, steps: int) -> list[GoldenNum]:
     by two the cells are exactly the strips' crossings of the diagonal,
     short plus long of them, and the exchange permutes them."""
     spec = iet_build(x)
-    pts = {ZERO, PHI, *spec.division_points}
-    # the limits from outside the diagonal, (0, 'L') and (phi, 'R'), are no leaves
-    seeds = {(p, side) for p in pts for side in "LR"} - {(ZERO, "L"), (PHI, "R")}
-    frontier = list(seeds)
+    cuts = (ZERO, PHI, *spec.division_points)
+    pts = set(cuts)
+    # the limits from outside the diagonal, (0, 'L') and (phi, 'R'), are no
+    # leaves; the seeds go in list order, so every process steps alike
+    frontier = list(dict.fromkeys((p, side) for p in cuts for side in "LR"
+                                  if (p, side) not in ((ZERO, "L"), (PHI, "R"))))
+    seeds = set(frontier)
     for _ in range(steps):
         frontier = [(spec.step(v, side)[0], side) for v, side in frontier]
         pts.update(v for v, _side in frontier)

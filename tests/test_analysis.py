@@ -3,6 +3,9 @@ from fractions import Fraction
 import pytest
 
 from pentaflow.analysis import (
+    ChildConcatResult,
+    SplittingWitness,
+    _prefix_compatible,
     billiard_multiplier,
     billiard_report,
     check_conjecture_concat,
@@ -20,9 +23,17 @@ from pentaflow.directions import (
     arc_right_vertex,
     coordinate_of_index,
     index_strings_to_depth,
+    neighbor_chain,
 )
 from pentaflow.golden import GoldenNum, PHI
-from pentaflow.orbits import CyclicWord, OrbitVector, orbit_of_index, roman_of_arabic, vectors_of_index
+from pentaflow.orbits import (
+    CyclicWord,
+    OrbitVector,
+    orbit_of_index,
+    roman_of_arabic,
+    rotations,
+    vectors_of_index,
+)
 from pentaflow.periods import child_periods, period_of_index
 from pentaflow import analysis, tracer
 
@@ -178,3 +189,143 @@ def test_length_formula_closed_form():
     want = PHI ** 4 * GoldenNum.of(Fraction(3, 4), Fraction(-1, 4)) * g(4, 4)
     # ((c+f) phi + (d+e))^2 = (2 phi)^2 = 4 phi^2 = 4 + 4 phi
     assert val == want
+
+
+# ---------------------------------------------------------------------------
+# the concatenation searches as they stood before the doubled-word rotation
+# test, kept verbatim as the reference: each candidate is a fresh CyclicWord
+# compared by its least rotation
+
+
+def _concat_witness(target: CyclicWord, pieces: list[tuple[int, ...]]):
+    """Search rotations: does some rotation of target split into rotations
+    of the pieces, in order?  Returns the witness offsets or None."""
+    total = target.symbols
+    if sum(len(p) for p in pieces) != len(total):
+        return None
+    # each rotation of a piece -> its first offset in rotations(piece)
+    piece_rots = [{} for _ in pieces]
+    for first, p in zip(piece_rots, pieces):
+        for k, r in enumerate(rotations(p)):
+            first.setdefault(r, k)
+    for off in range(len(total)):
+        rot = total[off:] + total[:off]
+        pos, offsets = 0, []
+        for p, rots in zip(pieces, piece_rots):
+            k = rots.get(rot[pos:pos + len(p)])
+            if k is None:
+                break
+            offsets.append(k)
+            pos += len(p)
+        else:
+            return (off, tuple(offsets))
+    return None
+
+
+def _find_splitting(S, L, shorts, longs, side) -> SplittingWitness | None:
+    s0 = shorts[0]
+    l0 = longs[0]
+    n_l, n_s = len(L), len(S)
+
+    # candidate (a', b'): rotation of L cut at |short_0|, piece matching short_0
+    ab_primes = []
+    cut = len(s0)
+    if cut <= n_l:
+        for rot in rotations(L):
+            ap, bp = rot[:cut], rot[cut:]
+            if ap and CyclicWord.roman_word(ap) == s0:
+                ab_primes.append((ap, bp))
+    if not ab_primes:
+        return None
+
+    # candidate (a, b) and (c, d): d + a must tile long_0
+    for rot_l in rotations(L):
+        for cut_a in range(n_l + 1):
+            a, b = rot_l[:cut_a], rot_l[cut_a:]
+            d_len = len(l0) - cut_a
+            if not 0 <= d_len <= n_s:
+                continue
+            for rot_s in rotations(S):
+                c, d = rot_s[:n_s - d_len], rot_s[n_s - d_len:]
+                if len(d) + len(a) == 0:
+                    continue
+                if CyclicWord.roman_word(d + a) != l0:
+                    continue
+                for ap, bp in ab_primes:
+                    pref = _prefix_compatible(a, bp)
+                    if pref is None:
+                        continue
+                    if _verify_chain(ap, bp, a, b, c, d, shorts, longs):
+                        return SplittingWitness(side, c, d, a, b, ap, bp, pref)
+    return None
+
+
+def _verify_chain(ap, bp, a, b, c, d, shorts, longs) -> bool:
+    for i in range(1, len(shorts)):
+        want_s = ap + (bp + ap) * i
+        want_l = d + (c + d) * i + (a + b) * i + a
+        if CyclicWord.roman_word(want_s) != shorts[i]:
+            return False
+        if CyclicWord.roman_word(want_l) != longs[i]:
+            return False
+    return True
+
+
+def _find_corner_splitting(S, L, shorts, longs, side) -> SplittingWitness | None:
+    """Degenerate chains anchored at the opposite corner: the anchor orbits
+    are their own pieces, and the center's words tile only the growth:
+    short_i = s0 L^i and long_i = l0 L^i S^i, over aligned rotations."""
+    s0 = shorts[0].symbols
+    l0 = longs[0].symbols
+    for rs0 in rotations(s0):
+        for rl in rotations(L):
+            if any(CyclicWord.roman_word(rs0 + rl * i) != shorts[i]
+                   for i in range(1, len(shorts))):
+                continue
+            for rl0 in rotations(l0):
+                for rl2 in rotations(L):
+                    for rs in rotations(S):
+                        if all(CyclicWord.roman_word(rl0 + rl2 * i + rs * i) == longs[i]
+                               for i in range(1, len(longs))):
+                            return SplittingWitness(side, rs, (), rl2, (), rl, rs0, 0)
+    return None
+
+
+def _roman(idx, kind):
+    return roman_of_arabic(orbit_of_index(idx, kind))
+
+
+def test_concat_witnesses_equal_the_reference_search():
+    """Every arc to depth 3: the same children, patterns and witnesses."""
+    for p in [(), *index_strings_to_depth(3)]:
+        left, right = arc_left_vertex(p), arc_right_vertex(p)
+        rep = check_conjecture_concat(left, right)
+        assert [r.pattern for r in rep.results] == ["bA", "AaB", "AB", "AaBb", "aB", "BbA"]
+        pieces = {"a": _roman(left, "short").symbols, "A": _roman(left, "long").symbols,
+                  "b": _roman(right, "short").symbols, "B": _roman(right, "long").symbols}
+        want = tuple(
+            ChildConcatResult(r.child, r.kind, r.pattern, _concat_witness(
+                _roman(r.child, r.kind), [pieces[name] for name in r.pattern]))
+            for r in rep.results)
+        assert repr(rep.results) == repr(want), p
+
+
+@pytest.mark.parametrize("radius", [1, 2])
+def test_splitting_witnesses_equal_the_reference_search(radius):
+    """Every center to depth 3 and both corners: the same chains and the
+    same witnesses, piece for piece."""
+    centers = dict.fromkeys(DirectionIndex.from_digits(s) for s in index_strings_to_depth(3))
+    for beta in [*centers, DirectionIndex(), BOTTOM]:
+        rep = check_conjecture_splitting(beta, radius)
+        S, L = _roman(beta, "short").symbols, _roman(beta, "long").symbols
+        search = _find_corner_splitting if beta.bottom or not beta.digits else _find_splitting
+        want = []
+        for side in ("upper", "lower"):
+            chain = neighbor_chain(beta, side, radius + 1)
+            if chain:
+                shorts = [_roman(g, "short") for g in chain]
+                longs = [_roman(g, "long") for g in chain]
+                want.append((side, tuple(str(g) for g in chain),
+                             search(S, L, shorts, longs, side)))
+        assert repr(rep.results) == repr(tuple(want)), beta
+        assert rep.passed == (bool(want) and all(w is not None for _, _, w in want))

@@ -17,29 +17,41 @@ EXPORTS = {
                "R_MAP", "T_MAP"],
     "directions": ["BOTTOM", "DirectionIndex", "coordinate_of_index",
                    "index_of_coordinate", "neighbor_family", "pentagons_to_depth"],
-    "orbits": ["CyclicWord", "OrbitVector", "apply_L", "check_M", "enhance",
-               "orbit_of_index", "reduce_word", "roman_of_arabic", "rotate_alphabet",
-               "vector_of"],
+    "orbits": ["CyclicWord", "OrbitVector", "apply_L", "billiard_multiplier", "check_M",
+               "enhance", "orbit_of_index", "reduce_word", "roman_of_arabic",
+               "rotate_alphabet", "vector_of"],
     "periods": ["PeriodPair", "arithmetic_family_check", "child_periods",
                 "period_of_index"],
     "tracer": ["IETSpec", "PlanePoint", "TraceResult", "direction_of_coordinate",
                "direction_of_vector", "iet_build", "iet_orbit",
                "periodic_orbits_for_coordinate", "trace_billiard", "trace_surface"],
-    "analysis": ["billiard_multiplier", "check_conjecture_concat",
-                 "check_conjecture_splitting", "displacement", "length_report"],
+    "analysis": ["check_conjecture_concat", "check_conjecture_splitting",
+                 "displacement", "length_report"],
 }
 
 
-def test_import_loads_only_the_field_and_the_directions():
-    code = ("import sys, pentaflow, pentaflow.cli; "
-            "print(' '.join(sorted(m for m in sys.modules if m.startswith('pentaflow'))))")
+def _package_modules_after(code: str) -> list[str]:
+    """The pentaflow modules loaded once code has run in a fresh interpreter."""
+    code += ("\nimport sys\n"
+             "print(' '.join(sorted(m for m in sys.modules if m.startswith('pentaflow'))))")
     # the package under test first, then whatever PYTHONPATH the suite has
     path = [str(Path(pentaflow.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert out.split() == ["pentaflow", "pentaflow.cli", "pentaflow.directions",
-                           "pentaflow.golden"]
+    return out.splitlines()[-1].split()
+
+
+def test_import_loads_only_the_field_and_the_directions():
+    assert _package_modules_after("import pentaflow, pentaflow.cli") == [
+        "pentaflow", "pentaflow.cli", "pentaflow.directions", "pentaflow.golden"]
+
+
+def test_direction_loads_neither_the_tracer_nor_the_analysis():
+    assert _package_modules_after("from pentaflow import cli\n"
+                                  "cli.main(['direction', '1', '2', '--json'])") == [
+        "pentaflow", "pentaflow.cli", "pentaflow.directions", "pentaflow.golden",
+        "pentaflow.orbits", "pentaflow.periods"]
 
 
 def test_all_lists_the_42_exported_names():

@@ -1,6 +1,9 @@
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -357,6 +360,28 @@ def test_cells_are_the_strips_crossings():
                 p, n = image[p], n + 1
             cycles.append(n)
         assert sorted(cycles) == sorted((pp.short, pp.long)), idx
+
+
+def test_cell_points_step_alike_under_every_hash_seed():
+    # the seeds are followed in a fixed order, not a set's string-hash
+    # order, so the exchange sees the same steps in every process
+    code = ("from pentaflow import directions, periods, tracer\n"
+            "calls, step = [], tracer.IETSpec.step\n"
+            "def record(spec, p, side=None):\n"
+            "    calls.append((p, side))\n"
+            "    return step(spec, p, side)\n"
+            "tracer.IETSpec.step = record\n"
+            "idx = directions.DirectionIndex((1, 2))\n"
+            "tracer.section_cell_points(directions.coordinate_of_index(idx).value,\n"
+            "                           periods.period_of_index(idx).long + 2)\n"
+            "print(calls)")
+    path = [str(Path(tracer.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    runs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           check=True, env=dict(os.environ, PYTHONHASHSEED=str(seed),
+                                                PYTHONPATH=os.pathsep.join(filter(None, path)))
+                           ).stdout for seed in range(4)]
+    assert runs[0].startswith("[(GoldenNum(")
+    assert runs[1:] == runs[:1] * 3
 
 
 def test_strip_search_raises_on_cells_that_are_not_the_strips(monkeypatch):
