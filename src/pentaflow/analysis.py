@@ -17,7 +17,7 @@ from .directions import (
     coordinate_of_index,
     neighbor_chain,
 )
-from .golden import PHI, S_SQUARED, ZERO, GoldenNum
+from .golden import PHI, PHI2, S_SQUARED, ZERO, GoldenNum
 from .orbits import (
     OrbitVector,
     billiard_multiplier,
@@ -144,8 +144,7 @@ def billiard_report(idx: DirectionIndex) -> BilliardReport:
         and (b_s.length_squared - msq * s_tr.length_squared).is_zero()
         and (b_l.length_squared - GoldenNum.of(mult_l * mult_l) * l_tr.length_squared).is_zero()
     )
-    phi2 = PHI * PHI
-    ratio_ok = (b_l.length_squared - phi2 * b_s.length_squared).is_zero()
+    ratio_ok = (b_l.length_squared - PHI2 * b_s.length_squared).is_zero()
     return BilliardReport(idx, mult_s, s_tr, l_tr, b_s, b_l, lengths_exact, ratio_ok)
 
 

@@ -190,6 +190,7 @@ class GoldenNum(FrozenValue):
 ZERO = GoldenNum.of(0)
 ONE = GoldenNum.of(1)
 PHI = GoldenNum.of(0, 1)
+PHI2 = GoldenNum.of(1, 1)  # phi^2 = phi + 1
 HALF = GoldenNum.of(Fraction(1, 2))
 
 #: s^2 = (3 - phi)/4, the square of sin 36 degrees.

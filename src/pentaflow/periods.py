@@ -12,9 +12,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .directions import DirectionIndex, NeighborFamily, neighbor_family
-from .golden import ONE, PHI, ZERO, FrozenValue, GoldenNum
-
-PHI2 = PHI * PHI
+from .golden import ONE, PHI, PHI2, ZERO, FrozenValue, GoldenNum
 
 
 class PeriodPair(FrozenValue):

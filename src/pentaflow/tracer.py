@@ -16,14 +16,15 @@ pieces it walks and keeping them as its path (see TraceResult).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import NamedTuple
 
+from .directions import ALPHA_COORD
 from .golden import (
     FrozenValue,
     HALF,
     ONE,
     PHI,
+    PHI2,
     S_SQUARED,
     ZERO,
     GoldenNum,
@@ -97,10 +98,12 @@ def dot(a: PlanePoint, b: PlanePoint) -> GoldenNum:
 # ---------------------------------------------------------------------------
 # the chart: unit pentagon with a horizontal diagonal plus its central mirror
 
-_A = PlanePoint(GoldenNum.of(0, Fraction(1, 2)), ONE)  # apex
+_HALF_PHI = PHI * HALF
+
+_A = PlanePoint(_HALF_PHI, ONE)  # apex
 _B = PlanePoint(ZERO, ZERO)
-_D = PlanePoint(GoldenNum.of(Fraction(-1, 2), Fraction(1, 2)), -PHI)
-_E = PlanePoint(GoldenNum.of(Fraction(1, 2), Fraction(1, 2)), -PHI)
+_D = PlanePoint(_HALF_PHI - HALF, -PHI)
+_E = PlanePoint(_HALF_PHI + HALF, -PHI)
 _C = PlanePoint(PHI, ZERO)
 
 #: vertices of the upper pentagon, counterclockwise
@@ -112,10 +115,9 @@ _T0 = PlanePoint(PHI, GoldenNum.of(0, -2))
 PENTAGON_LOWER = tuple(-v + _T0 for v in PENTAGON_UPPER)
 
 #: side labels around the pentagon, frozen by calibration: the two strip
-#: words of each boundary direction parse to the expected interval symbols
+#: words of each boundary direction parse to the expected interval symbols.
+#: Side i runs from vertex i to vertex i + 1 of PENTAGON_UPPER (A, B, D, E, C).
 SIDE_LABELS = {"AB": 2, "BD": 5, "DE": 3, "EC": 1, "CA": 4}
-
-_SIDE_ORDER = (("AB", 0, 1), ("BD", 1, 2), ("DE", 2, 3), ("EC", 3, 4), ("CA", 4, 0))
 
 
 class Side(NamedTuple):
@@ -140,8 +142,8 @@ def _reflect_matrix(w: PlanePoint) -> tuple:
 def _build_sides() -> tuple[tuple[Side, ...], tuple[Side, ...]]:
     upper = []
     lower = []
-    for name, i, j in _SIDE_ORDER:
-        label = SIDE_LABELS[name]
+    for i, (name, label) in enumerate(SIDE_LABELS.items()):
+        j = (i + 1) % len(PENTAGON_UPPER)
         # the paired sides are parallel, so they share one reflection
         refl = _reflect_matrix(PENTAGON_UPPER[j] - PENTAGON_UPPER[i])
         for verts, bucket in ((PENTAGON_UPPER, upper), (PENTAGON_LOWER, lower)):
@@ -155,8 +157,8 @@ SIDES_UPPER, SIDES_LOWER = _build_sides()
 _SIDES = (SIDES_UPPER, SIDES_LOWER)
 
 #: the diagonals bounding the principal sector, length phi each
-U_VEC = PlanePoint(HALF, GoldenNum.of(1, 1))
-V_VEC = PlanePoint(-HALF, GoldenNum.of(1, 1))
+U_VEC = PlanePoint(HALF, PHI2)
+V_VEC = PlanePoint(-HALF, PHI2)
 
 
 def direction_of_coordinate(x: GoldenNum) -> PlanePoint:
@@ -190,33 +192,20 @@ def locate_pentagon(p: PlanePoint) -> int:
 
 
 def _exit_side(pos: PlanePoint, direction: PlanePoint, pent: int):
-    """First side hit by the ray; returns (side, hit point, t)."""
-    best = None
-    for side in _SIDES[pent]:
-        w = side.v1 - side.v0
-        den = cross(direction, w)
-        if den.is_zero():
-            continue
-        rel = side.v0 - pos
-        t = cross(rel, w) / den
-        if t.sign() <= 0:
-            continue
-        theta = cross(rel, direction) / den
-        # theta must lie in [0, 1]; hits at the ends are cone points
-        ts = theta.sign()
-        if ts < 0 or (theta - ONE).sign() > 0:
-            continue
-        if best is None or (t - best[2]).sign() < 0:
-            if ts == 0 or (theta - ONE).is_zero():
-                best = (side, None, t)  # vertex hit candidate
-            else:
-                hit = pos + direction.scale(t)
-                best = (side, hit, t)
-    if best is None:
-        raise SaddleConnectionError("ray leaves through no side (degenerate)")
-    if best[1] is None:
-        raise SaddleConnectionError("trajectory hits a cone point")
-    return best
+    """First side hit by the ray; returns (side, hit point, t).  The
+    pentagon is convex and counterclockwise, so the ray leaves through the
+    one side whose first vertex lies right of it and whose second does not;
+    a second vertex on the ray is a cone point ahead."""
+    sides = _SIDES[pent]
+    signs = [cross(direction, side.v0 - pos).sign() for side in sides]
+    for side, here, ahead in zip(sides, signs, signs[1:] + signs[:1]):
+        if here < 0 <= ahead:
+            if ahead == 0:
+                raise SaddleConnectionError("trajectory hits a cone point")
+            w = side.v1 - side.v0
+            t = cross(side.v0 - pos, w) / cross(direction, w)
+            return side, pos + direction.scale(t), t
+    raise SaddleConnectionError("ray leaves through no side (degenerate)")
 
 
 def _time_to(pos: PlanePoint, target: PlanePoint,
@@ -360,12 +349,13 @@ class IETSpec(NamedTuple):
         None reads p itself, which must not be a division point."""
         if side is None and p in self.division_points:
             raise SingularOrbit(f"orbit hit division point {p}")
-        bounds = (ZERO, *self.division_points, PHI)
-        for k, lo, hi in zip((4, 3, 2, 1), bounds, bounds[1:]):
-            inside = lo < p <= hi if side == "L" else lo <= p < hi
-            if inside and not (hi - lo).is_zero():
-                return p + self.translations[k], k
-        raise SingularOrbit(f"no branch of the exchange at {p}")
+        if not (ZERO < p <= PHI if side == "L" else ZERO <= p < PHI):
+            raise SingularOrbit(f"no branch of the exchange at {p}")
+        # p lies in interval 4 less the number of division points at or
+        # below it (strictly below for 'L'); they are ordered, so the ends
+        # of an empty interval are counted together and it is never read
+        k = 4 - sum(d < p if side == "L" else d <= p for d in self.division_points)
+        return p + self.translations[k], k
 
 
 def iet_build(u: GoldenNum) -> IETSpec:
@@ -375,24 +365,22 @@ def iet_build(u: GoldenNum) -> IETSpec:
     For u < 0 it is the exchange of -u seen through p -> phi - p: the
     division points are phi - p3, phi - p2, phi - p1, symbol k becomes
     5 - k and each shift changes sign."""
-    limit = GoldenNum.of(1, Fraction(-1, 2))  # 1 - phi/2
-    if (limit + u).sign() < 0 or (u - limit).sign() > 0:
+    if (ALPHA_COORD + u).sign() < 0 or (u - ALPHA_COORD).sign() > 0:
         raise ValueError("u must lie in [phi/2 - 1, 1 - phi/2]")
     if u.sign() < 0:
         m = iet_build(-u)
         return IETSpec(u, PHI - m.p3, PHI - m.p2, PHI - m.p1,
                        {k: -m.translations[5 - k] for k in (4, 3, 2, 1)})
-    half_phi = GoldenNum.of(0, Fraction(1, 2))
     t_coeff = GoldenNum.of(1, 2)  # 2 phi + 1
-    p3_coeff = GoldenNum.of(1, 1)  # phi + 1; fixed at calibration
-    p1 = HALF - u * p3_coeff
-    p2 = half_phi - u
-    p3 = PHI - HALF - u * p3_coeff
+    # the p3 coefficient phi^2 = phi + 1 was fixed at calibration
+    p1 = HALF - u * PHI2
+    p2 = _HALF_PHI - u
+    p3 = PHI - HALF - u * PHI2
     translations = {
-        4: half_phi + u * t_coeff,
-        3: -HALF + u * p3_coeff,
-        2: HALF + u * p3_coeff,
-        1: -half_phi + u * t_coeff,
+        4: _HALF_PHI + u * t_coeff,
+        3: -HALF + u * PHI2,
+        2: HALF + u * PHI2,
+        1: -_HALF_PHI + u * t_coeff,
     }
     return IETSpec(u, p1, p2, p3, translations)
 

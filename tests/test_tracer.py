@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from pentaflow.directions import BOTTOM, DirectionIndex, coordinate_of_index, index_strings_to_depth
-from pentaflow.golden import GoldenNum, PentaNum, PHI, ZERO
+from pentaflow.golden import GoldenNum, ONE, PentaNum, PHI, ZERO
 from pentaflow.orbits import (
     ROMAN_OF_PAIR,
     CyclicWord,
@@ -22,6 +22,7 @@ from pentaflow.periods import period_of_index
 from pentaflow import analysis, tracer
 from pentaflow.tracer import (
     PENTAGON_LOWER,
+    PENTAGON_UPPER,
     PlanePoint,
     SIDE_LABELS,
     SIDES_LOWER,
@@ -173,6 +174,105 @@ def test_strip_search_fails_loudly_below_the_exact_period():
     assert "cap 2" in str(e.value) and str(e.value.direction) in str(e.value)
 
 
+def reference_exit_side(pos: PlanePoint, direction: PlanePoint, pent: int):
+    """The old exit search: solve both hit parameters on every side and keep
+    the nearest hit."""
+    best = None
+    for side in tracer._SIDES[pent]:
+        w = side.v1 - side.v0
+        den = cross(direction, w)
+        if den.is_zero():
+            continue
+        rel = side.v0 - pos
+        t = cross(rel, w) / den
+        if t.sign() <= 0:
+            continue
+        theta = cross(rel, direction) / den
+        # theta must lie in [0, 1]; hits at the ends are cone points
+        ts = theta.sign()
+        if ts < 0 or (theta - ONE).sign() > 0:
+            continue
+        if best is None or (t - best[2]).sign() < 0:
+            if ts == 0 or (theta - ONE).is_zero():
+                best = (side, None, t)  # vertex hit candidate
+            else:
+                hit = pos + direction.scale(t)
+                best = (side, hit, t)
+    if best is None:
+        raise SaddleConnectionError("ray leaves through no side (degenerate)")
+    if best[1] is None:
+        raise SaddleConnectionError("trajectory hits a cone point")
+    return best
+
+
+def _outcome(fn, *args):
+    """fn's result, or the class and message of the error it raised."""
+    try:
+        return fn(*args)
+    except (SaddleConnectionError, SingularOrbit) as e:
+        return type(e), str(e)
+
+
+def _depth3_and_corners() -> list[DirectionIndex]:
+    depth3 = dict.fromkeys(DirectionIndex.from_digits(s) for s in index_strings_to_depth(3))
+    return [DirectionIndex(), BOTTOM, *depth3]
+
+
+def test_exit_side_matches_the_nearest_hit_search(monkeypatch):
+    # every crossing of the strip searches and every reflection of the
+    # billiards at each index to depth 3 and both corners
+    exit_side, calls = tracer._exit_side, []
+
+    def checked(pos, direction, pent):
+        got = exit_side(pos, direction, pent)
+        assert got == reference_exit_side(pos, direction, pent)
+        calls.append(pent)
+        return got
+
+    monkeypatch.setattr(tracer, "_exit_side", checked)
+    for idx in _depth3_and_corners():
+        assert analysis.billiard_report(idx).passed, idx
+    assert set(calls) == {0, 1} and len(calls) > 10_000
+
+
+def test_cone_hits_raise_alike():
+    # aim at each vertex of each pentagon from interior points: both the
+    # sign rule and the nearest-hit search stop at the cone point
+    for pent, verts in enumerate((PENTAGON_UPPER, PENTAGON_LOWER)):
+        center = PlanePoint(sum((v.x for v in verts), ZERO) / g(5),
+                            sum((v.y for v in verts), ZERO) / g(5))
+        for pos in (center, PlanePoint(center.x + g(Fraction(1, 9)), center.y),
+                    PlanePoint(center.x, center.y - g(Fraction(1, 7)))):
+            assert locate_pentagon(pos) == pent
+            for v in verts:
+                for direction in (v - pos, (v - pos).scale(g(3, -1))):
+                    got = _outcome(tracer._exit_side, pos, direction, pent)
+                    assert got == (SaddleConnectionError, "trajectory hits a cone point")
+                    assert got == _outcome(reference_exit_side, pos, direction, pent)
+
+
+def test_exit_side_divides_once(monkeypatch):
+    # one GoldenNum.inverse per side left, in every trace and billiard
+    inverse, exit_side, per_call = GoldenNum.inverse, tracer._exit_side, []
+    count = [0]
+
+    def counted_inverse(self):
+        count[0] += 1
+        return inverse(self)
+
+    def counted_exit(*args):
+        before = count[0]
+        result = exit_side(*args)
+        per_call.append(count[0] - before)
+        return result
+
+    monkeypatch.setattr(GoldenNum, "inverse", counted_inverse)
+    monkeypatch.setattr(tracer, "_exit_side", counted_exit)
+    for idx in (DirectionIndex((1,)), DirectionIndex((1, 2, 1)), BOTTOM):
+        assert analysis.billiard_report(idx).passed
+    assert per_call and set(per_call) == {1}
+
+
 def test_vertex_hit_is_a_distinct_error():
     # aim straight at the apex cone point
     start = section_point(g(0, Fraction(1, 2)))
@@ -260,6 +360,37 @@ def test_iet_bijection_on_sampled_parameters():
         for (a0, a1), (b0, b1) in zip(images, images[1:]):
             assert a1 == b0
         assert images[-1][1] == PHI
+
+
+def reference_step(spec, p: GoldenNum, side: str | None = None):
+    """The old IETSpec.step: scan the four intervals, skipping empty ones."""
+    if side is None and p in spec.division_points:
+        raise SingularOrbit(f"orbit hit division point {p}")
+    bounds = (ZERO, *spec.division_points, PHI)
+    for k, lo, hi in zip((4, 3, 2, 1), bounds, bounds[1:]):
+        inside = lo < p <= hi if side == "L" else lo <= p < hi
+        if inside and not (hi - lo).is_zero():
+            return p + spec.translations[k], k
+    raise SingularOrbit(f"no branch of the exchange at {p}")
+
+
+def test_exchange_step_matches_the_interval_scan():
+    # every cell point of each index to depth 3, its mirror and both
+    # corners, the diagonal's ends, points off it and seeded random points
+    rng = random.Random(20111019)
+    for idx in _depth3_and_corners():
+        x = coordinate_of_index(idx).value
+        steps = period_of_index(idx).long + 2
+        for u in dict.fromkeys((x, -x)):
+            spec = iet_build(u)
+            points = [*tracer.section_cell_points(u, steps), g(Fraction(-1, 7)),
+                      PHI + g(Fraction(1, 7))]
+            points += [PHI * g(Fraction(rng.randint(1, 999), 1000)) for _ in range(10)]
+            assert ZERO in points and PHI in points
+            for p in points:
+                for side in ("L", "R", None):
+                    assert (_outcome(spec.step, p, side)
+                            == _outcome(reference_step, spec, p, side)), (idx, u, p, side)
 
 
 def mirrored_step(x: GoldenNum, p: GoldenNum, side: str | None):
