@@ -45,14 +45,6 @@ class DepthExceeded(RuntimeError):
         self.prefix = prefix
 
 
-class InsufficientDepth(ValueError):
-    """A neighbor family request needs a deeper tessellation."""
-
-    def __init__(self, needed: int):
-        super().__init__(f"depth {needed} required for this neighbor family")
-        self.needed = needed
-
-
 #: coordinate of the top sector endpoint, 1 - phi/2
 ALPHA_COORD = GoldenNum.of(1, "-1/2")
 #: coordinate of the bottom sector endpoint, phi/2 - 1
@@ -356,15 +348,11 @@ def neighbor_chain(beta: DirectionIndex, side: str, n: int) -> list[DirectionInd
     return chain[:n]
 
 
-def neighbor_family(beta: DirectionIndex, radius: int,
-                    depth: int | None = None) -> NeighborFamily:
+def neighbor_family(beta: DirectionIndex, radius: int) -> NeighborFamily:
     """The 2*radius + 1 neighbors of beta, combinatorially enumerated."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     total = 2 * radius + 1
-    needed = beta.generation + radius + 1
-    if depth is not None and depth < needed:
-        raise InsufficientDepth(needed)
 
     if beta.bottom or not beta.digits:
         # a corner's neighbors all lie on its inner side

@@ -93,15 +93,14 @@ class FamilyReport(NamedTuple):
     first_failure: int | None = None
 
 
-def arithmetic_family_check(beta: DirectionIndex, radius: int,
-                            depth: int | None = None) -> FamilyReport:
+def arithmetic_family_check(beta: DirectionIndex, radius: int) -> FamilyReport:
     """Verify the signed period pairs of the neighbors form an arithmetic
     progression with difference (B, b + B), where (b, B) are beta's periods.
 
     Pairs at negative family positions enter with both components negated;
     the family orientation is fixed so the common difference is positive.
     """
-    fam: NeighborFamily = neighbor_family(beta, radius, depth)
+    fam: NeighborFamily = neighbor_family(beta, radius)
     bp = period_of_index(beta)
     diff = (bp.long, bp.short + bp.long)
 

@@ -10,15 +10,20 @@ stay straight, the side pairings stay translations, and a cross product is
 the true one divided by s > 0, so its sign is unchanged.  The metric
 appears only in dot.  Side labels and the interval conventions are fixed
 once by calibration (see CONVENTIONS.md) and frozen here as constants.
-Each trace is one walk over _exit_side, adding up the flight time of the
-pieces it walks and keeping them as its path (see TraceResult).
+
+Both flows are walked in the upper pentagon alone, by one loop (_walk)
+over one side table.  The lower copy is the central mirror p -> _T0 - p,
+so a surface crossing, read back through it, is the half turn about the
+side's midpoint; a billiard bounce is the reflection in the side.  Each
+walk adds up the flight time of its pieces and keeps them as its path
+(see TraceResult).
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .directions import ALPHA_COORD
+from .directions import in_closed_sector
 from .golden import (
     FrozenValue,
     HALF,
@@ -29,6 +34,7 @@ from .golden import (
     ZERO,
     GoldenNum,
     PentaNum,
+    ProjectivePoint,
 )
 from .orbits import CyclicWord, roman_of_arabic
 
@@ -109,7 +115,7 @@ _C = PlanePoint(PHI, ZERO)
 #: vertices of the upper pentagon, counterclockwise
 PENTAGON_UPPER = (_A, _B, _D, _E, _C)
 
-#: offset taking -V onto the lower copy
+#: the lower copy is the central mirror p -> _T0 - p of the upper one
 _T0 = PlanePoint(PHI, GoldenNum.of(0, -2))
 
 PENTAGON_LOWER = tuple(-v + _T0 for v in PENTAGON_UPPER)
@@ -125,7 +131,6 @@ class Side(NamedTuple):
     label: int
     v0: PlanePoint
     v1: PlanePoint
-    translation: PlanePoint  # jump applied when crossing, either copy
     reflection: tuple  # billiard reflection across the side, (a, b, c, d)
 
 
@@ -139,22 +144,11 @@ def _reflect_matrix(w: PlanePoint) -> tuple:
     return (a, S_SQUARED * c, c, -a)
 
 
-def _build_sides() -> tuple[tuple[Side, ...], tuple[Side, ...]]:
-    upper = []
-    lower = []
-    for i, (name, label) in enumerate(SIDE_LABELS.items()):
-        j = (i + 1) % len(PENTAGON_UPPER)
-        # the paired sides are parallel, so they share one reflection
-        refl = _reflect_matrix(PENTAGON_UPPER[j] - PENTAGON_UPPER[i])
-        for verts, bucket in ((PENTAGON_UPPER, upper), (PENTAGON_LOWER, lower)):
-            v0, v1 = verts[i], verts[j]
-            t = _T0 - v0 - v1
-            bucket.append(Side(name, label, v0, v1, t, refl))
-    return tuple(upper), tuple(lower)
-
-
-SIDES_UPPER, SIDES_LOWER = _build_sides()
-_SIDES = (SIDES_UPPER, SIDES_LOWER)
+#: the sides of the upper pentagon, the one table both flows walk over
+SIDES = tuple(
+    Side(name, label, v0, v1, _reflect_matrix(v1 - v0))
+    for (name, label), v0, v1 in zip(SIDE_LABELS.items(), PENTAGON_UPPER,
+                                     PENTAGON_UPPER[1:] + PENTAGON_UPPER[:1]))
 
 #: the diagonals bounding the principal sector, length phi each
 U_VEC = PlanePoint(HALF, PHI2)
@@ -174,31 +168,18 @@ def direction_of_vector(p: GoldenNum, q: GoldenNum) -> PlanePoint:
     return U_VEC.scale(p) + V_VEC.scale(q)
 
 
-def _point_in_pentagon(p: PlanePoint, verts: tuple[PlanePoint, ...]) -> bool:
-    n = len(verts)
-    for i in range(n):
-        v0, v1 = verts[i], verts[(i + 1) % n]
-        if cross(v1 - v0, p - v0).sign() <= 0:
-            return False
-    return True
+def _inside(p: PlanePoint) -> bool:
+    """Whether p lies strictly inside the upper pentagon."""
+    return all(cross(side.v1 - side.v0, p - side.v0).sign() > 0 for side in SIDES)
 
 
-def locate_pentagon(p: PlanePoint) -> int:
-    if _point_in_pentagon(p, PENTAGON_UPPER):
-        return 0
-    if _point_in_pentagon(p, PENTAGON_LOWER):
-        return 1
-    raise ValueError("point is not strictly inside either pentagon")
-
-
-def _exit_side(pos: PlanePoint, direction: PlanePoint, pent: int):
+def _exit_side(pos: PlanePoint, direction: PlanePoint):
     """First side hit by the ray; returns (side, hit point, t).  The
     pentagon is convex and counterclockwise, so the ray leaves through the
     one side whose first vertex lies right of it and whose second does not;
     a second vertex on the ray is a cone point ahead."""
-    sides = _SIDES[pent]
-    signs = [cross(direction, side.v0 - pos).sign() for side in sides]
-    for side, here, ahead in zip(sides, signs, signs[1:] + signs[:1]):
+    signs = [cross(direction, side.v0 - pos).sign() for side in SIDES]
+    for side, here, ahead in zip(SIDES, signs, signs[1:] + signs[:1]):
         if here < 0 <= ahead:
             if ahead == 0:
                 raise SaddleConnectionError("trajectory hits a cone point")
@@ -212,7 +193,7 @@ def _time_to(pos: PlanePoint, target: PlanePoint,
              direction: PlanePoint) -> GoldenNum | None:
     """The time at which the forward ray from pos passes through target, or
     None when it misses.  Caller guarantees target is interior to the
-    pentagon of pos, so a hit comes before the ray leaves."""
+    pentagon, so a hit comes before the ray leaves."""
     rel = target - pos
     if not cross(rel, direction).is_zero():
         return None
@@ -232,7 +213,9 @@ class TraceResult(NamedTuple):
     reflections keep the speed, so it is the direction times the flight
     time, to the last crossing or back to the start; for a closed orbit its
     squared norm is the exact squared length.  path holds the pieces (a, b)
-    walked inside the pentagons, one per crossing, plus the closing piece.
+    walked, one per crossing, plus the closing piece: a billiard's all lie
+    in the pentagon, a surface orbit's alternate between the upper copy,
+    where it starts, and the lower one.
     """
 
     word: CyclicWord | tuple[int, ...]
@@ -281,36 +264,51 @@ def _result(labels: list[int], closed: bool, flight: GoldenNum,
                        start, direction, tuple(path))
 
 
-def trace_surface(start: PlanePoint, direction: PlanePoint,
-                  max_crossings: int) -> TraceResult:
-    """Follow the straight-line flow, jumping by the side pairings.
-
-    Declares closure on exact return to the start point in the starting
-    copy (the direction never changes), also at the last crossing allowed;
-    cone-point hits raise.
-    """
+def _walk(start: PlanePoint, direction: PlanePoint, cap: int,
+          turn) -> TraceResult:
+    """The one trace loop, in the upper pentagon: leave through _exit_side,
+    let turn(side, hit, d) give the next position and direction, and close
+    when the direction is back to the start's and the ray passes through
+    the start, also at the last crossing allowed.  Cone-point hits raise."""
     if direction.is_zero():
         raise ValueError("direction must be nonzero")
-    start_pent = locate_pentagon(start)
-    pos, pent = start, start_pent
+    if not _inside(start):
+        raise ValueError("start must lie strictly inside the upper pentagon")
+    pos, d = start, direction
     labels: list[int] = []
     path = []
     flight = ZERO
 
-    while len(labels) < max_crossings:
-        side, hit, t = _exit_side(pos, direction, pent)
+    while len(labels) < cap:
+        side, hit, t = _exit_side(pos, d)
         labels.append(side.label)
         path.append((pos, hit))
         flight = flight + t
-        pos, pent = hit + side.translation, 1 - pent
-        if pent == start_pent:
-            t_last = _time_to(pos, start, direction)
+        pos, d = turn(side, hit, d)
+        if d == direction:
+            t_last = _time_to(pos, start, d)
             if t_last is not None:
                 path.append((pos, start))
                 return _result(labels, True, flight + t_last, start,
                                direction, path)
 
     return _result(labels, False, flight, start, direction, path)
+
+
+def _half_turn(side: Side, hit: PlanePoint, d: PlanePoint):
+    """A surface crossing as the chart sees it: the pairing jump by
+    _T0 - v0 - v1 into the lower copy, read back through p -> _T0 - p, is
+    the half turn about the side's midpoint, and the direction reverses."""
+    return side.v0 + side.v1 - hit, -d
+
+
+def trace_surface(start: PlanePoint, direction: PlanePoint,
+                  max_crossings: int) -> TraceResult:
+    """Follow the straight-line flow on the double pentagon from a start
+    strictly inside the upper copy; its odd pieces lie in the lower one."""
+    res = _walk(start, direction, max_crossings, _half_turn)
+    return res._replace(path=tuple((_T0 - a, _T0 - b) if i % 2 else (a, b)
+                                   for i, (a, b) in enumerate(res.path)))
 
 
 # ---------------------------------------------------------------------------
@@ -365,7 +363,7 @@ def iet_build(u: GoldenNum) -> IETSpec:
     For u < 0 it is the exchange of -u seen through p -> phi - p: the
     division points are phi - p3, phi - p2, phi - p1, symbol k becomes
     5 - k and each shift changes sign."""
-    if (ALPHA_COORD + u).sign() < 0 or (u - ALPHA_COORD).sign() > 0:
+    if not in_closed_sector(ProjectivePoint(u)):
         raise ValueError("u must lie in [phi/2 - 1, 1 - phi/2]")
     if u.sign() < 0:
         m = iet_build(-u)
@@ -484,35 +482,13 @@ def _mat_apply(m, v: PlanePoint) -> PlanePoint:
     return PlanePoint(a * v.x + b * v.y, c * v.x + d * v.y)
 
 
+def _bounce(side: Side, hit: PlanePoint, d: PlanePoint):
+    return hit, _mat_apply(side.reflection, d)
+
+
 def trace_billiard(start: PlanePoint, direction: PlanePoint,
                    max_reflections: int) -> TraceResult:
     """Exact billiard in the unit pentagon with the surface side labels.
-
-    Closure is exact return of both position and direction, also at the
-    last reflection allowed.  The unfolded path runs straight along the
-    start direction, also when the holonomy of an odd period is a
-    reflection.
-    """
-    if direction.is_zero():
-        raise ValueError("direction must be nonzero")
-    if not _point_in_pentagon(start, PENTAGON_UPPER):
-        raise ValueError("start must lie strictly inside the pentagon")
-    pos, d = start, direction
-    labels: list[int] = []
-    path = []
-    flight = ZERO
-
-    while len(labels) < max_reflections:
-        side, hit, t = _exit_side(pos, d, 0)
-        labels.append(side.label)
-        path.append((pos, hit))
-        flight = flight + t
-        pos, d = hit, _mat_apply(side.reflection, d)
-        if d == direction:
-            t_last = _time_to(pos, start, d)
-            if t_last is not None:
-                path.append((pos, start))
-                return _result(labels, True, flight + t_last, start,
-                               direction, path)
-
-    return _result(labels, False, flight, start, direction, path)
+    The unfolded path runs straight along the start direction, also when
+    the holonomy of an odd period is a reflection."""
+    return _walk(start, direction, max_reflections, _bounce)

@@ -12,7 +12,6 @@ from pentaflow.directions import (
     DepthExceeded,
     DirectionIndex,
     GENERATION0_COORDS,
-    InsufficientDepth,
     SectorError,
     arc_left_vertex,
     arc_right_vertex,
@@ -321,13 +320,6 @@ def test_neighbor_family_corners():
     names = [str(v) for _, v, _ in fam.members]
     assert names == ["()", "3", "33", "333", "3333"]
     assert len(fam.members) == 5
-
-
-def test_neighbor_family_depth_guard():
-    with pytest.raises(InsufficientDepth) as e:
-        neighbor_family(DirectionIndex((1, 1)), radius=3, depth=2)
-    assert e.value.needed == 6
-    neighbor_family(DirectionIndex((1, 1)), radius=3, depth=6)
 
 
 def test_arc_endpoints():

@@ -25,8 +25,7 @@ from pentaflow.tracer import (
     PENTAGON_UPPER,
     PlanePoint,
     SIDE_LABELS,
-    SIDES_LOWER,
-    SIDES_UPPER,
+    SIDES,
     SaddleConnectionError,
     SingularOrbit,
     U_VEC,
@@ -36,7 +35,6 @@ from pentaflow.tracer import (
     direction_of_vector,
     iet_build,
     iet_orbit,
-    locate_pentagon,
     periodic_orbits_for_coordinate,
     trace_billiard,
     trace_surface,
@@ -55,14 +53,34 @@ def _symbols(res) -> tuple[int, ...]:
     return res.word.symbols if res.closed else res.word
 
 
+#: the lower copy is the upper one mirrored through p -> T0 - p
+T0 = PENTAGON_UPPER[0] + PENTAGON_LOWER[0]
+
+
+def pairing_translations(verts) -> dict[int, PlanePoint]:
+    """Label -> the jump T0 - v0 - v1 across that side of a copy, the
+    definition of the side pairings (CONVENTIONS.md)."""
+    ends = zip(verts, verts[1:] + verts[:1])
+    return {label: T0 - v0 - v1 for label, (v0, v1) in zip(SIDE_LABELS.values(), ends)}
+
+
+#: the jumps out of the upper copy and out of the lower one
+JUMPS = (pairing_translations(PENTAGON_UPPER), pairing_translations(PENTAGON_LOWER))
+
+
+def center_of(verts) -> PlanePoint:
+    return PlanePoint(sum((v.x for v in verts), ZERO) / g(5),
+                      sum((v.y for v in verts), ZERO) / g(5))
+
+
 def unfolded_by_translations(res) -> PlanePoint:
     """The surface trace's displacement by the old route: the folded end of
-    its path, less the pairing translations of the crossings before it."""
-    pent = locate_pentagon(res.start)
+    its path, less the pairing translations of the crossings before it.
+    The trace starts in the upper copy, so crossing i leaves copy i % 2."""
+    assert tracer._inside(res.start)
     end = res.path[-1][1]
     for i, label in enumerate(_symbols(res)[:len(res.path) - 1]):
-        sides = (SIDES_UPPER, SIDES_LOWER)[(pent + i) % 2]
-        end = end - next(s for s in sides if s.label == label).translation
+        end = end - JUMPS[i % 2][label]
     return end - res.start
 
 
@@ -80,7 +98,7 @@ def unfolded_by_reflections(res) -> PlanePoint:
     apply = tracer._mat_apply
     mat, off = (g(1), ZERO, ZERO, g(1)), PlanePoint(ZERO, ZERO)
     for label in _symbols(res)[:len(res.path) - 1]:
-        side = next(s for s in SIDES_UPPER if s.label == label)
+        side = next(s for s in SIDES if s.label == label)
         # the reflection acts first, then the unfolding so far
         off = apply(mat, side.v0 - apply(side.reflection, side.v0)) + off
         mat = _mat_mul(mat, side.reflection)
@@ -90,25 +108,47 @@ def unfolded_by_reflections(res) -> PlanePoint:
 
 
 def test_chart_pairings_are_parallel_translations():
-    for up, low in zip(SIDES_UPPER, SIDES_LOWER):
-        assert up.name == low.name and up.label == low.label
-        wu = up.v1 - up.v0
-        wl = low.v1 - low.v0
-        assert cross(wu, wl).is_zero()
+    assert PENTAGON_LOWER == tuple(T0 - v for v in PENTAGON_UPPER)
+    up_jumps, low_jumps = JUMPS
+    d = direction_of_coordinate(g(Fraction(1, 10)))
+    lower_ends = zip(PENTAGON_LOWER, PENTAGON_LOWER[1:] + PENTAGON_LOWER[:1])
+    for side, (low0, low1) in zip(SIDES, lower_ends):
+        assert cross(side.v1 - side.v0, low1 - low0).is_zero()
         # crossing one way and back is the identity
-        assert (up.translation + low.translation).is_zero()
+        assert (up_jumps[side.label] + low_jumps[side.label]).is_zero()
+        # the chart's half turn about the side's midpoint, seen through
+        # p -> T0 - p, is the side's translation, out of either copy
+        for k in (0, Fraction(2, 7), Fraction(1, 2), 1):
+            p = side.v0 + (side.v1 - side.v0).scale(g(k))
+            pos, turned = tracer._half_turn(side, p, d)
+            assert T0 - pos == p + up_jumps[side.label] and -turned == d
+            q = T0 - p  # the same point of the lower copy's side
+            pos, turned = tracer._half_turn(side, p, -d)
+            assert pos == q + low_jumps[side.label] and turned == d
     # the shared horizontal side is glued by the zero translation
-    de = next(s for s in SIDES_UPPER if s.name == "DE")
-    assert de.translation.is_zero()
+    assert up_jumps[SIDE_LABELS["DE"]].is_zero()
 
 
 def test_pentagons_disjoint_and_located():
-    assert locate_pentagon(section_point(g(1))) == 0
+    assert tracer._inside(section_point(g(1)))
     inner_low = PENTAGON_LOWER[0]
     probe = PlanePoint(inner_low.x, inner_low.y + g(0, Fraction(1, 2)))
-    assert locate_pentagon(probe) == 1
-    with pytest.raises(ValueError):
-        locate_pentagon(PlanePoint(g(100), ZERO))
+    assert not tracer._inside(probe) and tracer._inside(T0 - probe)
+    assert not tracer._inside(PlanePoint(g(100), ZERO))
+    # no vertex of the lower copy lies inside the upper one; by the mirror,
+    # no vertex of the upper copy lies inside the lower one
+    assert not any(tracer._inside(v) for v in PENTAGON_LOWER)
+
+
+def test_surface_trace_starts_in_the_upper_copy():
+    # both flows walk the upper pentagon's chart, so a start strictly inside
+    # the lower copy is refused, as the billiard refuses one outside
+    center = center_of(PENTAGON_LOWER)
+    direction = direction_of_coordinate(g(Fraction(1, 10)))
+    with pytest.raises(ValueError, match="strictly inside the upper pentagon"):
+        trace_surface(center, direction, max_crossings=10)
+    # its mirror in the upper copy traces
+    assert trace_surface(T0 - center, direction, max_crossings=10).crossings == 10
 
 
 def test_side_labeling_is_the_unique_calibrated_one():
@@ -174,11 +214,11 @@ def test_strip_search_fails_loudly_below_the_exact_period():
     assert "cap 2" in str(e.value) and str(e.value.direction) in str(e.value)
 
 
-def reference_exit_side(pos: PlanePoint, direction: PlanePoint, pent: int):
+def reference_exit_side(pos: PlanePoint, direction: PlanePoint):
     """The old exit search: solve both hit parameters on every side and keep
     the nearest hit."""
     best = None
-    for side in tracer._SIDES[pent]:
+    for side in SIDES:
         w = side.v1 - side.v0
         den = cross(direction, w)
         if den.is_zero():
@@ -220,35 +260,40 @@ def _depth3_and_corners() -> list[DirectionIndex]:
 
 def test_exit_side_matches_the_nearest_hit_search(monkeypatch):
     # every crossing of the strip searches and every reflection of the
-    # billiards at each index to depth 3 and both corners
+    # billiards at each index to depth 3 and both corners; the sector
+    # directions point up, so the rays walked downwards include each
+    # surface piece of the lower copy, seen through its mirror
     exit_side, calls = tracer._exit_side, []
 
-    def checked(pos, direction, pent):
-        got = exit_side(pos, direction, pent)
-        assert got == reference_exit_side(pos, direction, pent)
-        calls.append(pent)
+    def checked(pos, direction):
+        got = exit_side(pos, direction)
+        assert got == reference_exit_side(pos, direction)
+        calls.append(direction.y.sign())
         return got
 
     monkeypatch.setattr(tracer, "_exit_side", checked)
     for idx in _depth3_and_corners():
         assert analysis.billiard_report(idx).passed, idx
-    assert set(calls) == {0, 1} and len(calls) > 10_000
+    assert {-1, 1} <= set(calls) and len(calls) > 10_000
 
 
 def test_cone_hits_raise_alike():
     # aim at each vertex of each pentagon from interior points: both the
-    # sign rule and the nearest-hit search stop at the cone point
-    for pent, verts in enumerate((PENTAGON_UPPER, PENTAGON_LOWER)):
-        center = PlanePoint(sum((v.x for v in verts), ZERO) / g(5),
-                            sum((v.y for v in verts), ZERO) / g(5))
+    # sign rule and the nearest-hit search stop at the cone point.  The
+    # tracer sees a ray (p, d) of the lower copy as (T0 - p, -d)
+    mirrors = ((PENTAGON_UPPER, lambda p, d: (p, d)),
+               (PENTAGON_LOWER, lambda p, d: (T0 - p, -d)))
+    for verts, chart in mirrors:
+        center = center_of(verts)
         for pos in (center, PlanePoint(center.x + g(Fraction(1, 9)), center.y),
                     PlanePoint(center.x, center.y - g(Fraction(1, 7)))):
-            assert locate_pentagon(pos) == pent
             for v in verts:
                 for direction in (v - pos, (v - pos).scale(g(3, -1))):
-                    got = _outcome(tracer._exit_side, pos, direction, pent)
+                    ray = chart(pos, direction)
+                    assert tracer._inside(ray[0])
+                    got = _outcome(tracer._exit_side, *ray)
                     assert got == (SaddleConnectionError, "trajectory hits a cone point")
-                    assert got == _outcome(reference_exit_side, pos, direction, pent)
+                    assert got == _outcome(reference_exit_side, *ray)
 
 
 def test_exit_side_divides_once(monkeypatch):

@@ -65,7 +65,7 @@ def cases():
         (ProjectivePoint(num), "value", None),
         (neighbor_family(DirectionIndex((1,)), 1), "center", DirectionIndex((2,))),
         (arithmetic_family_check(DirectionIndex((1,)), 1), "ok", False),
-        (tracer.SIDES_UPPER[0], "label", 9),
+        (tracer.SIDES[0], "label", 9),
         (trace, "closed", False),
         (tracer.iet_build(ZERO), "u", ONE),
         (analysis.length_report(DirectionIndex((1,))), "multiplier", 7),
