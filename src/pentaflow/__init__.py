@@ -27,6 +27,8 @@ _EXPORTS = {
     "analysis": ("check_conjecture_concat", "check_conjecture_splitting",
                  "displacement", "length_report"),
     "cli": (),
+    "verify": (),
+    "render": (),
 }
 
 _OWNER = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,0 +1,237 @@
+"""Verification suites of `pentaflow verify`: each checks one relation over
+every index to a depth and returns one ledger row per case.
+
+`cli` names the suites (`cli.SUITE_NAMES`) and imports this module only
+when `verify` runs.  A suite imports the layers it checks in its own body,
+so `verify --suite periods` never compiles the tracer.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+
+from .cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, SUITE_NAMES
+from .directions import (
+    BOTTOM,
+    DirectionIndex,
+    arc_left_vertex,
+    arc_right_vertex,
+    coordinate_of_index,
+    index_strings_to_depth,
+)
+from .golden import PHI
+
+
+def _all_indices(depth: int) -> list[DirectionIndex]:
+    seen = {}
+    for s in index_strings_to_depth(depth):
+        idx = DirectionIndex.from_digits(s)
+        seen.setdefault(str(idx), idx)
+    return [seen[k] for k in sorted(seen)]
+
+
+def _period_via_tree(digits: tuple[int, ...]):
+    """Period pair by descending the arc recursion, independent of the
+    digit-matrix product."""
+    from .periods import PeriodPair, child_periods
+
+    left = right = PeriodPair(1, 1)
+    if not digits:
+        return left
+    for d in digits[:-1]:
+        kids = child_periods(left, right)
+        bounds = [left, *kids, right]
+        left, right = bounds[d], bounds[d + 1]
+    return child_periods(left, right)[digits[-1] - 1]
+
+
+def _suite_periods(depth: int) -> list[dict]:
+    """Digit-matrix periods against the arc recursion, every index string."""
+    from .periods import period_of_index
+
+    rows = []
+    for s in index_strings_to_depth(depth):
+        idx = DirectionIndex.from_digits(s)
+        got = period_of_index(idx)
+        want = _period_via_tree(idx.digits)
+        rows.append({"case": "".join(map(str, s)), "ok": got == want,
+                     "got": got.as_tuple(), "want": want.as_tuple()})
+    return rows
+
+
+def _suite_table(depth: int) -> list[dict]:
+    from .periods import period_of_index
+
+    table = {
+        (): (1, 1), (0, 1): (3, 5), (0, 2): (4, 7), (0, 3): (4, 6),
+        (1,): (2, 3), (1, 1): (5, 9), (1, 2): (7, 11), (1, 3): (6, 9),
+        (2,): (2, 4),
+    }
+    rows = []
+    for digits, want in table.items():
+        got = period_of_index(DirectionIndex(digits)).as_tuple()
+        rows.append({"case": "".join(map(str, digits)) or "()",
+                     "ok": got == want, "got": got, "want": want})
+    return rows
+
+
+def _suite_m_relation(depth: int) -> list[dict]:
+    from .orbits import check_M, orbit_of_index, vector_of, vectors_of_index
+    from .periods import period_of_index
+
+    rows = []
+    for idx in _all_indices(depth):
+        sv, lv = vectors_of_index(idx)
+        pp = period_of_index(idx)
+        # the vector recursion against the symbol counts of the built words
+        by_words = (vector_of(orbit_of_index(idx, "short")),
+                    vector_of(orbit_of_index(idx, "long")))
+        ok = (check_M(sv, lv) and (sv, lv) == by_words
+              and sv.period == pp.short and lv.period == pp.long)
+        rows.append({"case": str(idx), "ok": ok,
+                     "short": sv.as_tuple(), "long": lv.as_tuple()})
+    return rows
+
+
+def _suite_reduction(depth: int) -> list[dict]:
+    from .orbits import orbit_of_index, reduce_word, reduction_parent, rotate_alphabet
+
+    rows = []
+    for idx in _all_indices(depth):
+        if idx.generation < 2:
+            continue
+        parent = reduction_parent(idx)
+        shift = (4 - idx.digits[0]) % 5
+        for kind in ("short", "long"):
+            w = orbit_of_index(idx, kind)
+            red = rotate_alphabet(reduce_word(w), shift)
+            ok = red == orbit_of_index(parent, kind)
+            rows.append({"case": f"{idx}:{kind}", "ok": ok})
+    return rows
+
+
+def _suite_oracle(depth: int) -> list[dict]:
+    from .orbits import orbit_of_index, roman_of_arabic
+    from .periods import period_of_index
+    from .tracer import TraceBudgetExceeded, periodic_orbits_for_coordinate
+
+    rows = []
+    for idx in _all_indices(depth):
+        x = coordinate_of_index(idx).value
+        pp = period_of_index(idx)
+        try:
+            s_tr, l_tr = periodic_orbits_for_coordinate(x, expected_long=pp.long)
+        except TraceBudgetExceeded as e:
+            rows.append({"case": str(idx), "ok": False, "error": str(e)})
+            continue
+        ws = orbit_of_index(idx, "short")
+        wl = orbit_of_index(idx, "long")
+        ok = (
+            s_tr.word == ws and l_tr.word == wl
+            and len(roman_of_arabic(ws)) == pp.short
+            and len(roman_of_arabic(wl)) == pp.long
+            and len(ws) == 2 * pp.short and len(wl) == 2 * pp.long
+        )
+        rows.append({"case": str(idx), "ok": ok})
+    return rows
+
+
+def _suite_displacement(depth: int) -> list[dict]:
+    from .analysis import displacement, length_identity_holds
+    from .orbits import vectors_of_index
+
+    rows = []
+    for idx in _all_indices(depth):
+        x = coordinate_of_index(idx).value
+        sv, lv = vectors_of_index(idx)
+        ds = displacement(sv)
+        dl = displacement(lv)
+        prop = (dl - ds.scale(PHI)).is_zero()
+        ok = (length_identity_holds(sv, x)
+              and length_identity_holds(lv, x) and prop)
+        rows.append({"case": str(idx), "ok": ok})
+    return rows
+
+
+def _suite_billiard(depth: int) -> list[dict]:
+    from .analysis import billiard_report
+
+    rows = []
+    for idx in _all_indices(depth):
+        rep = billiard_report(idx)
+        rows.append({"case": str(idx), "ok": rep.passed,
+                     "multiplier": rep.multiplier})
+    return rows
+
+
+def _suite_conjectures(depth: int) -> list[dict]:
+    from .analysis import check_conjecture_concat, check_conjecture_splitting
+
+    rows = []
+    for p in [(), *index_strings_to_depth(depth)]:
+        rep = check_conjecture_concat(arc_left_vertex(p), arc_right_vertex(p))
+        rows.append({"case": f"concat:{rep.subject}", "ok": rep.passed})
+    for idx in _all_indices(depth) + [DirectionIndex(), BOTTOM]:
+        rep = check_conjecture_splitting(idx, radius=1)
+        rows.append({"case": f"split:{rep.subject}", "ok": rep.passed})
+    return rows
+
+
+#: suite name -> suite, in the order of `cli.SUITE_NAMES`
+SUITES = dict(zip(SUITE_NAMES, (
+    _suite_periods, _suite_table, _suite_m_relation, _suite_reduction,
+    _suite_oracle, _suite_displacement, _suite_billiard, _suite_conjectures,
+), strict=True))
+
+
+def cmd_verify(args) -> int:
+    if args.depth < 1:
+        print("verify: depth must be at least 1", file=sys.stderr)
+        return EXIT_USAGE
+    if args.depth > args.max_depth:
+        print(f"verify: depth {args.depth} exceeds the hard limit "
+              f"{args.max_depth} (raise with --max-depth)", file=sys.stderr)
+        return EXIT_USAGE
+    names = args.suite or [s for s in SUITES if s != "table"]
+    for n in names:
+        if n not in SUITES:
+            print(f"verify: unknown suite {n}", file=sys.stderr)
+            return EXIT_USAGE
+    names = sorted(set(names))
+    ledger = {}
+    failures = 0
+    conjecture_failures = 0
+    try:
+        results = {n: SUITES[n](args.depth) for n in names}
+    except RuntimeError as e:
+        # only a suite that traces runs out of budget, and it loaded the tracer
+        from .tracer import TraceBudgetExceeded
+
+        if not isinstance(e, TraceBudgetExceeded):
+            raise
+        print(f"verify: budget exhausted: {e}", file=sys.stderr)
+        return EXIT_BUDGET
+    for n in names:
+        rows = results[n]
+        rows.sort(key=lambda r: str(r.get("case", "")))
+        bad = [r for r in rows if not r["ok"]]
+        ledger[n] = {"checked": len(rows), "failures": len(bad), "rows": rows}
+        if n == "conjectures":
+            conjecture_failures += len(bad)
+        else:
+            failures += len(bad)
+        print(f"suite {n}: {len(rows)} checked, {len(bad)} failures")
+    if args.json_out:
+        try:
+            with open(args.json_out, "w") as f:
+                json.dump(ledger, f, indent=2, sort_keys=True)
+        except OSError as e:
+            print(f"verify: cannot write ledger {args.json_out}: {e.strerror}",
+                  file=sys.stderr)
+            return EXIT_USAGE
+    if failures:
+        return EXIT_VERIFY
+    if conjecture_failures and not args.conjectures_advisory:
+        return EXIT_VERIFY
+    return EXIT_OK

@@ -84,6 +84,26 @@ def test_verify_usage(capsys):
     assert code == EXIT_USAGE
 
 
+def test_verify_budget_exhausted(monkeypatch, capsys):
+    # a suite that runs out of trace budget exits 3; any other error propagates
+    from pentaflow import verify
+
+    def exhausted(depth):
+        raise tracer.TraceBudgetExceeded("d", 8, 8)
+
+    monkeypatch.setitem(verify.SUITES, "table", exhausted)
+    assert main(["verify", "--depth", "1", "--suite", "table"]) == EXIT_BUDGET
+    assert capsys.readouterr().err == ("verify: budget exhausted: trace in direction d "
+                                       "made 8 crossings without closing (cap 8)\n")
+
+    def broken(depth):
+        raise RuntimeError("not a budget")
+
+    monkeypatch.setitem(verify.SUITES, "table", broken)
+    with pytest.raises(RuntimeError, match="not a budget"):
+        main(["verify", "--depth", "1", "--suite", "table"])
+
+
 def test_verify_deterministic_ledger(tmp_path, capsys):
     outs = []
     for name in ("a", "b"):
@@ -138,6 +158,35 @@ def test_render_strip_parameter(tmp_path, capsys):
     assert code == EXIT_BUDGET
     assert capsys.readouterr().err.startswith("render: no index found within "
                                               "depth budget; prefix (")
+
+
+@pytest.mark.parametrize("u, reason", [
+    ("abc", "Invalid literal for Fraction: 'abc'"),
+    ("1/0", "zero denominator"),
+])
+def test_render_bad_u_is_a_usage_error(tmp_path, capsys, u, reason):
+    out = tmp_path / "o.svg"
+    assert main(["render", "--u", u, "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == f"render: bad --u '{u}': {reason}\n"
+    assert not out.exists()
+
+
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
+    # the work is done and reported, then the write fails with its reason
+    ledger = tmp_path / "missing" / "ledger.json"
+    assert main(["verify", "--depth", "1", "--suite", "table",
+                 "--json-out", str(ledger)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == "suite table: 9 checked, 0 failures\n"
+    assert captured.err == (f"verify: cannot write ledger {ledger}: "
+                            "No such file or directory\n")
+
+    svg = tmp_path / "missing" / "orbit.svg"
+    assert main(["render", "2", "--out", str(svg)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"render: cannot write {svg}: "
+                                 "No such file or directory\n")
 
 
 @pytest.mark.parametrize("argv, name", [

@@ -1,5 +1,6 @@
-"""The package surface: `import pentaflow` loads only the index tree, and
-every re-exported name is the object its owning module defines."""
+"""The package surface: `import pentaflow` and `pentaflow.cli` load no
+layer, each command loads only the layers it uses, and every re-exported
+name is the object its owning module defines."""
 
 import importlib
 import os
@@ -30,28 +31,55 @@ EXPORTS = {
 }
 
 
-def _package_modules_after(code: str) -> list[str]:
-    """The pentaflow modules loaded once code has run in a fresh interpreter."""
-    code += ("\nimport sys\n"
-             "print(' '.join(sorted(m for m in sys.modules if m.startswith('pentaflow'))))")
+def _modules_after(code: str, *flags: str) -> list[str]:
+    """The modules loaded once code has run in a fresh interpreter."""
+    code += "\nimport sys\nprint(' '.join(sorted(sys.modules)))"
     # the package under test first, then whatever PYTHONPATH the suite has
     path = [str(Path(pentaflow.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
-    out = subprocess.run([sys.executable, "-c", code], env=env,
+    out = subprocess.run([sys.executable, *flags, "-c", code], env=env,
                          capture_output=True, text=True, check=True).stdout
     return out.splitlines()[-1].split()
 
 
-def test_import_loads_only_the_field_and_the_directions():
-    assert _package_modules_after("import pentaflow, pentaflow.cli") == [
-        "pentaflow", "pentaflow.cli", "pentaflow.directions", "pentaflow.golden"]
+def _package_modules_after(code: str) -> list[str]:
+    return [m for m in _modules_after(code) if m.startswith("pentaflow")]
+
+
+def test_import_loads_only_the_package_and_the_cli():
+    # the parser needs no layer: golden and directions load with a command;
+    # without site, nothing but the package could load the rationals
+    loaded = _modules_after("import pentaflow, pentaflow.cli", "-S")
+    assert [m for m in loaded if m.startswith("pentaflow")] == ["pentaflow", "pentaflow.cli"]
+    assert "fractions" not in loaded and "decimal" not in loaded
 
 
 def test_direction_loads_neither_the_tracer_nor_the_analysis():
+    # nor the verification suites or the renderer
     assert _package_modules_after("from pentaflow import cli\n"
                                   "cli.main(['direction', '1', '2', '--json'])") == [
         "pentaflow", "pentaflow.cli", "pentaflow.directions", "pentaflow.golden",
         "pentaflow.orbits", "pentaflow.periods"]
+
+
+def test_verify_periods_loads_neither_the_tracer_nor_the_renderer():
+    assert _package_modules_after("from pentaflow import cli\n"
+                                  "cli.main(['verify', '--depth', '2', "
+                                  "'--suite', 'periods'])") == [
+        "pentaflow", "pentaflow.cli", "pentaflow.directions", "pentaflow.golden",
+        "pentaflow.periods", "pentaflow.verify"]
+
+
+def test_each_suite_the_parser_names_is_a_verify_suite(capsys):
+    from pentaflow import cli, verify
+
+    assert tuple(verify.SUITES) == cli.SUITE_NAMES
+    assert all(callable(suite) for suite in verify.SUITES.values())
+    with pytest.raises(SystemExit) as e:
+        cli.main(["verify", "--help"])
+    assert e.value.code == 0
+    listed = " ".join(capsys.readouterr().out.split())
+    assert f"one of {', '.join(sorted(verify.SUITES))}; repeatable" in listed
 
 
 def test_all_lists_the_42_exported_names():
@@ -70,7 +98,7 @@ def test_each_name_is_its_owning_modules_object(module):
 
 def test_dir_and_star_import_cover_the_exports():
     listed = dir(pentaflow)
-    for name in [*pentaflow.__all__, *EXPORTS, "cli", "__version__"]:
+    for name in [*pentaflow.__all__, *EXPORTS, "cli", "verify", "render", "__version__"]:
         assert name in listed, name
     namespace = {}
     exec("from pentaflow import *", namespace)
