@@ -21,6 +21,7 @@ from .directions import (
 from .golden import GoldenNum, ProjectivePoint
 from .orbits import billiard_multiplier, vector_of
 from .periods import period_of_index
+from .verify import unwritable
 
 
 def _fmt(v) -> str:
@@ -58,6 +59,9 @@ def _xy(p: tracer.PlanePoint) -> tuple[float, float]:
 
 
 def cmd_render(args) -> int:
+    if reason := unwritable(args.out):
+        print(f"render: cannot write {args.out}: {reason}", file=sys.stderr)
+        return EXIT_USAGE
     if args.u is not None:
         try:
             x = GoldenNum.of(Fraction(args.u))

@@ -46,8 +46,7 @@ from pentaflow.orbits import (
 )
 from pentaflow.periods import PeriodPair, child_periods, period_of_index
 from pentaflow.tracer import iet_build, periodic_orbits_for_coordinate
-
-W = CyclicWord.parse
+from reference import DEPTH3, DEPTH3_AND_BOTTOM, W
 
 
 def _announce(n, detail):
@@ -204,8 +203,7 @@ def test_criterion_07_arithmetic_families():
 
 
 def test_criterion_08_length_identities():
-    for s in index_strings_to_depth(3):
-        idx = DirectionIndex.from_digits(s)
+    for idx in DEPTH3:
         x = coordinate_of_index(idx).value
         sv, lv = vectors_of_index(idx)
         assert length_identity_holds(sv, x)
@@ -242,9 +240,7 @@ def test_criterion_10_conjecture_suites():
         rep = check_conjecture_concat(arc_left_vertex(p), arc_right_vertex(p))
         assert rep.passed, p
 
-    centers = {DirectionIndex(), BOTTOM}
-    centers.update(DirectionIndex.from_digits(s) for s in index_strings_to_depth(3))
-    for beta in centers:
+    for beta in DEPTH3_AND_BOTTOM:
         rep = check_conjecture_splitting(beta, radius=1)
         assert rep.passed, beta
 
@@ -272,8 +268,7 @@ def test_criterion_10_conjecture_suites():
 def test_criterion_11_property_suites():
     t0 = time.time()
     # shift-insert then reduce is the identity on the rotated corpus
-    for s in index_strings_to_depth(3):
-        idx = DirectionIndex.from_digits(s)
+    for idx in DEPTH3:
         for kind in ("short", "long"):
             w = orbit_of_index(idx, kind)
             for j in (1, 2, 3, 4):
@@ -290,7 +285,7 @@ def test_criterion_11_property_suites():
         images = sorted(
             ((lo + spec.translations[r], hi + spec.translations[r])
              for r, (lo, hi) in zip((4, 3, 2, 1), zip(bounds, bounds[1:]))),
-            key=lambda ab: float(ab[0]))
+            key=lambda ab: ab[0])
         assert images[0][0] == ZERO
         for (a0, a1), (b0, b1) in zip(images, images[1:]):
             assert a1 == b0

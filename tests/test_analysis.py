@@ -4,8 +4,6 @@ import pytest
 
 from pentaflow.analysis import (
     ChildConcatResult,
-    SplittingWitness,
-    _prefix_compatible,
     billiard_multiplier,
     billiard_report,
     check_conjecture_concat,
@@ -31,15 +29,18 @@ from pentaflow.orbits import (
     OrbitVector,
     orbit_of_index,
     roman_of_arabic,
-    rotations,
     vectors_of_index,
 )
 from pentaflow.periods import child_periods, period_of_index
 from pentaflow import analysis, tracer
-
-
-def g(a, b=0):
-    return GoldenNum.of(Fraction(a), Fraction(b))
+from reference import (
+    DEPTH3,
+    DEPTH3_AND_BOTTOM,
+    _concat_witness,
+    _find_corner_splitting,
+    _find_splitting,
+    g,
+)
 
 
 def test_displacement_examples():
@@ -53,8 +54,7 @@ def test_displacement_examples():
 
 
 def test_long_displacement_is_phi_times_short():
-    for s in index_strings_to_depth(3):
-        idx = DirectionIndex.from_digits(s)
+    for idx in DEPTH3:
         sv, lv = vectors_of_index(idx)
         ds, dl = displacement(sv), displacement(lv)
         assert (dl - ds.scale(PHI)).is_zero()
@@ -62,8 +62,7 @@ def test_long_displacement_is_phi_times_short():
 
 def test_length_identity():
     assert displacement_norm_squared(OrbitVector(0, 0, 1, 0)) == PHI * PHI
-    for s in index_strings_to_depth(3):
-        idx = DirectionIndex.from_digits(s)
+    for idx in DEPTH3:
         x = coordinate_of_index(idx).value
         sv, lv = vectors_of_index(idx)
         assert length_identity_holds(sv, x)
@@ -192,103 +191,7 @@ def test_length_formula_closed_form():
 
 
 # ---------------------------------------------------------------------------
-# the concatenation searches as they stood before the doubled-word rotation
-# test, kept verbatim as the reference: each candidate is a fresh CyclicWord
-# compared by its least rotation
-
-
-def _concat_witness(target: CyclicWord, pieces: list[tuple[int, ...]]):
-    """Search rotations: does some rotation of target split into rotations
-    of the pieces, in order?  Returns the witness offsets or None."""
-    total = target.symbols
-    if sum(len(p) for p in pieces) != len(total):
-        return None
-    # each rotation of a piece -> its first offset in rotations(piece)
-    piece_rots = [{} for _ in pieces]
-    for first, p in zip(piece_rots, pieces):
-        for k, r in enumerate(rotations(p)):
-            first.setdefault(r, k)
-    for off in range(len(total)):
-        rot = total[off:] + total[:off]
-        pos, offsets = 0, []
-        for p, rots in zip(pieces, piece_rots):
-            k = rots.get(rot[pos:pos + len(p)])
-            if k is None:
-                break
-            offsets.append(k)
-            pos += len(p)
-        else:
-            return (off, tuple(offsets))
-    return None
-
-
-def _find_splitting(S, L, shorts, longs, side) -> SplittingWitness | None:
-    s0 = shorts[0]
-    l0 = longs[0]
-    n_l, n_s = len(L), len(S)
-
-    # candidate (a', b'): rotation of L cut at |short_0|, piece matching short_0
-    ab_primes = []
-    cut = len(s0)
-    if cut <= n_l:
-        for rot in rotations(L):
-            ap, bp = rot[:cut], rot[cut:]
-            if ap and CyclicWord.roman_word(ap) == s0:
-                ab_primes.append((ap, bp))
-    if not ab_primes:
-        return None
-
-    # candidate (a, b) and (c, d): d + a must tile long_0
-    for rot_l in rotations(L):
-        for cut_a in range(n_l + 1):
-            a, b = rot_l[:cut_a], rot_l[cut_a:]
-            d_len = len(l0) - cut_a
-            if not 0 <= d_len <= n_s:
-                continue
-            for rot_s in rotations(S):
-                c, d = rot_s[:n_s - d_len], rot_s[n_s - d_len:]
-                if len(d) + len(a) == 0:
-                    continue
-                if CyclicWord.roman_word(d + a) != l0:
-                    continue
-                for ap, bp in ab_primes:
-                    pref = _prefix_compatible(a, bp)
-                    if pref is None:
-                        continue
-                    if _verify_chain(ap, bp, a, b, c, d, shorts, longs):
-                        return SplittingWitness(side, c, d, a, b, ap, bp, pref)
-    return None
-
-
-def _verify_chain(ap, bp, a, b, c, d, shorts, longs) -> bool:
-    for i in range(1, len(shorts)):
-        want_s = ap + (bp + ap) * i
-        want_l = d + (c + d) * i + (a + b) * i + a
-        if CyclicWord.roman_word(want_s) != shorts[i]:
-            return False
-        if CyclicWord.roman_word(want_l) != longs[i]:
-            return False
-    return True
-
-
-def _find_corner_splitting(S, L, shorts, longs, side) -> SplittingWitness | None:
-    """Degenerate chains anchored at the opposite corner: the anchor orbits
-    are their own pieces, and the center's words tile only the growth:
-    short_i = s0 L^i and long_i = l0 L^i S^i, over aligned rotations."""
-    s0 = shorts[0].symbols
-    l0 = longs[0].symbols
-    for rs0 in rotations(s0):
-        for rl in rotations(L):
-            if any(CyclicWord.roman_word(rs0 + rl * i) != shorts[i]
-                   for i in range(1, len(shorts))):
-                continue
-            for rl0 in rotations(l0):
-                for rl2 in rotations(L):
-                    for rs in rotations(S):
-                        if all(CyclicWord.roman_word(rl0 + rl2 * i + rs * i) == longs[i]
-                               for i in range(1, len(longs))):
-                            return SplittingWitness(side, rs, (), rl2, (), rl, rs0, 0)
-    return None
+# the searches against the ones they replaced, kept in reference.py
 
 
 def _roman(idx, kind):
@@ -314,8 +217,7 @@ def test_concat_witnesses_equal_the_reference_search():
 def test_splitting_witnesses_equal_the_reference_search(radius):
     """Every center to depth 3 and both corners: the same chains and the
     same witnesses, piece for piece."""
-    centers = dict.fromkeys(DirectionIndex.from_digits(s) for s in index_strings_to_depth(3))
-    for beta in [*centers, DirectionIndex(), BOTTOM]:
+    for beta in DEPTH3_AND_BOTTOM:
         rep = check_conjecture_splitting(beta, radius)
         S, L = _roman(beta, "short").symbols, _roman(beta, "long").symbols
         search = _find_corner_splitting if beta.bottom or not beta.digits else _find_splitting

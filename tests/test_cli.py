@@ -84,7 +84,7 @@ def test_verify_usage(capsys):
     assert code == EXIT_USAGE
 
 
-def test_verify_budget_exhausted(monkeypatch, capsys):
+def test_verify_budget_exhausted(tmp_path, monkeypatch, capsys):
     # a suite that runs out of trace budget exits 3; any other error propagates
     from pentaflow import verify
 
@@ -92,9 +92,13 @@ def test_verify_budget_exhausted(monkeypatch, capsys):
         raise tracer.TraceBudgetExceeded("d", 8, 8)
 
     monkeypatch.setitem(verify.SUITES, "table", exhausted)
-    assert main(["verify", "--depth", "1", "--suite", "table"]) == EXIT_BUDGET
+    ledger = tmp_path / "ledger.json"
+    assert main(["verify", "--depth", "1", "--suite", "table",
+                 "--json-out", str(ledger)]) == EXIT_BUDGET
     assert capsys.readouterr().err == ("verify: budget exhausted: trace in direction d "
                                        "made 8 crossings without closing (cap 8)\n")
+    # the path was checked before the suites ran, and no file was made
+    assert not ledger.exists()
 
     def broken(depth):
         raise RuntimeError("not a budget")
@@ -126,6 +130,17 @@ def test_verify_ledger_matches_pinned_file(tmp_path, capsys):
                   "--json-out", str(out))
     assert code == EXIT_OK
     assert out.read_bytes() == (PINNED / "ledger_depth3_fast.json").read_bytes()
+
+
+def test_no_suite_lists_a_case_twice(tmp_path, capsys):
+    # every suite at depth 1, and the pinned depth-3 ledger of the fast
+    # suites: a ledger row is one case, checked once
+    out = tmp_path / "ledger.json"
+    assert main(["verify", "--depth", "1", "--json-out", str(out)]) == EXIT_OK
+    for path in (out, PINNED / "ledger_depth3_fast.json"):
+        for name, suite in json.loads(path.read_text()).items():
+            cases = [row["case"] for row in suite["rows"]]
+            assert len(set(cases)) == len(cases) == suite["checked"], (path.name, name)
 
 
 def test_render_surface_and_billiard(tmp_path, capsys):
@@ -172,14 +187,18 @@ def test_render_bad_u_is_a_usage_error(tmp_path, capsys, u, reason):
 
 
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
-    # the work is done and reported, then the write fails with its reason
+    # the path is checked before any suite runs or any strip is traced
     ledger = tmp_path / "missing" / "ledger.json"
     assert main(["verify", "--depth", "1", "--suite", "table",
                  "--json-out", str(ledger)]) == EXIT_USAGE
     captured = capsys.readouterr()
-    assert captured.out == "suite table: 9 checked, 0 failures\n"
+    assert captured.out == ""
     assert captured.err == (f"verify: cannot write ledger {ledger}: "
                             "No such file or directory\n")
+    assert main(["verify", "--depth", "1", "--suite", "table",
+                 "--json-out", str(tmp_path)]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"verify: cannot write ledger {tmp_path}: "
+                                       "Is a directory\n")
 
     svg = tmp_path / "missing" / "orbit.svg"
     assert main(["render", "2", "--out", str(svg)]) == EXIT_USAGE

@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from functools import lru_cache
 
 import pytest
 
@@ -28,14 +27,14 @@ from pentaflow.golden import (
     GoldenNum,
     INFINITY,
     MoebiusMap,
-    ProjectivePoint,
-    R_MAP,
-    T_MAP,
 )
-
-
-def g(a, b=0):
-    return GoldenNum.of(Fraction(a), Fraction(b))
+from reference import (
+    _coordinate_sequential,
+    _fold_by_mirroring,
+    _index_by_candidates,
+    g,
+    outcome,
+)
 
 
 def test_index_validation():
@@ -69,19 +68,6 @@ def test_coordinate_examples():
     assert coordinate_of_index(BOTTOM).value == BOTTOM_COORD
     # one level deeper: the third child of the top arc
     assert coordinate_of_index(DirectionIndex((0, 3))).value == g(Fraction(5, 2), Fraction(-3, 2))
-
-
-T_POWERS = {m: T_MAP.power(m) for m in (1, 2, 3, 4)}
-
-
-def _coordinate_sequential(idx: DirectionIndex) -> ProjectivePoint:
-    """The reference route: T^m, then R, for every generator-word factor."""
-    if idx.bottom:
-        return ProjectivePoint(BOTTOM_COORD)
-    x = ProjectivePoint(ALPHA_COORD)
-    for m in reversed(directions._exponents(idx.digits)):
-        x = R_MAP.apply(T_POWERS[m].apply(x))
-    return x
 
 
 def test_precomposed_factor_maps_match_the_sequential_route():
@@ -121,35 +107,6 @@ def test_cuts_are_the_generation_one_vertices():
         assert directions._RENORM_MAPS[m - 1].apply(cut).value == ALPHA_COORD
 
 
-@lru_cache(maxsize=None)
-def _exponents_by_candidates(x):
-    """The four-candidate rule, kept as the reference: apply every T^-m R
-    and keep one at the top endpoint, else the first in the sector short
-    of its bottom endpoint.  Field points always reach the top endpoint."""
-    pt = ProjectivePoint(x)
-    ms = []
-    while pt.value != ALPHA_COORD:
-        cands = [f.apply(pt) for f in directions._RENORM_MAPS]
-        k = next((k for k, z in enumerate(cands) if z.value == ALPHA_COORD), None)
-        if k is None:
-            k = next(k for k, z in enumerate(cands)
-                     if in_closed_sector(z) and z.value != BOTTOM_COORD)
-        pt = cands[k]
-        ms.append(k + 1)
-    return tuple(ms)
-
-
-def _index_by_candidates(x, max_depth=2000):
-    # the budget only cuts the peeling short, so one unbounded run per
-    # point answers every budget
-    if x == BOTTOM_COORD:
-        return BOTTOM
-    ms = _exponents_by_candidates(x)
-    if len(ms) > max_depth:
-        raise DepthExceeded(directions._fold_digits(ms[:max_depth]))
-    return DirectionIndex(directions._fold_digits(ms))
-
-
 def _seed_2026_samples(n):
     # field points strictly inside the sector, numerators and denominators
     # up to 50
@@ -164,13 +121,6 @@ def _seed_2026_samples(n):
     return out
 
 
-def _outcome(find, x, max_depth):
-    try:
-        return find(x, max_depth)
-    except DepthExceeded as e:
-        return ("depth exceeded", e.prefix)
-
-
 def test_sub_arc_lookup_matches_the_candidate_rule():
     shallow = {DirectionIndex.from_digits(s) for s in index_strings_to_depth(5)}
     points = [coordinate_of_index(idx).value
@@ -178,8 +128,8 @@ def test_sub_arc_lookup_matches_the_candidate_rule():
     points += _seed_2026_samples(20)
     for x in points:
         for budget in (3, 40, 2000):
-            want = _outcome(_index_by_candidates, x, budget)
-            assert _outcome(index_of_coordinate, x, budget) == want, (x, budget)
+            want = outcome(_index_by_candidates, x, budget)
+            assert outcome(index_of_coordinate, x, budget) == want, (x, budget)
 
 
 def test_index_of_coordinate_examples():
@@ -227,15 +177,6 @@ def test_depth_budget_message_shows_the_ends_of_a_long_prefix():
     assert len(str(e.value)) < 200
     assert str(DepthExceeded((1, 2))).endswith("prefix (1, 2) of 2 digits")
     assert str(DepthExceeded((3,))).endswith("prefix (3) of 1 digit")
-
-
-def _fold_by_mirroring(ms):
-    # the quadratic fold, kept as the reference: each outer exponent
-    # rebuilds the digit string and mirrors its whole tail
-    digits = ()
-    for m in reversed(ms):
-        digits = (m,) if not digits else (m - 1,) + directions.mirror_digits(digits)
-    return digits
 
 
 def test_linear_fold_matches_the_mirroring_fold():

@@ -18,10 +18,7 @@ from pentaflow.golden import (
     ZERO,
     ONE,
 )
-
-
-def g(a, b=0):
-    return GoldenNum.of(Fraction(a), Fraction(b))
+from reference import g
 
 
 def rand_golden(rng):

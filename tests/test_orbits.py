@@ -26,9 +26,8 @@ from pentaflow.orbits import (
     vectors_of_index,
 )
 from pentaflow.periods import child_periods, period_of_index
+from reference import DEPTH3, W
 
-
-W = CyclicWord.parse
 
 #: the worked example word and its four published shift rows
 EXAMPLE = W("4 3 2 3 4 1 4 1")
@@ -94,8 +93,7 @@ def test_reduce_examples():
 
 
 def test_reduce_inverts_enhance_on_corpus():
-    for s in index_strings_to_depth(3):
-        idx = DirectionIndex.from_digits(s)
+    for idx in DEPTH3:
         for kind in ("short", "long"):
             w = orbit_of_index(idx, kind)
             for j in (1, 2, 3, 4):
@@ -192,8 +190,7 @@ def test_apply_L():
 def test_L_reproduces_period_recursion():
     # the generation step multiplies vectors by L and the word lengths by
     # the same rule the period pairs follow
-    for s in index_strings_to_depth(3):
-        idx = DirectionIndex.from_digits(s)
+    for idx in DEPTH3:
         sv, lv = vectors_of_index(idx)
         pp = period_of_index(idx)
         assert sv.period == pp.short and lv.period == pp.long
@@ -243,8 +240,7 @@ def test_quintuple_relation_matches_child_periods():
 def test_reduction_invariant():
     # reducing a generation k >= 2 orbit and shifting by the complement of
     # its first digit lands on the recursion parent's orbit
-    for s in index_strings_to_depth(3):
-        idx = DirectionIndex.from_digits(s)
+    for idx in DEPTH3:
         if idx.generation < 2:
             continue
         parent = reduction_parent(idx)
@@ -255,8 +251,7 @@ def test_reduction_invariant():
 
 
 def test_mirror_vector():
-    for s in index_strings_to_depth(3):
-        idx = DirectionIndex.from_digits(s)
+    for idx in DEPTH3:
         sv, _ = vectors_of_index(idx)
         mv, _ = vectors_of_index(idx.mirrored())
         assert mirror_vector(sv) == mv

@@ -11,6 +11,7 @@ from pentaflow.periods import (
     child_periods,
     period_of_index,
 )
+from pentaflow.verify import _period_via_tree
 
 
 PUBLISHED_TABLE = {
@@ -40,15 +41,6 @@ def test_deep_period_three_routes_agree():
     got = period_of_index(DirectionIndex(digits))
     assert got.as_tuple() == (3932, 6364)
     assert _period_via_tree(digits) == got
-
-
-def _period_via_tree(digits):
-    left = right = PeriodPair(1, 1)
-    for d in digits[:-1]:
-        kids = child_periods(left, right)
-        bounds = [left, *kids, right]
-        left, right = bounds[d], bounds[d + 1]
-    return child_periods(left, right)[digits[-1] - 1]
 
 
 def test_periods_agree_by_matrix_tree_and_word_length_at_random_depth():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from pentaflow.directions import BOTTOM, DirectionIndex, coordinate_of_index, index_strings_to_depth
-from pentaflow.golden import GoldenNum, ONE, PentaNum, PHI, ZERO
+from pentaflow.golden import GoldenNum, PentaNum, PHI, ZERO
 from pentaflow.orbits import (
     ROMAN_OF_PAIR,
     CyclicWord,
@@ -39,72 +39,26 @@ from pentaflow.tracer import (
     trace_billiard,
     trace_surface,
 )
-
-
-def g(a, b=0):
-    return GoldenNum.of(Fraction(a), Fraction(b))
-
-
-def section_point(p: GoldenNum) -> PlanePoint:
-    return PlanePoint(p, ZERO)
-
-
-def _symbols(res) -> tuple[int, ...]:
-    return res.word.symbols if res.closed else res.word
-
-
-#: the lower copy is the upper one mirrored through p -> T0 - p
-T0 = PENTAGON_UPPER[0] + PENTAGON_LOWER[0]
-
-
-def pairing_translations(verts) -> dict[int, PlanePoint]:
-    """Label -> the jump T0 - v0 - v1 across that side of a copy, the
-    definition of the side pairings (CONVENTIONS.md)."""
-    ends = zip(verts, verts[1:] + verts[:1])
-    return {label: T0 - v0 - v1 for label, (v0, v1) in zip(SIDE_LABELS.values(), ends)}
-
-
-#: the jumps out of the upper copy and out of the lower one
-JUMPS = (pairing_translations(PENTAGON_UPPER), pairing_translations(PENTAGON_LOWER))
+from reference import (
+    DEPTH3_AND_BOTTOM,
+    JUMPS,
+    T0,
+    cells_from_division_points,
+    g,
+    mirrored_step,
+    outcome,
+    reference_exit_side,
+    reference_step,
+    section_point,
+    strips_by_trial,
+    unfolded_by_reflections,
+    unfolded_by_translations,
+)
 
 
 def center_of(verts) -> PlanePoint:
     return PlanePoint(sum((v.x for v in verts), ZERO) / g(5),
                       sum((v.y for v in verts), ZERO) / g(5))
-
-
-def unfolded_by_translations(res) -> PlanePoint:
-    """The surface trace's displacement by the old route: the folded end of
-    its path, less the pairing translations of the crossings before it.
-    The trace starts in the upper copy, so crossing i leaves copy i % 2."""
-    assert tracer._inside(res.start)
-    end = res.path[-1][1]
-    for i, label in enumerate(_symbols(res)[:len(res.path) - 1]):
-        end = end - JUMPS[i % 2][label]
-    return end - res.start
-
-
-def _mat_mul(m, n):
-    a, b, c, d = m
-    e, f, k, h = n
-    return (a * e + b * k, a * f + b * h, c * e + d * k, c * f + d * h)
-
-
-def unfolded_by_reflections(res) -> PlanePoint:
-    """The billiard trace's displacement by the old route: compose the side
-    reflections met before the folded end of its path into the unfolding
-    x -> mat x + off, and apply it there.  The unfolded path is a straight
-    run, so the result must be parallel to the start direction."""
-    apply = tracer._mat_apply
-    mat, off = (g(1), ZERO, ZERO, g(1)), PlanePoint(ZERO, ZERO)
-    for label in _symbols(res)[:len(res.path) - 1]:
-        side = next(s for s in SIDES if s.label == label)
-        # the reflection acts first, then the unfolding so far
-        off = apply(mat, side.v0 - apply(side.reflection, side.v0)) + off
-        mat = _mat_mul(mat, side.reflection)
-    disp = apply(mat, res.path[-1][1]) + off - res.start
-    assert cross(disp, res.direction).is_zero(), "unfolded displacement not parallel"
-    return disp
 
 
 def test_chart_pairings_are_parallel_translations():
@@ -214,50 +168,6 @@ def test_strip_search_fails_loudly_below_the_exact_period():
     assert "cap 2" in str(e.value) and str(e.value.direction) in str(e.value)
 
 
-def reference_exit_side(pos: PlanePoint, direction: PlanePoint):
-    """The old exit search: solve both hit parameters on every side and keep
-    the nearest hit."""
-    best = None
-    for side in SIDES:
-        w = side.v1 - side.v0
-        den = cross(direction, w)
-        if den.is_zero():
-            continue
-        rel = side.v0 - pos
-        t = cross(rel, w) / den
-        if t.sign() <= 0:
-            continue
-        theta = cross(rel, direction) / den
-        # theta must lie in [0, 1]; hits at the ends are cone points
-        ts = theta.sign()
-        if ts < 0 or (theta - ONE).sign() > 0:
-            continue
-        if best is None or (t - best[2]).sign() < 0:
-            if ts == 0 or (theta - ONE).is_zero():
-                best = (side, None, t)  # vertex hit candidate
-            else:
-                hit = pos + direction.scale(t)
-                best = (side, hit, t)
-    if best is None:
-        raise SaddleConnectionError("ray leaves through no side (degenerate)")
-    if best[1] is None:
-        raise SaddleConnectionError("trajectory hits a cone point")
-    return best
-
-
-def _outcome(fn, *args):
-    """fn's result, or the class and message of the error it raised."""
-    try:
-        return fn(*args)
-    except (SaddleConnectionError, SingularOrbit) as e:
-        return type(e), str(e)
-
-
-def _depth3_and_corners() -> list[DirectionIndex]:
-    depth3 = dict.fromkeys(DirectionIndex.from_digits(s) for s in index_strings_to_depth(3))
-    return [DirectionIndex(), BOTTOM, *depth3]
-
-
 def test_exit_side_matches_the_nearest_hit_search(monkeypatch):
     # every crossing of the strip searches and every reflection of the
     # billiards at each index to depth 3 and both corners; the sector
@@ -272,7 +182,7 @@ def test_exit_side_matches_the_nearest_hit_search(monkeypatch):
         return got
 
     monkeypatch.setattr(tracer, "_exit_side", checked)
-    for idx in _depth3_and_corners():
+    for idx in DEPTH3_AND_BOTTOM:
         assert analysis.billiard_report(idx).passed, idx
     assert {-1, 1} <= set(calls) and len(calls) > 10_000
 
@@ -291,9 +201,9 @@ def test_cone_hits_raise_alike():
                 for direction in (v - pos, (v - pos).scale(g(3, -1))):
                     ray = chart(pos, direction)
                     assert tracer._inside(ray[0])
-                    got = _outcome(tracer._exit_side, *ray)
+                    got = outcome(tracer._exit_side, *ray)
                     assert got == (SaddleConnectionError, "trajectory hits a cone point")
-                    assert got == _outcome(reference_exit_side, *ray)
+                    assert got == outcome(reference_exit_side, *ray)
 
 
 def test_exit_side_divides_once(monkeypatch):
@@ -400,30 +310,18 @@ def test_iet_bijection_on_sampled_parameters():
         for roman, (lo, hi) in zip((4, 3, 2, 1), zip(bounds, bounds[1:])):
             t = spec.translations[roman]
             images.append((lo + t, hi + t))
-        images.sort(key=lambda ab: float(ab[0]))
+        images.sort(key=lambda ab: ab[0])
         assert images[0][0] == ZERO
         for (a0, a1), (b0, b1) in zip(images, images[1:]):
             assert a1 == b0
         assert images[-1][1] == PHI
 
 
-def reference_step(spec, p: GoldenNum, side: str | None = None):
-    """The old IETSpec.step: scan the four intervals, skipping empty ones."""
-    if side is None and p in spec.division_points:
-        raise SingularOrbit(f"orbit hit division point {p}")
-    bounds = (ZERO, *spec.division_points, PHI)
-    for k, lo, hi in zip((4, 3, 2, 1), bounds, bounds[1:]):
-        inside = lo < p <= hi if side == "L" else lo <= p < hi
-        if inside and not (hi - lo).is_zero():
-            return p + spec.translations[k], k
-    raise SingularOrbit(f"no branch of the exchange at {p}")
-
-
 def test_exchange_step_matches_the_interval_scan():
     # every cell point of each index to depth 3, its mirror and both
     # corners, the diagonal's ends, points off it and seeded random points
     rng = random.Random(20111019)
-    for idx in _depth3_and_corners():
+    for idx in DEPTH3_AND_BOTTOM:
         x = coordinate_of_index(idx).value
         steps = period_of_index(idx).long + 2
         for u in dict.fromkeys((x, -x)):
@@ -434,16 +332,8 @@ def test_exchange_step_matches_the_interval_scan():
             assert ZERO in points and PHI in points
             for p in points:
                 for side in ("L", "R", None):
-                    assert (_outcome(spec.step, p, side)
-                            == _outcome(reference_step, spec, p, side)), (idx, u, p, side)
-
-
-def mirrored_step(x: GoldenNum, p: GoldenNum, side: str | None):
-    """The old route for x < 0: the exchange of -x seen through the mirror
-    p -> phi - p, which swaps the Roman symbols and the one-sided reads."""
-    swapped = {"L": "R", "R": "L", None: None}[side]
-    img, sym = iet_build(-x).step(PHI - p, swapped)
-    return PHI - img, 5 - sym
+                    assert (outcome(spec.step, p, side)
+                            == outcome(reference_step, spec, p, side)), (idx, u, p, side)
 
 
 def test_signed_exchange_matches_the_mirror_view():
@@ -465,38 +355,6 @@ def test_signed_exchange_matches_the_mirror_view():
                 assert spec.step(p, side) == mirrored_step(x, p, side)
 
 
-def cells_from_division_points(x: GoldenNum, steps: int) -> list[GoldenNum]:
-    """The old cell points: the one-sided images of the division points
-    alone, each leaf dropped once it reaches an end of the diagonal."""
-    spec = iet_build(x)
-    pts = {ZERO, PHI, *spec.division_points}
-    frontier = [(d, side) for d in spec.division_points for side in ("L", "R")]
-    for _ in range(steps):
-        frontier = [(spec.step(v, side)[0], side) for v, side in frontier
-                    if v != ZERO and v != PHI]
-        pts.update(v for v, _side in frontier)
-    return sorted(pts)
-
-
-def strips_by_trial(x: GoldenNum, expected_long: int):
-    """The old strip search: trace from one old cell's midpoint after
-    another, skipping cone hits, until two distinct words appear."""
-    direction = direction_of_coordinate(x)
-    pts = cells_from_division_points(x, expected_long + 2)
-    found = {}
-    for lo, hi in zip(pts, pts[1:]):
-        start = section_point((lo + hi) / g(2))
-        try:
-            res = trace_surface(start, direction, max_crossings=2 * expected_long)
-        except SaddleConnectionError:
-            continue
-        assert res.closed
-        found.setdefault(res.word.canonical(), res)
-        if len(found) == 2:
-            break
-    return sorted(found.values(), key=lambda r: (len(r.word), r.length_squared))
-
-
 def test_strip_search_matches_the_trial_search():
     for s in [*index_strings_to_depth(2), (1, 2, 1)]:
         idx = DirectionIndex.from_digits(s)
@@ -515,8 +373,7 @@ def test_cells_are_the_strips_crossings():
     # the leaves from the division points and the diagonal's ends cut the
     # section into the strips' crossings; the exchange permutes them in
     # two cycles, of the short and the long period
-    depth3 = [DirectionIndex.from_digits(s) for s in index_strings_to_depth(3)]
-    for idx in [DirectionIndex(), BOTTOM, *depth3]:
+    for idx in DEPTH3_AND_BOTTOM:
         x = coordinate_of_index(idx).value
         pp = period_of_index(idx)
         pts = tracer.section_cell_points(x, pp.long + 2)
