@@ -17,8 +17,9 @@ EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-#: the verification suites in their run order; `verify.SUITES` is keyed by
-#: this list, so the parser names them without loading the suites
+#: the verification suites; `verify` runs and prints them sorted by name,
+#: whatever this order; `verify.SUITES` is keyed by this list, so the parser
+#: names them without loading the suites
 SUITE_NAMES = ("periods", "table", "m-relation", "reduction", "orbits-vs-oracle",
                "displacement", "billiard", "conjectures")
 

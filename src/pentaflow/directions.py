@@ -14,7 +14,7 @@ and coordinates decrease toward the bottom.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, product
 from operator import matmul
 from typing import Iterable, NamedTuple, Sequence
 
@@ -283,17 +283,8 @@ def indices_at_generation(g: int) -> list[DirectionIndex]:
     """All valid indices with exactly g digits."""
     if g == 0:
         return [DirectionIndex()]
-    out = []
-
-    def rec(prefix: tuple[int, ...]):
-        if len(prefix) == g - 1:
-            out.extend(DirectionIndex(prefix + (j,)) for j in (1, 2, 3))
-            return
-        for j in range(4):
-            rec(prefix + (j,))
-
-    rec(())
-    return out
+    return [DirectionIndex((*prefix, j))
+            for prefix in product(range(4), repeat=g - 1) for j in (1, 2, 3)]
 
 
 def index_strings_to_depth(d: int) -> list[tuple[int, ...]]:

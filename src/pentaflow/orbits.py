@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, Literal
 
-from .directions import DirectionIndex, mirror_digits
+from .directions import DirectionIndex, _exponents, mirror_digits
 from .golden import FrozenValue
 
 ROMAN_NAMES = {1: "I", 2: "II", 3: "III", 4: "IV"}
@@ -326,20 +326,15 @@ def vectors_of_index(idx: DirectionIndex) -> tuple[OrbitVector, OrbitVector]:
     """(short, long) orbit vectors without building a word.
 
     The same recursion as the orbit engine, on counts: the generation step
-    with shift i (the digit at generation 1, the first digit plus one
-    deeper, the parent being the mirror of the remaining digits) maps the
-    parent's vector v to apply_L(i, v).  BOTTOM and () are their own base.
-    Short and long each start from their own base orbit, so long = M short
-    stays a check.  O(depth) vector operations.
+    with shift i maps the parent's vector v to apply_L(i, v), and the
+    shifts of the whole chain, innermost last, are the rotation exponents
+    `directions._exponents` that `coordinate_of_index` folds.  BOTTOM and
+    () are their own base.  Short and long each start from their own base
+    orbit, so long = M short stays a check.  O(depth) vector operations.
     """
-    shifts = []
-    digits = idx.digits
-    while digits:
-        shift, digits = _generation_step(digits)
-        shifts.append(shift)
     short = vector_of(BASE_ORBITS[(idx.bottom, "short")])
     long = vector_of(BASE_ORBITS[(idx.bottom, "long")])
-    for shift in reversed(shifts):
+    for shift in reversed(_exponents(idx.digits)):
         short, long = apply_L(shift, short), apply_L(shift, long)
     return short, long
 

@@ -1,18 +1,18 @@
-"""Periods of periodic directions via the integer golden-number calculus.
+"""Periods of periodic directions.
 
 A direction carries a short and a long combinatorial period (a, A) with
-a <= A, encoded as the single number a + A*phi.  Period pairs propagate
-down the tessellation tree by fixed 2x2 matrices over Z[phi], one per
-digit, and along any pentagon arc by a three-child recursion.
+a <= A, encoded as the single number a + A*phi.  The periods are the
+lengths of the Roman orbit words, read off the orbit vectors, and along
+any pentagon arc they follow a three-child recursion.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 from .directions import DirectionIndex, NeighborFamily, neighbor_family
-from .golden import ONE, PHI, PHI2, ZERO, FrozenValue, GoldenNum
+from .golden import FrozenValue, GoldenNum
+from .orbits import vectors_of_index
 
 
 class PeriodPair(FrozenValue):
@@ -42,43 +42,22 @@ class PeriodPair(FrozenValue):
         return (self.short, self.long)
 
 
-#: the four digit matrices acting on (upper, lower) period columns
-X_MATRICES = (
-    ((ONE, ZERO), (PHI, ONE)),                  # digit 0
-    ((PHI, ONE), (PHI, PHI)),                   # digit 1
-    ((PHI, PHI), (ONE, PHI)),                   # digit 2
-    ((ONE, PHI), (ZERO, ONE)),                  # digit 3
-)
-
-
-def _apply(mat, vec):
-    (a, b), (c, d) = mat
-    u, v = vec
-    return (a * u + b * v, c * u + d * v)
-
-
-@lru_cache(maxsize=None)
-def _period_vector(digits: tuple[int, ...]) -> tuple[GoldenNum, GoldenNum]:
-    vec = (PHI2, PHI2)
-    for n in digits:
-        vec = _apply(X_MATRICES[n], vec)
-    return vec
-
-
 def period_of_index(idx: DirectionIndex) -> PeriodPair:
-    """Short and long periods of the direction, from the digit matrix product."""
-    if idx.bottom:
-        return PeriodPair(1, 1)
-    return PeriodPair.decode(_period_vector(idx.digits)[0])
+    """Short and long periods of the direction: the symbol counts of its
+    short and long orbit vectors."""
+    sv, lv = vectors_of_index(idx)
+    return PeriodPair(sv.period, lv.period)
 
 
 def child_periods(left: PeriodPair, right: PeriodPair) -> tuple[PeriodPair, PeriodPair, PeriodPair]:
-    """Periods of the three new vertices on an arc, ordered from left to right."""
-    u, v = left.encode(), right.encode()
+    """Periods of the three new vertices on an arc, ordered from left to
+    right: with u = a + A*phi on the left and v = b + B*phi on the right,
+    they are v + phi*u, phi*(u + v) and u + phi*v, as phi^2 = phi + 1."""
+    (a, A), (b, B) = left.as_tuple(), right.as_tuple()
     return (
-        PeriodPair.decode(v + PHI * u),
-        PeriodPair.decode(PHI * u + PHI * v),
-        PeriodPair.decode(u + PHI * v),
+        PeriodPair(b + A, a + A + B),
+        PeriodPair(A + B, a + b + A + B),
+        PeriodPair(a + B, b + A + B),
     )
 
 

@@ -20,8 +20,9 @@ from pentaflow.directions import (
     DirectionIndex,
     in_closed_sector,
 )
-from pentaflow.golden import GoldenNum, ONE, PHI, ProjectivePoint, R_MAP, T_MAP, ZERO
+from pentaflow.golden import GoldenNum, ONE, PHI, PHI2, ProjectivePoint, R_MAP, T_MAP, ZERO
 from pentaflow.orbits import CyclicWord, rotations
+from pentaflow.periods import PeriodPair
 from pentaflow.tracer import (
     PENTAGON_LOWER,
     PENTAGON_UPPER,
@@ -291,6 +292,46 @@ def _fold_by_mirroring(ms):
     for m in reversed(ms):
         digits = (m,) if not digits else (m - 1,) + directions.mirror_digits(digits)
     return digits
+
+
+# ---------------------------------------------------------------------------
+# the periods
+
+
+#: the four digit matrices acting on (upper, lower) period columns
+X_MATRICES = (
+    ((ONE, ZERO), (PHI, ONE)),                  # digit 0
+    ((PHI, ONE), (PHI, PHI)),                   # digit 1
+    ((PHI, PHI), (ONE, PHI)),                   # digit 2
+    ((ONE, PHI), (ZERO, ONE)),                  # digit 3
+)
+
+
+def _apply(mat, vec):
+    (a, b), (c, d) = mat
+    u, v = vec
+    return (a * u + b * v, c * u + d * v)
+
+
+@lru_cache(maxsize=None)
+def _period_vector(digits: tuple[int, ...]) -> tuple[GoldenNum, GoldenNum]:
+    vec = (PHI2, PHI2)
+    for n in digits:
+        vec = _apply(X_MATRICES[n], vec)
+    return vec
+
+
+def period_by_matrices(idx: DirectionIndex) -> PeriodPair:
+    """Short and long periods of the direction, from the digit matrix product
+    over Z[phi]: digit d sends the column (u, v) of the arc's endpoint
+    periods, encoded as a + A*phi, to the endpoints of its sub-arc d.
+
+    Guards `periods.period_of_index`, which counts the symbols of the orbit
+    vectors; the matrices were retired when the periods moved onto the
+    vectors' exponent fold."""
+    if idx.bottom:
+        return PeriodPair(1, 1)
+    return PeriodPair.decode(_period_vector(idx.digits)[0])
 
 
 # ---------------------------------------------------------------------------

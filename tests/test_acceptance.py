@@ -46,7 +46,7 @@ from pentaflow.orbits import (
 )
 from pentaflow.periods import PeriodPair, child_periods, period_of_index
 from pentaflow.tracer import iet_build, periodic_orbits_for_coordinate
-from reference import DEPTH3, DEPTH3_AND_BOTTOM, W
+from reference import DEPTH3, DEPTH3_AND_BOTTOM, W, period_by_matrices
 
 
 def _announce(n, detail):
@@ -81,8 +81,11 @@ def test_criterion_02_deep_period_as_stated():
 
 def test_criterion_02_deep_period_verified():
     t0 = time.time()
+    # the package counts the periods from the orbit vectors
     got = period_of_index(DEEP_INDEX)
     assert got.as_tuple() == (3932, 6364)
+    # first route: the digit-matrix product over Z[phi]
+    assert period_by_matrices(DEEP_INDEX) == got
     # second route: descend the arc recursion
     left = right = PeriodPair(1, 1)
     for d in DEEP_INDEX.digits[:-1]:

@@ -4,7 +4,7 @@ import tracemalloc
 import pytest
 
 from pentaflow import orbits
-from pentaflow.directions import BOTTOM, DirectionIndex, index_strings_to_depth
+from pentaflow.directions import BOTTOM, DirectionIndex, _exponents, index_strings_to_depth
 from pentaflow.orbits import (
     CyclicWord,
     OrbitVector,
@@ -26,6 +26,7 @@ from pentaflow.orbits import (
     vectors_of_index,
 )
 from pentaflow.periods import child_periods, period_of_index
+from pentaflow.verify import _all_indices
 from reference import DEPTH3, W
 
 
@@ -159,6 +160,18 @@ def test_vectors_of_index_agree_with_word_vectors():
         sv, lv = vectors_of_index(idx)
         assert sv == vector_of(orbit_of_index(idx, "short")), idx
         assert lv == vector_of(orbit_of_index(idx, "long")), idx
+
+
+def test_generation_step_shifts_are_the_rotation_exponents():
+    # the orbit engine's chain of generation steps, outermost first, reaches
+    # the exponents that coordinate_of_index folds, on all 16,384 directions
+    # to depth 7
+    for idx in _all_indices(7):
+        shifts, digits = [], idx.digits
+        while digits:
+            shift, digits = orbits._generation_step(digits)
+            shifts.append(shift)
+        assert shifts == _exponents(idx.digits), idx
 
 
 def test_vectors_of_index_at_depth_16_build_no_word(monkeypatch):

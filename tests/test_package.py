@@ -67,7 +67,7 @@ def test_verify_periods_loads_neither_the_tracer_nor_the_renderer():
                                   "cli.main(['verify', '--depth', '2', "
                                   "'--suite', 'periods'])") == [
         "pentaflow", "pentaflow.cli", "pentaflow.directions", "pentaflow.golden",
-        "pentaflow.periods", "pentaflow.verify"]
+        "pentaflow.orbits", "pentaflow.periods", "pentaflow.verify"]
 
 
 def test_each_suite_the_parser_names_is_a_verify_suite(capsys):

@@ -2,16 +2,17 @@ import random
 
 import pytest
 
-from pentaflow.directions import BOTTOM, DirectionIndex, index_strings_to_depth
+from pentaflow.directions import BOTTOM, DirectionIndex
 from pentaflow.golden import GoldenNum
-from pentaflow.orbits import orbit_of_index
+from pentaflow.orbits import orbit_of_index, vectors_of_index
 from pentaflow.periods import (
     PeriodPair,
     arithmetic_family_check,
     child_periods,
     period_of_index,
 )
-from pentaflow.verify import _period_via_tree
+from pentaflow.verify import _all_indices, _period_via_tree
+from reference import period_by_matrices
 
 
 PUBLISHED_TABLE = {
@@ -34,25 +35,27 @@ def test_published_table():
 
 
 def test_deep_period_three_routes_agree():
-    # the published text prints 6334 for this long period; the digit-matrix
-    # product, the arc recursion and the orbit word lengths all yield 6364
+    # the published text prints 6334 for this long period; the orbit
+    # vectors, the arc recursion and the digit-matrix product all yield 6364
     # (and 6364/3932 approaches the golden ratio as it must)
     digits = (1, 2, 3, 1, 2, 3, 1, 2, 3)
     got = period_of_index(DirectionIndex(digits))
     assert got.as_tuple() == (3932, 6364)
     assert _period_via_tree(digits) == got
+    assert period_by_matrices(DirectionIndex(digits)) == got
 
 
 def test_periods_agree_by_matrix_tree_and_word_length_at_random_depth():
-    # seeded indices at depth 10-14: the digit-matrix product, the arc
-    # recursion and the lengths of the engine's words (two Arabic symbols
-    # per return) give the same periods
+    # seeded indices at depth 10-14: the digit-matrix product (the retired
+    # route), the arc recursion and the lengths of the engine's words (two
+    # Arabic symbols per return) give the periods the orbit vectors count
     rng = random.Random(20110318)
     for _ in range(8):
         n = rng.randint(10, 14)
         digits = tuple(rng.randint(0, 3) for _ in range(n - 1)) + (rng.randint(1, 3),)
         idx = DirectionIndex(digits)
         got = period_of_index(idx)
+        assert period_by_matrices(idx) == got
         assert _period_via_tree(digits) == got
         words = (len(orbit_of_index(idx, "short")), len(orbit_of_index(idx, "long")))
         assert words == got.arabic
@@ -71,11 +74,32 @@ def test_child_periods_swap_symmetry():
 
 
 def test_matrix_equals_tree_to_generation_four():
-    for s in index_strings_to_depth(4):
-        idx = DirectionIndex.from_digits(s)
-        if not idx.digits:
-            continue
-        assert period_of_index(idx) == _period_via_tree(idx.digits)
+    for idx in _all_indices(4):
+        assert period_by_matrices(idx) == _period_via_tree(idx.digits) == period_of_index(idx)
+
+
+def test_matrix_reference_equals_period_of_index_to_depth_six():
+    # the retired Z[phi] digit-matrix product against the orbit vectors'
+    # symbol counts, on all 4,096 directions to depth 6 and the bottom corner
+    for idx in [*_all_indices(6), BOTTOM]:
+        assert period_by_matrices(idx) == period_of_index(idx), idx
+
+
+def test_periods_use_no_field_arithmetic(monkeypatch):
+    # periods and orbit vectors are integer folds: on a seeded 3,000-digit
+    # index they need no golden-number product or sum
+    rng = random.Random(20111019)
+    idx = DirectionIndex(tuple(rng.randint(0, 3) for _ in range(2999)) + (rng.randint(1, 3),))
+
+    def no_field(*_args):
+        raise AssertionError("golden-number arithmetic")
+
+    monkeypatch.setattr(GoldenNum, "__mul__", no_field)
+    monkeypatch.setattr(GoldenNum, "__add__", no_field)
+    pp = period_of_index(idx)
+    sv, lv = vectors_of_index(idx)
+    assert (sv.period, lv.period) == pp.as_tuple()
+    assert pp.long > pp.short > 10 ** 1000
 
 
 def test_monotone_growth_along_paths():
