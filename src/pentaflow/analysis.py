@@ -88,7 +88,7 @@ def length_report(idx: DirectionIndex) -> LengthReport:
     sv, lv = vectors_of_index(idx)
     return LengthReport(
         idx,
-        period_of_index(idx),
+        PeriodPair(sv.period, lv.period),
         length_squared_formula(sv, x),
         length_squared_formula(lv, x),
         billiard_multiplier(sv),

@@ -36,6 +36,24 @@ def _parse_index(args):
         raise SystemExit(EXIT_USAGE) from e
 
 
+def unwritable(path: str) -> str | None:
+    """Why `open(path, "w")` would fail, or None, found without creating the
+    file, so that `verify` and `render` refuse the path before their work:
+    a directory at the path, or a parent directory that is missing or not
+    writable."""
+    import errno
+    import os
+
+    if os.path.isdir(path):
+        return os.strerror(errno.EISDIR)
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        return os.strerror(errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT)
+    if not os.access(parent, os.W_OK):
+        return os.strerror(errno.EACCES)
+    return None
+
+
 def _coord_json(x) -> dict:
     if x.is_infinity:
         return {"infinity": True}
@@ -47,19 +65,18 @@ def cmd_direction(args) -> int:
 
     from .directions import coordinate_of_index
     from .orbits import billiard_multiplier, vectors_of_index
-    from .periods import period_of_index
 
     idx = _parse_index(args)
     coord = coordinate_of_index(idx)
-    pp = period_of_index(idx)
+    # the periods are the vectors' symbol counts, Arabic words twice as long
     sv, lv = vectors_of_index(idx)
     mult = billiard_multiplier(sv)
     if args.json:
         out = {
             "index": str(idx),
             "coordinate": _coord_json(coord),
-            "periods": {"short": pp.short, "long": pp.long,
-                        "arabic": list(pp.arabic)},
+            "periods": {"short": sv.period, "long": lv.period,
+                        "arabic": [2 * sv.period, 2 * lv.period]},
             "vectors": {"short": sv.as_tuple(), "long": lv.as_tuple()},
             "billiard_multiplier": mult,
         }
@@ -68,8 +85,8 @@ def cmd_direction(args) -> int:
         print(f"index:       {idx}")
         print(f"coordinate:  {coord}" + (
             "" if coord.is_infinity else f"  ({coord.value.to_decimal(15)})"))
-        print(f"periods:     short {pp.short}, long {pp.long} "
-              f"(arabic {pp.arabic[0]}, {pp.arabic[1]})")
+        print(f"periods:     short {sv.period}, long {lv.period} "
+              f"(arabic {2 * sv.period}, {2 * lv.period})")
         print(f"vectors:     short {sv}, long {lv}")
         print(f"multiplier:  {mult}")
     return EXIT_OK

@@ -66,9 +66,14 @@ class CyclicWord(FrozenValue):
         parts = text.split()
         if not parts:
             raise WordError("empty word")
-        if parts[0].upper() in ROMAN_VALUES:
-            return CyclicWord(tuple(ROMAN_VALUES[p.upper()] for p in parts), roman=True)
-        return CyclicWord(tuple(int(p) for p in parts), roman=False)
+        roman = parts[0].upper() in ROMAN_VALUES
+        symbols = []
+        for p in parts:
+            try:
+                symbols.append(ROMAN_VALUES[p.upper()] if roman else int(p))
+            except (KeyError, ValueError):
+                raise WordError(f"{p!r} is not a symbol of the word {text!r}") from None
+        return CyclicWord(tuple(symbols), roman=roman)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -213,31 +218,23 @@ BASE_ORBITS = {
 }
 
 
-def _generation_step(digits: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """(alphabet shift, parent digits) of the generation step that builds
-    a nonempty index's orbit from its parent's: at generation 1 the shift
-    is the digit and the parent is (); deeper, the shift is the first
-    digit plus one and the parent is the mirror of the remaining digits."""
-    if len(digits) == 1:
-        return digits[0], ()
-    return digits[0] + 1, mirror_digits(digits[1:])
-
-
 @lru_cache(maxsize=None)
-def _orbit_cached(digits: tuple[int, ...], bottom: bool, kind: Kind) -> CyclicWord:
-    """Rotate the parent's orbit by the step's shift, then enhance it;
-    BOTTOM and () are their own base."""
-    if bottom or not digits:
+def _orbit_cached(exponents: tuple[int, ...], bottom: bool, kind: Kind) -> CyclicWord:
+    """Rotate the orbit of the inner exponents by the outermost one, then
+    enhance it.  The exponents are `directions._exponents`, outermost
+    first, the chain `coordinate_of_index` folds; the inner ones are the
+    parent's.  BOTTOM and () are their own base."""
+    if bottom or not exponents:
         return BASE_ORBITS[(bottom, kind)]
-    shift, parent = _generation_step(digits)
-    return enhance(rotate_alphabet(_orbit_cached(parent, False, kind), shift))
+    return enhance(rotate_alphabet(_orbit_cached(exponents[1:], False, kind),
+                                   exponents[0]))
 
 
 def orbit_of_index(idx: DirectionIndex, kind: Kind) -> CyclicWord:
     """The Arabic symbolic orbit at a direction index, short or long kind."""
     if kind not in ("short", "long"):
         raise ValueError("kind must be 'short' or 'long'")
-    return _orbit_cached(idx.digits, idx.bottom, kind)
+    return _orbit_cached(tuple(_exponents(idx.digits)), idx.bottom, kind)
 
 
 def reduction_parent(idx: DirectionIndex) -> DirectionIndex:
@@ -314,7 +311,9 @@ def billiard_multiplier(v: OrbitVector) -> int:
 def quintuple_relation(a: OrbitVector, A: OrbitVector,
                        b: OrbitVector, B: OrbitVector
                        ) -> tuple[tuple[OrbitVector, OrbitVector], ...]:
-    """Vector pairs of the three arc children given the endpoint pairs."""
+    """Vector pairs of the three arc children given the endpoint pairs.
+    The sums are additive, so on the symbol counts they give the children's
+    periods (`periods.child_periods`)."""
     return (
         (b + A, a + A + B),
         (A + B, a + b + A + B),

@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 from .directions import DirectionIndex, NeighborFamily, neighbor_family
 from .golden import FrozenValue, GoldenNum
-from .orbits import vectors_of_index
+from .orbits import quintuple_relation, vectors_of_index
 
 
 class PeriodPair(FrozenValue):
@@ -51,14 +51,11 @@ def period_of_index(idx: DirectionIndex) -> PeriodPair:
 
 def child_periods(left: PeriodPair, right: PeriodPair) -> tuple[PeriodPair, PeriodPair, PeriodPair]:
     """Periods of the three new vertices on an arc, ordered from left to
-    right: with u = a + A*phi on the left and v = b + B*phi on the right,
-    they are v + phi*u, phi*(u + v) and u + phi*v, as phi^2 = phi + 1."""
+    right: the quintuple relation of the orbit vectors on the symbol counts,
+    v + phi*u, phi*(u + v) and u + phi*v with u = a + A*phi on the left and
+    v = b + B*phi on the right."""
     (a, A), (b, B) = left.as_tuple(), right.as_tuple()
-    return (
-        PeriodPair(b + A, a + A + B),
-        PeriodPair(A + B, a + b + A + B),
-        PeriodPair(a + B, b + A + B),
-    )
+    return tuple(PeriodPair(*kid) for kid in quintuple_relation(a, A, b, B))
 
 
 class FamilyReport(NamedTuple):

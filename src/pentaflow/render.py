@@ -11,7 +11,7 @@ import sys
 from fractions import Fraction
 
 from . import tracer
-from .cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, _parse_index
+from .cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, _parse_index, unwritable
 from .directions import (
     DepthExceeded,
     coordinate_of_index,
@@ -21,7 +21,6 @@ from .directions import (
 from .golden import GoldenNum, ProjectivePoint
 from .orbits import billiard_multiplier, vector_of
 from .periods import period_of_index
-from .verify import unwritable
 
 
 def _fmt(v) -> str:

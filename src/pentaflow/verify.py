@@ -8,12 +8,10 @@ so `verify --suite periods` never compiles the tracer.
 
 from __future__ import annotations
 
-import errno
 import json
-import os
 import sys
 
-from .cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, SUITE_NAMES
+from .cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, SUITE_NAMES, unwritable
 from .directions import (
     BOTTOM,
     DirectionIndex,
@@ -175,21 +173,6 @@ def _suite_conjectures(depth: int) -> list[dict]:
         rep = check_conjecture_splitting(idx, radius=1)
         rows.append({"case": f"split:{rep.subject}", "ok": rep.passed})
     return rows
-
-
-def unwritable(path: str) -> str | None:
-    """Why `open(path, "w")` would fail, or None, found without creating the
-    file, so that `verify` and `render` refuse the path before their work:
-    a directory at the path, or a parent directory that is missing or not
-    writable."""
-    if os.path.isdir(path):
-        return os.strerror(errno.EISDIR)
-    parent = os.path.dirname(path) or "."
-    if not os.path.isdir(parent):
-        return os.strerror(errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT)
-    if not os.access(parent, os.W_OK):
-        return os.strerror(errno.EACCES)
-    return None
 
 
 #: suite name -> suite, in the order of `cli.SUITE_NAMES`

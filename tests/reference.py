@@ -19,9 +19,17 @@ from pentaflow.directions import (
     DepthExceeded,
     DirectionIndex,
     in_closed_sector,
+    mirror_digits,
 )
 from pentaflow.golden import GoldenNum, ONE, PHI, PHI2, ProjectivePoint, R_MAP, T_MAP, ZERO
-from pentaflow.orbits import CyclicWord, rotations
+from pentaflow.orbits import (
+    BASE_ORBITS,
+    CyclicWord,
+    Kind,
+    enhance,
+    rotate_alphabet,
+    rotations,
+)
 from pentaflow.periods import PeriodPair
 from pentaflow.tracer import (
     PENTAGON_LOWER,
@@ -292,6 +300,33 @@ def _fold_by_mirroring(ms):
     for m in reversed(ms):
         digits = (m,) if not digits else (m - 1,) + directions.mirror_digits(digits)
     return digits
+
+
+# ---------------------------------------------------------------------------
+# the orbit engine by parent digits, as it stood at `cf8371d`.  It guards
+# `orbits.orbit_of_index`, which walks the rotation exponents of
+# `directions._exponents` since the next commit; both routes rotate and
+# enhance the same words.
+
+
+def _generation_step(digits: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """(alphabet shift, parent digits) of the generation step that builds
+    a nonempty index's orbit from its parent's: at generation 1 the shift
+    is the digit and the parent is (); deeper, the shift is the first
+    digit plus one and the parent is the mirror of the remaining digits."""
+    if len(digits) == 1:
+        return digits[0], ()
+    return digits[0] + 1, mirror_digits(digits[1:])
+
+
+@lru_cache(maxsize=None)
+def _orbit_cached(digits: tuple[int, ...], bottom: bool, kind: Kind) -> CyclicWord:
+    """Rotate the parent's orbit by the step's shift, then enhance it;
+    BOTTOM and () are their own base."""
+    if bottom or not digits:
+        return BASE_ORBITS[(bottom, kind)]
+    shift, parent = _generation_step(digits)
+    return enhance(rotate_alphabet(_orbit_cached(parent, False, kind), shift))
 
 
 # ---------------------------------------------------------------------------

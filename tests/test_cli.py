@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from pentaflow import tracer
+from pentaflow import orbits, periods, tracer
 from pentaflow.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
 from pentaflow.golden import GoldenNum
 
@@ -40,6 +40,23 @@ def test_direction_json_round_trips(capsys):
     coeffs = data["coordinate"]["coeffs"]
     assert GoldenNum.from_json(coeffs) == GoldenNum.of(-4, "5/2")
     assert data["periods"]["short"] == 2
+
+
+def test_direction_folds_the_vectors_once(monkeypatch, capsys):
+    # the periods are read off the vectors the report already holds; the
+    # periods module binds its own name, so both are counted
+    calls = []
+    fold = orbits.vectors_of_index
+
+    def counted(idx):
+        calls.append(idx)
+        return fold(idx)
+
+    monkeypatch.setattr(orbits, "vectors_of_index", counted)
+    monkeypatch.setattr(periods, "vectors_of_index", counted)
+    code, out = run(capsys, "direction", "1", "2", "--json")
+    assert code == EXIT_OK and json.loads(out)["periods"]["arabic"] == [14, 22]
+    assert len(calls) == 1
 
 
 def test_direction_usage_error(capsys):

@@ -27,6 +27,7 @@ from pentaflow.orbits import (
 )
 from pentaflow.periods import child_periods, period_of_index
 from pentaflow.verify import _all_indices
+import reference
 from reference import DEPTH3, W
 
 
@@ -68,6 +69,16 @@ def test_canonical_is_least_rotation():
     a.canonical()
     assert a == b and hash(a) == hash(b)
     assert repr(a) == "CyclicWord(symbols=(4, 1, 4, 3, 2, 3, 4, 1), roman=False)"
+
+
+@pytest.mark.parametrize("text, bad", [
+    ("I 2", "2"), ("I V", "V"), ("ii III x", "x"), ("1 V", "V"), ("2 5 3.0", "3.0"),
+])
+def test_parse_names_the_bad_token(text, bad):
+    # a word's first token fixes its alphabet; a token outside it is a
+    # WordError that names it, whichever alphabet it came from
+    with pytest.raises(WordError, match=f"'{bad}'"):
+        CyclicWord.parse(text)
 
 
 def test_rotate_alphabet():
@@ -163,15 +174,23 @@ def test_vectors_of_index_agree_with_word_vectors():
 
 
 def test_generation_step_shifts_are_the_rotation_exponents():
-    # the orbit engine's chain of generation steps, outermost first, reaches
-    # the exponents that coordinate_of_index folds, on all 16,384 directions
-    # to depth 7
+    # the retired engine's chain of generation steps, outermost first,
+    # reaches the exponents that coordinate_of_index folds, on all 16,384
+    # directions to depth 7
     for idx in _all_indices(7):
         shifts, digits = [], idx.digits
         while digits:
-            shift, digits = orbits._generation_step(digits)
+            shift, digits = reference._generation_step(digits)
             shifts.append(shift)
         assert shifts == _exponents(idx.digits), idx
+
+
+def test_orbits_equal_the_parent_digit_engine_to_depth_six():
+    # the same stored rotation of every word, not only the same cyclic word
+    for idx in (*_all_indices(6), BOTTOM):
+        for kind in ("short", "long"):
+            want = reference._orbit_cached(idx.digits, idx.bottom, kind)
+            assert orbit_of_index(idx, kind).symbols == want.symbols, (idx, kind)
 
 
 def test_vectors_of_index_at_depth_16_build_no_word(monkeypatch):

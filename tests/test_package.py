@@ -59,7 +59,16 @@ def test_direction_loads_neither_the_tracer_nor_the_analysis():
     assert _package_modules_after("from pentaflow import cli\n"
                                   "cli.main(['direction', '1', '2', '--json'])") == [
         "pentaflow", "pentaflow.cli", "pentaflow.directions", "pentaflow.golden",
-        "pentaflow.orbits", "pentaflow.periods"]
+        "pentaflow.orbits"]
+
+
+def test_render_loads_no_verification_suite(tmp_path):
+    out = tmp_path / "o.svg"
+    assert _package_modules_after("from pentaflow import cli\n"
+                                  f"cli.main(['render', '2', '--out', {str(out)!r}])") == [
+        "pentaflow", "pentaflow.cli", "pentaflow.directions", "pentaflow.golden",
+        "pentaflow.orbits", "pentaflow.periods", "pentaflow.render", "pentaflow.tracer"]
+    assert out.exists()
 
 
 def test_verify_periods_loads_neither_the_tracer_nor_the_renderer():
