@@ -158,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("render", help="render an orbit as SVG")
     r.add_argument("index", nargs="*")
-    r.add_argument("--u", help="section parameter instead of an index (rational)")
+    r.add_argument("--u", help="section parameter instead of an index (rational); "
+                               "write a negative one as --u=-1/10")
     m = r.add_mutually_exclusive_group()
     m.add_argument("--surface", action="store_true", default=True)
     m.add_argument("--billiard", action="store_true")

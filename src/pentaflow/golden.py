@@ -1,10 +1,12 @@
-"""Exact arithmetic in the golden field and its quadratic extension.
+"""Exact arithmetic in the golden field Q[phi].
 
 GoldenNum is a + b*phi with rational a, b and phi = (1+sqrt5)/2, so
-phi**2 = phi + 1.  PentaNum extends by s = sin(36 degrees), with
-s**2 = (3 - phi)/4.  Every predicate in this package (sign, equality,
-ordering) is decided by exact integer arithmetic; floats only appear at
-the output boundary via to_decimal / __float__.
+phi**2 = phi + 1.  Every predicate in this package (sign, equality,
+ordering) is decided by exact integer arithmetic in Q[phi].  A true plane
+coordinate may carry s = sin(36 degrees), s**2 = (3 - phi)/4; it is kept
+as the pair (p, q) meaning p + q*s, and decimal_of is the one output
+boundary.  PentaNum, that pair as an element of Q[phi][s], has its own
+arithmetic; the package computes and displays without it.
 """
 
 from __future__ import annotations
@@ -148,20 +150,7 @@ class GoldenNum(FrozenValue):
         return (self - other).sign() >= 0
 
     def to_decimal(self, digits: int = 30) -> decimal.Decimal:
-        """Decimal approximation, computed with guard digits and rounded."""
-        with decimal.localcontext() as ctx:
-            ctx.prec = digits + 15
-            root5 = decimal.Decimal(5).sqrt()
-            val = (
-                decimal.Decimal(self.a.numerator) / self.a.denominator
-                + (decimal.Decimal(self.b.numerator) / self.b.denominator)
-                * (1 + root5)
-                / 2
-            )
-            return +decimal.Decimal(val.quantize(
-                decimal.Decimal(1).scaleb(val.adjusted() - digits + 1)
-                if val != 0 else decimal.Decimal(1).scaleb(-digits)
-            ))
+        return decimal_of(self, ZERO, digits)
 
     def __float__(self) -> float:
         return float(self.to_decimal(25))
@@ -195,6 +184,21 @@ HALF = GoldenNum.of(Fraction(1, 2))
 
 #: s^2 = (3 - phi)/4, the square of sin 36 degrees.
 S_SQUARED = GoldenNum.of(Fraction(3, 4), Fraction(-1, 4))
+
+
+def decimal_of(p: GoldenNum, q: GoldenNum, digits: int) -> decimal.Decimal:
+    """p + q*s with s = sin 36 degrees, computed with 15 guard digits and
+    rounded half even to `digits` significant digits (zero to `digits`
+    places): the one place the field meets decimals."""
+    D = decimal.Decimal
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + 15
+        phi = (1 + D(5).sqrt()) / 2
+        s = ((3 - phi) / 4).sqrt()
+        pa, pb, qa, qb = (D(f.numerator) / f.denominator for f in (p.a, p.b, q.a, q.b))
+        val = (pa + pb * phi) + (qa + qb * phi) * s
+        quantum = D(1).scaleb(val.adjusted() - digits + 1 if val != 0 else -digits)
+        return +val.quantize(quantum)
 
 
 class PentaNum(FrozenValue):
@@ -265,20 +269,7 @@ class PentaNum(FrozenValue):
         return (self - other).sign() <= 0
 
     def to_decimal(self, digits: int = 30) -> decimal.Decimal:
-        with decimal.localcontext() as ctx:
-            ctx.prec = digits + 15
-            root5 = decimal.Decimal(5).sqrt()
-            phi = (1 + root5) / 2
-            s = ((3 - phi) / 4).sqrt()
-
-            def gval(g: GoldenNum) -> decimal.Decimal:
-                return (decimal.Decimal(g.a.numerator) / g.a.denominator
-                        + (decimal.Decimal(g.b.numerator) / g.b.denominator) * phi)
-
-            val = gval(self.p) + gval(self.q) * s
-            quantum = (decimal.Decimal(1).scaleb(val.adjusted() - digits + 1)
-                       if val != 0 else decimal.Decimal(1).scaleb(-digits))
-            return +val.quantize(quantum)
+        return decimal_of(self.p, self.q, digits)
 
     def __float__(self) -> float:
         return float(self.to_decimal(25))

@@ -18,7 +18,7 @@ from .directions import (
     in_closed_sector,
     index_of_coordinate,
 )
-from .golden import GoldenNum, ProjectivePoint
+from .golden import ZERO, GoldenNum, ProjectivePoint, decimal_of
 from .orbits import billiard_multiplier, vector_of
 from .periods import period_of_index
 
@@ -53,8 +53,8 @@ def _svg_polyline(points, color, width=0.012) -> str:
 
 
 def _xy(p: tracer.PlanePoint) -> tuple[float, float]:
-    x, y = p.real()
-    return (float(x), float(y))
+    """The true plane point (x, y*s) of a chart point, for drawing."""
+    return (float(decimal_of(p.x, ZERO, 25)), float(decimal_of(ZERO, p.y, 25)))
 
 
 def cmd_render(args) -> int:

@@ -33,8 +33,8 @@ from .golden import (
     S_SQUARED,
     ZERO,
     GoldenNum,
-    PentaNum,
     ProjectivePoint,
+    decimal_of,
 )
 from .orbits import CyclicWord, roman_of_arabic
 
@@ -82,13 +82,9 @@ class PlanePoint(FrozenValue):
     def is_zero(self) -> bool:
         return self.x.is_zero() and self.y.is_zero()
 
-    def real(self) -> tuple[PentaNum, PentaNum]:
-        """The true plane coordinates, for display: (x, y * sin 36)."""
-        return PentaNum(self.x, ZERO), PentaNum(ZERO, self.y)
-
     def __str__(self) -> str:
-        x, y = self.real()
-        return f"({x}, {y})"
+        y = "0" if self.y.is_zero() else f"({self.y})*s"  # s = sin 36
+        return f"({self.x}, {y})"
 
 
 def cross(a: PlanePoint, b: PlanePoint) -> GoldenNum:
@@ -238,16 +234,18 @@ class TraceResult(NamedTuple):
         return roman_of_arabic(self.word)
 
     def to_json(self) -> dict:
-        dx, dy = PlanePoint(*self.displacement).real()
+        # the true components dx + 0*s and 0 + dy*s, each as [p, q]
+        dx, dy = self.displacement
         word = self.word.symbols if self.closed else self.word
         out = {
             "word": list(word),
             "closed": self.closed,
             "crossings": self.crossings,
             "displacement": {
-                "x": dx.to_json(),
-                "y": dy.to_json(),
-                "decimal": [str(dx.to_decimal(20)), str(dy.to_decimal(20))],
+                "x": [dx.to_json(), ZERO.to_json()],
+                "y": [ZERO.to_json(), dy.to_json()],
+                "decimal": [str(decimal_of(dx, ZERO, 20)),
+                            str(decimal_of(ZERO, dy, 20))],
             },
         }
         if self.closed:

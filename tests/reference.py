@@ -7,6 +7,7 @@ The test modules import this file as `reference`: `tests/` has no
 `__init__.py`, so pytest puts the directory on `sys.path`.
 """
 
+import decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -69,6 +70,46 @@ def outcome(fn, *args):
         return type(e), str(e), e.prefix
     except (SaddleConnectionError, SingularOrbit) as e:
         return type(e), str(e)
+
+
+# ---------------------------------------------------------------------------
+# the field's decimals, the two methods as they stood at `6712432`.  They
+# guard `golden.decimal_of`, the one decimal routine since the next commit,
+# which both `to_decimal` methods and the tracer's display forms call.
+
+
+def golden_to_decimal(self, digits: int = 30) -> decimal.Decimal:
+    """Decimal approximation, computed with guard digits and rounded."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + 15
+        root5 = decimal.Decimal(5).sqrt()
+        val = (
+            decimal.Decimal(self.a.numerator) / self.a.denominator
+            + (decimal.Decimal(self.b.numerator) / self.b.denominator)
+            * (1 + root5)
+            / 2
+        )
+        return +decimal.Decimal(val.quantize(
+            decimal.Decimal(1).scaleb(val.adjusted() - digits + 1)
+            if val != 0 else decimal.Decimal(1).scaleb(-digits)
+        ))
+
+
+def penta_to_decimal(self, digits: int = 30) -> decimal.Decimal:
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits + 15
+        root5 = decimal.Decimal(5).sqrt()
+        phi = (1 + root5) / 2
+        s = ((3 - phi) / 4).sqrt()
+
+        def gval(g: GoldenNum) -> decimal.Decimal:
+            return (decimal.Decimal(g.a.numerator) / g.a.denominator
+                    + (decimal.Decimal(g.b.numerator) / g.b.denominator) * phi)
+
+        val = gval(self.p) + gval(self.q) * s
+        quantum = (decimal.Decimal(1).scaleb(val.adjusted() - digits + 1)
+                   if val != 0 else decimal.Decimal(1).scaleb(-digits))
+        return +val.quantize(quantum)
 
 
 # ---------------------------------------------------------------------------

@@ -203,6 +203,23 @@ def test_render_bad_u_is_a_usage_error(tmp_path, capsys, u, reason):
     assert not out.exists()
 
 
+def test_negative_u_is_written_with_an_equals_sign(tmp_path, capsys):
+    # after a space argparse reads -1/2 as an option, so the help and the
+    # README show --u=-1/10; that form reaches the sector check
+    out = tmp_path / "o.svg"
+    with pytest.raises(SystemExit) as exc:
+        main(["render", "--u", "-1/2", "--out", str(out)])
+    assert exc.value.code == EXIT_USAGE
+    assert "argument --u: expected one argument" in capsys.readouterr().err
+    assert main(["render", "--u=-1/2", "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr().err == ("render: --u must lie in the closed "
+                                       "principal sector\n")
+    assert not out.exists()
+    with pytest.raises(SystemExit):
+        main(["render", "--help"])
+    assert "--u=-1/10" in capsys.readouterr().out.split()
+
+
 def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     # the path is checked before any suite runs or any strip is traced
     ledger = tmp_path / "missing" / "ledger.json"

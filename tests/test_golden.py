@@ -17,7 +17,10 @@ from pentaflow.golden import (
     T_MAP,
     ZERO,
     ONE,
+    decimal_of,
 )
+from pentaflow.directions import DirectionIndex, coordinate_of_index, index_strings_to_depth
+import reference
 from reference import g
 
 
@@ -93,6 +96,29 @@ def test_decimal_rendering():
     assert str(PHI.to_decimal(12)).startswith("1.6180339887")
     assert str(g(1, Fraction(-1, 2)).to_decimal(8)).startswith("0.1909830")
     assert str(SIN36.to_decimal(8)).startswith("0.5877852")
+
+
+def test_decimal_of_matches_the_retired_methods():
+    # every coordinate to depth 6 as (x, 0), then seeded random (x, 0) and
+    # (0, y); the digits and the exponent must agree, so the decimals are
+    # compared as strings
+    indices = {DirectionIndex.from_digits(s) for s in [(), *index_strings_to_depth(6)]}
+    coords = [coordinate_of_index(idx).value for idx in indices]
+    rng = random.Random(36)
+
+    def big():
+        return GoldenNum(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)),
+                         Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)))
+
+    pairs = [*((x, ZERO) for x in coords), *((big(), ZERO) for _ in range(4000)),
+             *((ZERO, big()) for _ in range(4000))]
+    assert len(coords) == 4096
+    for p, q in pairs:
+        for digits in (15, 20, 25):
+            got = str(decimal_of(p, q, digits))
+            assert got == str(reference.penta_to_decimal(PentaNum(p, q), digits))
+            if q.is_zero():
+                assert got == str(reference.golden_to_decimal(p, digits))
 
 
 def test_json_round_trip():

@@ -4,7 +4,14 @@ import tracemalloc
 import pytest
 
 from pentaflow import orbits
-from pentaflow.directions import BOTTOM, DirectionIndex, _exponents, index_strings_to_depth
+from pentaflow.directions import (
+    BOTTOM,
+    DirectionIndex,
+    _exponents,
+    arc_left_vertex,
+    arc_right_vertex,
+    index_strings_to_depth,
+)
 from pentaflow.orbits import (
     CyclicWord,
     OrbitVector,
@@ -25,7 +32,7 @@ from pentaflow.orbits import (
     vector_of,
     vectors_of_index,
 )
-from pentaflow.periods import child_periods, period_of_index
+from pentaflow.periods import period_of_index
 from pentaflow.verify import _all_indices
 import reference
 from reference import DEPTH3, W
@@ -258,15 +265,17 @@ def test_quintuple_relation():
     assert all(m == (z, z) for m in quintuple_relation(z, z, z, z))
 
 
-def test_quintuple_relation_matches_child_periods():
-    for left, right in [((), (1,)), ((1,), (2,)), ((0, 1), (0, 2))]:
-        li, ri = DirectionIndex(left), DirectionIndex(right)
-        a, A = vectors_of_index(li)
-        b, B = vectors_of_index(ri)
-        mids = quintuple_relation(a, A, b, B)
-        kids = child_periods(period_of_index(li), period_of_index(ri))
-        for (ms, ml), kid in zip(mids, kids):
-            assert (ms.period, ml.period) == kid.as_tuple()
+def test_quintuple_relation_gives_the_children_vectors():
+    # the arc formula on whole vectors: the three children of every arc to
+    # depth 4, left to right, against the exponent fold of each child
+    children = 0
+    for p in [(), *index_strings_to_depth(4)]:
+        a, A = vectors_of_index(arc_left_vertex(p))
+        b, B = vectors_of_index(arc_right_vertex(p))
+        for j, kid in enumerate(quintuple_relation(a, A, b, B), start=1):
+            assert kid == vectors_of_index(DirectionIndex.from_digits(p + (j,)))
+            children += 1
+    assert children == 1023
 
 
 def test_reduction_invariant():

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from pentaflow.cli import main
 from pentaflow.directions import BOTTOM, DirectionIndex, coordinate_of_index, index_strings_to_depth
 from pentaflow.golden import GoldenNum, PentaNum, PHI, ZERO
 from pentaflow.orbits import (
@@ -593,6 +594,33 @@ def test_trace_json_matches_pinned_file():
                       indent=2, sort_keys=True) + "\n"
     pinned = Path(__file__).parent / "data" / "trace_121.json"
     assert text == pinned.read_text()
+
+
+def test_display_forms_build_no_pentanum(monkeypatch, tmp_path, capsys):
+    # messages, trace JSON and SVGs are written from the chart's Q[phi]
+    # coordinates through golden.decimal_of, never through Q[phi][s]
+    def forbidden(*args):
+        raise AssertionError("a PentaNum was built")
+
+    monkeypatch.setattr(PentaNum, "__init__", forbidden)
+    idx = DirectionIndex((1,))
+    x = coordinate_of_index(idx).value
+    short, _ = periodic_orbits_for_coordinate(x, period_of_index(idx).long)
+    assert str(short.direction) == "(-4 + 5/2*phi, (1)*s)"
+    assert str(short.start) == "(5/2 - phi, 0)"
+    assert str(short.path[1][0]) == "(-1/20 + 1/10*phi, (-3/10 - 19/10*phi)*s)"
+    assert short.to_json()["displacement"] == {
+        "x": [[[-1, 2], [1, 2]], [[0, 1], [0, 1]]],
+        "y": [[[0, 1], [0, 1]], [[2, 1], [3, 1]]],
+        "decimal": ["0.30901699437494742410", "4.0287400534704069747"],
+    }
+    with pytest.raises(tracer.TraceBudgetExceeded) as err:
+        tracer.strip_cells_for_coordinate(x, 1)
+    assert str(err.value) == ("trace in direction (-4 + 5/2*phi, (1)*s) made 2 "
+                              "crossings without closing (cap 2)")
+    for argv in (("2",), ("2", "--billiard")):
+        assert main(["render", *argv, "--out", str(tmp_path / "o.svg")]) == 0
+    capsys.readouterr()
 
 
 def test_tracer_computes_nothing_in_q_phi_s(monkeypatch):
