@@ -20,6 +20,7 @@ from .directions import (
 from .golden import PHI, PHI2, S_SQUARED, ZERO, GoldenNum
 from .orbits import (
     OrbitVector,
+    _is_rotation,
     billiard_multiplier,
     orbit_of_index,
     roman_of_arabic,
@@ -164,13 +165,7 @@ def _arc_for_endpoints(left: DirectionIndex, right: DirectionIndex) -> tuple[int
 
 
 def _roman_bytes(idx: DirectionIndex, kind: str) -> bytes:
-    return bytes(roman_of_arabic(orbit_of_index(idx, kind)).symbols)
-
-
-def _is_rotation(x: bytes, ww: bytes) -> bool:
-    """Is x a rotation of the word w, given ww = w w?  Then ww.find(x) is
-    the offset of w's first rotation equal to x."""
-    return 2 * len(x) == len(ww) and x in ww
+    return roman_of_arabic(orbit_of_index(idx, kind)).symbols
 
 
 def _concat_witness(target: bytes, pieces: list[bytes]):

@@ -6,6 +6,10 @@ inserts the vertices passed along the chain graph 1 - 4 - 3 - 2 - 5;
 the converse deletes every symbol that is not sandwiched between equal
 neighbors.  The conventions that tie words to direction indices are fixed
 by calibration against the geometric tracer and recorded in CONVENTIONS.md.
+
+A word holds one byte per symbol.  Two words are equal up to rotation when
+one occurs in the other doubled (`_is_rotation`), the one rotation test,
+which the conjecture searches in `analysis` use as well.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ ROMAN_VALUES = {v: k for k, v in ROMAN_NAMES.items()}
 #: the chain graph as a line; adjacent entries are its edges
 CHAIN_ORDER = (1, 4, 3, 2, 5)
 _CHAIN_POS = {s: i for i, s in enumerate(CHAIN_ORDER)}
+_ALPHABET = bytes((1, 2, 3, 4, 5))
 
 #: Arabic pair <-> Roman symbol (the downward edges of the chain)
 ROMAN_OF_PAIR = {(4, 3): 1, (4, 1): 2, (2, 5): 3, (2, 3): 4}
@@ -37,29 +42,29 @@ class WordError(ValueError):
 class CyclicWord(FrozenValue):
     """A nonempty word considered up to rotation; equality is cyclic.
 
-    _canonical caches the least rotation, filled in by the first
-    canonical() call."""
+    symbols holds one byte per symbol.  Equal words have equal symbol
+    counts, so the hash is taken from the counts."""
 
-    __slots__ = ("symbols", "roman", "_canonical")
+    __slots__ = ("symbols", "roman")
 
-    def __init__(self, symbols: tuple[int, ...], roman: bool = False):
+    def __init__(self, symbols: Iterable[int], roman: bool = False):
+        if not isinstance(symbols, bytes):
+            symbols = tuple(symbols)
         if not symbols:
             raise WordError("empty word")
-        hi = 4 if roman else 5
-        for s in symbols:
-            if not 1 <= s <= hi:
-                raise WordError(f"symbol {s} out of range for this alphabet")
-        object.__setattr__(self, "symbols", symbols)
+        lo, hi = min(symbols), max(symbols)
+        if lo < 1 or hi > (4 if roman else 5):
+            raise WordError(f"symbol {lo if lo < 1 else hi} out of range for this alphabet")
+        object.__setattr__(self, "symbols", bytes(symbols))
         object.__setattr__(self, "roman", roman)
-        object.__setattr__(self, "_canonical", None)
 
     @staticmethod
     def arabic(symbols: Iterable[int]) -> "CyclicWord":
-        return CyclicWord(tuple(symbols), roman=False)
+        return CyclicWord(symbols, roman=False)
 
     @staticmethod
     def roman_word(symbols: Iterable[int]) -> "CyclicWord":
-        return CyclicWord(tuple(symbols), roman=True)
+        return CyclicWord(symbols, roman=True)
 
     @staticmethod
     def parse(text: str) -> "CyclicWord":
@@ -73,30 +78,30 @@ class CyclicWord(FrozenValue):
                 symbols.append(ROMAN_VALUES[p.upper()] if roman else int(p))
             except (KeyError, ValueError):
                 raise WordError(f"{p!r} is not a symbol of the word {text!r}") from None
-        return CyclicWord(tuple(symbols), roman=roman)
+        return CyclicWord(symbols, roman=roman)
 
     def __len__(self) -> int:
         return len(self.symbols)
 
-    def canonical(self) -> tuple[int, ...]:
-        """The lexicographically least rotation, computed once per word."""
-        if self._canonical is None:
-            k = _least_rotation_start(self.symbols)
-            object.__setattr__(self, "_canonical", self.symbols[k:] + self.symbols[:k])
-        return self._canonical
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, CyclicWord):
             return NotImplemented
-        return self.roman == other.roman and self.canonical() == other.canonical()
+        return self.roman == other.roman and _is_rotation(self.symbols, other.symbols * 2)
 
     def __hash__(self) -> int:
-        return hash((self.roman, self.canonical()))
+        return hash((self.roman, *map(self.symbols.count, _ALPHABET)))
 
     def __str__(self) -> str:
         if self.roman:
             return " ".join(ROMAN_NAMES[s] for s in self.symbols)
         return " ".join(str(s) for s in self.symbols)
+
+
+def _is_rotation(x: bytes, ww: bytes) -> bool:
+    """Is x a rotation of the word w, given ww = w w?  Then ww.find(x) is
+    the offset of w's first rotation equal to x.  The substring search is
+    linear (two-way string matching) on long words."""
+    return 2 * len(x) == len(ww) and x in ww
 
 
 def rotations(s: tuple[int, ...]):
@@ -108,31 +113,9 @@ def rotations(s: tuple[int, ...]):
         yield s[k:] + s[:k]
 
 
-def _least_rotation_start(s: tuple[int, ...]) -> int:
-    """Start of the lexicographically least rotation of s, in O(len(s)).
-
-    Booth, "Lexicographically least circular substrings" (1980): the
-    Knuth-Morris-Pratt failure function of s s, kept relative to the best
-    start k found so far; a mismatch against a smaller symbol moves k.
-    """
-    ss = s + s
-    fail = [-1] * len(ss)
-    k = 0
-    for j in range(1, len(ss)):
-        c = ss[j]
-        i = fail[j - k - 1]
-        while i != -1 and c != ss[k + i + 1]:
-            if c < ss[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if c != ss[k + i + 1]:
-            # here i == -1, so c was compared with ss[k]
-            if c < ss[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return k
+#: the Arabic alphabet rotated by 0..4, as translation tables
+_SHIFTS = tuple(bytes.maketrans(_ALPHABET, _ALPHABET[j:] + _ALPHABET[:j])
+                for j in range(5))
 
 
 def rotate_alphabet(w: CyclicWord, j: int) -> CyclicWord:
@@ -141,7 +124,7 @@ def rotate_alphabet(w: CyclicWord, j: int) -> CyclicWord:
         raise WordError("alphabet rotation applies to Arabic words")
     if not 0 <= j <= 4:
         raise WordError("shift must lie in 0..4")
-    return CyclicWord(tuple((s - 1 + j) % 5 + 1 for s in w.symbols))
+    return CyclicWord(w.symbols.translate(_SHIFTS[j]))
 
 
 def _chain_path_interior(a: int, b: int) -> tuple[int, ...]:
@@ -150,16 +133,18 @@ def _chain_path_interior(a: int, b: int) -> tuple[int, ...]:
     return tuple(CHAIN_ORDER[i] for i in range(ia + step, ib, step)) if ia != ib else ()
 
 
+#: _STEPS[a][b] is a followed by the chain vertices passed on the way to
+#: b; the lists are indexed by symbol, so entry 0 is unused
+_STEPS = [None] + [[None] + [bytes((a, *_chain_path_interior(a, b))) for b in _ALPHABET]
+                   for a in _ALPHABET]
+
+
 def enhance(w: CyclicWord) -> CyclicWord:
     """Insert the chain-graph vertices passed between consecutive symbols."""
     if w.roman:
         raise WordError("enhancement applies to Arabic words")
-    out: list[int] = []
-    n = len(w.symbols)
-    for i, s in enumerate(w.symbols):
-        out.append(s)
-        out.extend(_chain_path_interior(s, w.symbols[(i + 1) % n]))
-    return CyclicWord(tuple(out))
+    s = w.symbols
+    return CyclicWord(b"".join([_STEPS[a][b] for a, b in zip(s, s[1:] + s[:1])]))
 
 
 def reduce_word(w: CyclicWord) -> CyclicWord:
@@ -167,8 +152,7 @@ def reduce_word(w: CyclicWord) -> CyclicWord:
     if w.roman:
         raise WordError("reduction applies to Arabic words")
     s = w.symbols
-    n = len(s)
-    kept = tuple(s[i] for i in range(n) if s[(i - 1) % n] == s[(i + 1) % n])
+    kept = bytes(b for a, b, c in zip(s[-1:] + s[:-1], s, s[1:] + s[:1]) if a == c)
     if not kept:
         raise WordError("no sandwiched symbols; not an enhanced orbit")
     return CyclicWord(kept)
@@ -185,25 +169,17 @@ def roman_of_arabic(w: CyclicWord) -> CyclicWord:
     last_bad = 0
     for offset in (0, 1):
         rot = s[offset:] + s[:offset]
-        roman = []
-        for i in range(0, n, 2):
-            pair = (rot[i], rot[i + 1])
-            if pair not in ROMAN_OF_PAIR:
-                last_bad = (offset + i) % n
-                break
-            roman.append(ROMAN_OF_PAIR[pair])
-        else:
-            return CyclicWord(tuple(roman), roman=True)
+        roman = [ROMAN_OF_PAIR.get(pair) for pair in zip(rot[::2], rot[1::2])]
+        if None not in roman:
+            return CyclicWord(bytes(roman), roman=True)
+        last_bad = (offset + 2 * roman.index(None)) % n
     raise WordError(f"no rotation parses into the four pairs (near position {last_bad})")
 
 
 def arabic_of_roman(w: CyclicWord) -> CyclicWord:
     if not w.roman:
         return w
-    out: list[int] = []
-    for s in w.symbols:
-        out.extend(PAIR_OF_ROMAN[s])
-    return CyclicWord(tuple(out))
+    return CyclicWord(bytes(a for s in w.symbols for a in PAIR_OF_ROMAN[s]))
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ from pentaflow.orbits import (
     BASE_ORBITS,
     CyclicWord,
     Kind,
-    enhance,
-    rotate_alphabet,
+    WordError,
+    _chain_path_interior,
     rotations,
 )
 from pentaflow.periods import PeriodPair
@@ -271,7 +271,7 @@ def strips_by_trial(x: GoldenNum, expected_long: int):
         except SaddleConnectionError:
             continue
         assert res.closed
-        found.setdefault(res.word.canonical(), res)
+        found.setdefault(least_rotation(res.word.symbols), res)
         if len(found) == 2:
             break
     return sorted(found.values(), key=lambda r: (len(r.word), r.length_squared))
@@ -344,10 +344,84 @@ def _fold_by_mirroring(ms):
 
 
 # ---------------------------------------------------------------------------
+# the words over tuples, as they stood at `cbf8adc`.  They guard
+# `CyclicWord`'s equality and hash, `orbits.rotate_alphabet` and
+# `orbits.enhance`, which work on the symbols as bytes since the next
+# commit: a rotation is a substring of the doubled word, and the word
+# operations are translation and step tables.
+
+
+def _least_rotation_start(s: tuple[int, ...]) -> int:
+    """Start of the lexicographically least rotation of s, in O(len(s)).
+
+    Booth, "Lexicographically least circular substrings" (1980): the
+    Knuth-Morris-Pratt failure function of s s, kept relative to the best
+    start k found so far; a mismatch against a smaller symbol moves k.
+    """
+    ss = s + s
+    fail = [-1] * len(ss)
+    k = 0
+    for j in range(1, len(ss)):
+        c = ss[j]
+        i = fail[j - k - 1]
+        while i != -1 and c != ss[k + i + 1]:
+            if c < ss[k + i + 1]:
+                k = j - i - 1
+            i = fail[i]
+        if c != ss[k + i + 1]:
+            # here i == -1, so c was compared with ss[k]
+            if c < ss[k]:
+                k = j
+            fail[j - k] = -1
+        else:
+            fail[j - k] = i + 1
+    return k
+
+
+def least_rotation(s) -> tuple[int, ...]:
+    """The least rotation of a symbol sequence, as a tuple: the key that
+    two words over one alphabet share exactly when they are rotations of
+    each other.
+
+    Guards `CyclicWord`'s equality and hash, which it held until it was
+    retired after `cbf8adc`."""
+    s = tuple(s)
+    k = _least_rotation_start(s)
+    return s[k:] + s[:k]
+
+
+def rotate_alphabet(w: CyclicWord, j: int) -> CyclicWord:
+    """Shift every Arabic symbol by j, cyclically in {1..5}.
+
+    Guards `orbits.rotate_alphabet`, one translation table per shift;
+    retired after `cbf8adc`."""
+    if w.roman:
+        raise WordError("alphabet rotation applies to Arabic words")
+    if not 0 <= j <= 4:
+        raise WordError("shift must lie in 0..4")
+    return CyclicWord(tuple((s - 1 + j) % 5 + 1 for s in w.symbols))
+
+
+def enhance(w: CyclicWord) -> CyclicWord:
+    """Insert the chain-graph vertices passed between consecutive symbols.
+
+    Guards `orbits.enhance`, which joins the steps of a table built from
+    the same chain paths; retired after `cbf8adc`."""
+    if w.roman:
+        raise WordError("enhancement applies to Arabic words")
+    out: list[int] = []
+    n = len(w.symbols)
+    for i, s in enumerate(w.symbols):
+        out.append(s)
+        out.extend(_chain_path_interior(s, w.symbols[(i + 1) % n]))
+    return CyclicWord(tuple(out))
+
+
+# ---------------------------------------------------------------------------
 # the orbit engine by parent digits, as it stood at `cf8371d`.  It guards
 # `orbits.orbit_of_index`, which walks the rotation exponents of
-# `directions._exponents` since the next commit; both routes rotate and
-# enhance the same words.
+# `directions._exponents` since the next commit.  It rotates and enhances
+# by the tuple routes above, not by the package's tables.
 
 
 def _generation_step(digits: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
@@ -412,10 +486,12 @@ def period_by_matrices(idx: DirectionIndex) -> PeriodPair:
 
 # ---------------------------------------------------------------------------
 # the concatenation searches as they stood before the doubled-word rotation
-# test: each candidate is a fresh CyclicWord compared by its least rotation.
-# They guard `analysis.check_conjecture_concat` and
-# `analysis.check_conjecture_splitting`, whose searches test a rotation as a
-# substring of the doubled Roman word since `cd9cfce`.
+# test, over tuples: each candidate is compared with the chain words by
+# `least_rotation`, not by the package's `CyclicWord ==`, which shares the
+# substring test since `least_rotation` was retired after `cbf8adc`.  They guard
+# `analysis.check_conjecture_concat` and `analysis.check_conjecture_splitting`,
+# whose searches test a rotation as a substring of the doubled Roman word
+# since `cd9cfce`.
 
 
 def _concat_witness(target: CyclicWord, pieces: list[tuple[int, ...]]):
@@ -423,7 +499,8 @@ def _concat_witness(target: CyclicWord, pieces: list[tuple[int, ...]]):
     of the pieces, in order?  Returns the witness offsets or None.
 
     Guards `analysis._concat_witness`; retired at `cd9cfce`."""
-    total = target.symbols
+    total = tuple(target.symbols)
+    pieces = [tuple(p) for p in pieces]
     if sum(len(p) for p in pieces) != len(total):
         return None
     # each rotation of a piece -> its first offset in rotations(piece)
@@ -445,10 +522,15 @@ def _concat_witness(target: CyclicWord, pieces: list[tuple[int, ...]]):
     return None
 
 
+def _keys(words: list[CyclicWord]) -> list[tuple[int, ...]]:
+    return [least_rotation(w.symbols) for w in words]
+
+
 def _find_splitting(S, L, shorts, longs, side) -> SplittingWitness | None:
     """The chain splitting around a generic center.
 
     Guards `analysis._find_splitting`; retired at `cd9cfce`."""
+    shorts, longs = _keys(shorts), _keys(longs)
     s0 = shorts[0]
     l0 = longs[0]
     n_l, n_s = len(L), len(S)
@@ -459,7 +541,7 @@ def _find_splitting(S, L, shorts, longs, side) -> SplittingWitness | None:
     if cut <= n_l:
         for rot in rotations(L):
             ap, bp = rot[:cut], rot[cut:]
-            if ap and CyclicWord.roman_word(ap) == s0:
+            if ap and least_rotation(ap) == s0:
                 ab_primes.append((ap, bp))
     if not ab_primes:
         return None
@@ -475,7 +557,7 @@ def _find_splitting(S, L, shorts, longs, side) -> SplittingWitness | None:
                 c, d = rot_s[:n_s - d_len], rot_s[n_s - d_len:]
                 if len(d) + len(a) == 0:
                     continue
-                if CyclicWord.roman_word(d + a) != l0:
+                if least_rotation(d + a) != l0:
                     continue
                 for ap, bp in ab_primes:
                     pref = _prefix_compatible(a, bp)
@@ -487,15 +569,16 @@ def _find_splitting(S, L, shorts, longs, side) -> SplittingWitness | None:
 
 
 def _verify_chain(ap, bp, a, b, c, d, shorts, longs) -> bool:
-    """Every chain member matches the pattern built from the pieces.
+    """Every chain member, given by its key, matches the pattern built from
+    the pieces.
 
     Guards `analysis._verify_chain`; retired at `cd9cfce`."""
     for i in range(1, len(shorts)):
         want_s = ap + (bp + ap) * i
         want_l = d + (c + d) * i + (a + b) * i + a
-        if CyclicWord.roman_word(want_s) != shorts[i]:
+        if least_rotation(want_s) != shorts[i]:
             return False
-        if CyclicWord.roman_word(want_l) != longs[i]:
+        if least_rotation(want_l) != longs[i]:
             return False
     return True
 
@@ -506,17 +589,18 @@ def _find_corner_splitting(S, L, shorts, longs, side) -> SplittingWitness | None
     short_i = s0 L^i and long_i = l0 L^i S^i, over aligned rotations.
 
     Guards `analysis._find_corner_splitting`; retired at `cd9cfce`."""
-    s0 = shorts[0].symbols
-    l0 = longs[0].symbols
+    s0 = tuple(shorts[0].symbols)
+    l0 = tuple(longs[0].symbols)
+    shorts, longs = _keys(shorts), _keys(longs)
     for rs0 in rotations(s0):
         for rl in rotations(L):
-            if any(CyclicWord.roman_word(rs0 + rl * i) != shorts[i]
+            if any(least_rotation(rs0 + rl * i) != shorts[i]
                    for i in range(1, len(shorts))):
                 continue
             for rl0 in rotations(l0):
                 for rl2 in rotations(L):
                     for rs in rotations(S):
-                        if all(CyclicWord.roman_word(rl0 + rl2 * i + rs * i) == longs[i]
+                        if all(least_rotation(rl0 + rl2 * i + rs * i) == longs[i]
                                for i in range(1, len(longs))):
                             return SplittingWitness(side, rs, (), rl2, (), rl, rs0, 0)
     return None

@@ -219,7 +219,7 @@ def test_splitting_witnesses_equal_the_reference_search(radius):
     same witnesses, piece for piece."""
     for beta in DEPTH3_AND_BOTTOM:
         rep = check_conjecture_splitting(beta, radius)
-        S, L = _roman(beta, "short").symbols, _roman(beta, "long").symbols
+        S, L = tuple(_roman(beta, "short").symbols), tuple(_roman(beta, "long").symbols)
         search = _find_corner_splitting if beta.bottom or not beta.digits else _find_splitting
         want = []
         for side in ("upper", "lower"):

@@ -61,21 +61,32 @@ def test_cyclic_equality():
     assert hash(W("2 5")) == hash(W("5 2"))
 
 
-def test_canonical_is_least_rotation():
+def test_equality_and_hash_follow_the_least_rotation():
     rng = random.Random(19800101)
     words = [(1, 2) * 7, (2, 1) * 7, (3,) * 9, (4,), (2, 1), (1, 2), (5, 5)]
     for _ in range(300):
         n = rng.randint(1, 40)
         hi = rng.choice((2, 3, 5))
         words.append(tuple(rng.randint(1, hi) for _ in range(n)))
-    for s in words:
-        w = CyclicWord.arabic(s)
-        assert w.canonical() == min(rotations(s)), s
-    # the cache is filled on first use and plays no part in equality or repr
-    a, b = W("4 1 4 3 2 3 4 1"), W("4 3 2 3 4 1 4 1")
-    a.canonical()
-    assert a == b and hash(a) == hash(b)
-    assert repr(a) == "CyclicWord(symbols=(4, 1, 4, 3, 2, 3, 4, 1), roman=False)"
+    # equal counts that are no rotation, and a rotation's square
+    words += [(1, 2, 1, 2), (1, 1, 2, 2), (2, 5), (2, 5, 2, 5)]
+    for roman in (False, True):
+        pool = [s for s in words if max(s) <= (4 if roman else 5)]
+        keys = [reference.least_rotation(s) for s in pool]
+        cyclic = [CyclicWord(s, roman) for s in pool]
+        for s, key, w in zip(pool, keys, cyclic):
+            assert key == min(rotations(s)), s
+            k = rng.randrange(len(s))
+            turned = CyclicWord(s[k:] + s[:k], roman)
+            assert turned == w and hash(turned) == hash(w), s
+            if max(s) <= 4:  # the same symbols in the other alphabet
+                assert w != CyclicWord(s, not roman)
+            for other_key, v in zip(keys, cyclic):
+                assert (w == v) == (key == other_key), (s, v)
+                if key == other_key:
+                    assert hash(w) == hash(v)
+    assert W("1 2 1 2") != W("1 1 2 2") and hash(W("1 2 1 2")) == hash(W("1 1 2 2"))
+    assert W("2 5") != W("2 5 2 5") and W("2 5 2 5") != W("2 5")
 
 
 @pytest.mark.parametrize("text, bad", [

@@ -102,7 +102,9 @@ def test_value_contract(cases, name):
     assert changed != v and not changed == v
 
     if name == "CyclicWord":
-        assert hash(v) == hash(rebuilt) == hash((v.roman, v.canonical()))
+        # the hash is the same for every rotation, and equality is cyclic
+        rotated = cls(v.symbols[1:] + v.symbols[:1], v.roman)
+        assert hash(v) == hash(rebuilt) == hash(rotated) and rotated == v
     elif name == "IETSpec":
         with pytest.raises(TypeError):  # its translations are a dict
             hash(v)
@@ -127,7 +129,8 @@ def test_reprs_name_every_field():
     assert repr(PeriodPair(2, 3)) == "PeriodPair(short=2, long=3)"
     assert repr(DirectionIndex(bottom=True)) == "DirectionIndex(digits=(), bottom=True)"
     assert repr(ProjectivePoint(None)) == "ProjectivePoint(value=None)"
-    assert repr(CyclicWord((4, 1), roman=True)) == "CyclicWord(symbols=(4, 1), roman=True)"
+    assert repr(CyclicWord((4, 1), roman=True)) == \
+        "CyclicWord(symbols=b'\\x04\\x01', roman=True)"
 
 
 def _raises(exc, message):
@@ -154,6 +157,11 @@ def test_constructors_keep_their_validation():
         CyclicWord((2, 6))
     with _raises(WordError, "symbol 5 out of range for this alphabet"):
         CyclicWord((5,), roman=True)
+    # symbols are held as bytes, so values outside 0..255 must not reach
+    # bytes() and its ValueError
+    for bad in (0, -1, 300):
+        with _raises(WordError, f"symbol {bad} out of range for this alphabet"):
+            CyclicWord((bad,))
 
 
 def test_import_loads_no_dataclass_machinery():
