@@ -61,7 +61,7 @@ def length_squared_formula(v: OrbitVector, x: GoldenNum) -> GoldenNum:
     the squared length is phi^4 (x^2 + s^2) ((c+f) phi + (d+e))^2.
     """
     count = PHI * GoldenNum.of(v.c + v.f) + GoldenNum.of(v.d + v.e)
-    return (PHI ** 4) * (x * x + S_SQUARED) * count * count
+    return PHI2 * PHI2 * (x * x + S_SQUARED) * count * count
 
 
 def length_identity_holds(v: OrbitVector, x: GoldenNum) -> bool:
@@ -74,14 +74,6 @@ class LengthReport(NamedTuple):
     short_length_squared: GoldenNum
     long_length_squared: GoldenNum
     multiplier: int
-
-    @property
-    def short_length(self) -> float:
-        return float(self.short_length_squared) ** 0.5
-
-    @property
-    def long_length(self) -> float:
-        return float(self.long_length_squared) ** 0.5
 
 
 def length_report(idx: DirectionIndex) -> LengthReport:

@@ -105,18 +105,6 @@ class GoldenNum(FrozenValue):
     def __truediv__(self, other: "GoldenNum") -> "GoldenNum":
         return self * other.inverse()
 
-    def __pow__(self, k: int) -> "GoldenNum":
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = ONE
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
@@ -151,9 +139,6 @@ class GoldenNum(FrozenValue):
 
     def to_decimal(self, digits: int = 30) -> decimal.Decimal:
         return decimal_of(self, ZERO, digits)
-
-    def __float__(self) -> float:
-        return float(self.to_decimal(25))
 
     def to_json(self) -> list:
         return [[self.a.numerator, self.a.denominator],
@@ -271,9 +256,6 @@ class PentaNum(FrozenValue):
     def to_decimal(self, digits: int = 30) -> decimal.Decimal:
         return decimal_of(self.p, self.q, digits)
 
-    def __float__(self) -> float:
-        return float(self.to_decimal(25))
-
     def to_json(self) -> list:
         return [self.p.to_json(), self.q.to_json()]
 
@@ -345,35 +327,6 @@ class MoebiusMap(FrozenValue):
     def inverse(self) -> "MoebiusMap":
         # projective inverse: the adjugate
         return MoebiusMap(self.d, -self.b, -self.c, self.a)
-
-    def power(self, k: int) -> "MoebiusMap":
-        if k < 0:
-            return self.inverse().power(-k)
-        out = IDENTITY_MAP
-        base = self
-        while k:
-            if k & 1:
-                out = out @ base
-            base = base @ base
-            k >>= 1
-        return out
-
-    def projectively_equal(self, other: "MoebiusMap") -> bool:
-        """Equality up to a nonzero scalar, by cross multiplication."""
-        mine = (self.a, self.b, self.c, self.d)
-        theirs = (other.a, other.b, other.c, other.d)
-        pivot = next((i for i, e in enumerate(mine) if not e.is_zero()), None)
-        if pivot is None:
-            return all(e.is_zero() for e in theirs)
-        if theirs[pivot].is_zero():
-            return False
-        lam_num, lam_den = theirs[pivot], mine[pivot]
-        return all(
-            (mine[i] * lam_num - theirs[i] * lam_den).is_zero() for i in range(4)
-        )
-
-    def is_identity_projective(self) -> bool:
-        return self.projectively_equal(IDENTITY_MAP)
 
 
 IDENTITY_MAP = MoebiusMap(ONE, ZERO, ZERO, ONE)

@@ -27,10 +27,10 @@ ROMAN_VALUES = {v: k for k, v in ROMAN_NAMES.items()}
 CHAIN_ORDER = (1, 4, 3, 2, 5)
 _CHAIN_POS = {s: i for i, s in enumerate(CHAIN_ORDER)}
 _ALPHABET = bytes((1, 2, 3, 4, 5))
+_ROMAN_ALPHABET = _ALPHABET[:4]
 
-#: Arabic pair <-> Roman symbol (the downward edges of the chain)
+#: Arabic pair -> Roman symbol (the downward edges of the chain)
 ROMAN_OF_PAIR = {(4, 3): 1, (4, 1): 2, (2, 5): 3, (2, 3): 4}
-PAIR_OF_ROMAN = {v: k for k, v in ROMAN_OF_PAIR.items()}
 
 Kind = Literal["short", "long"]
 
@@ -48,13 +48,18 @@ class CyclicWord(FrozenValue):
     __slots__ = ("symbols", "roman")
 
     def __init__(self, symbols: Iterable[int], roman: bool = False):
-        if not isinstance(symbols, bytes):
-            symbols = tuple(symbols)
+        # bad: the bytes outside the alphabet, or every symbol of a non-bytes
+        # input, whose values need not fit in a byte
+        if isinstance(symbols, bytes):
+            bad = symbols.translate(None, _ROMAN_ALPHABET if roman else _ALPHABET)
+        else:
+            symbols = bad = tuple(symbols)
         if not symbols:
             raise WordError("empty word")
-        lo, hi = min(symbols), max(symbols)
-        if lo < 1 or hi > (4 if roman else 5):
-            raise WordError(f"symbol {lo if lo < 1 else hi} out of range for this alphabet")
+        if bad:
+            lo, hi = min(bad), max(bad)
+            if lo < 1 or hi > (4 if roman else 5):
+                raise WordError(f"symbol {lo if lo < 1 else hi} out of range for this alphabet")
         object.__setattr__(self, "symbols", bytes(symbols))
         object.__setattr__(self, "roman", roman)
 
@@ -134,8 +139,11 @@ def _chain_path_interior(a: int, b: int) -> tuple[int, ...]:
 
 
 #: _STEPS[a][b] is a followed by the chain vertices passed on the way to
-#: b; the lists are indexed by symbol, so entry 0 is unused
-_STEPS = [None] + [[None] + [bytes((a, *_chain_path_interior(a, b))) for b in _ALPHABET]
+#: b, one latin-1 character per symbol; the lists are indexed by symbol, so
+#: entry 0 is unused.  str pieces, because bytes.join holds a buffer view
+#: of about 80 bytes per piece while it joins
+_STEPS = [None] + [[None] + [bytes((a, *_chain_path_interior(a, b))).decode("latin-1")
+                            for b in _ALPHABET]
                    for a in _ALPHABET]
 
 
@@ -144,7 +152,8 @@ def enhance(w: CyclicWord) -> CyclicWord:
     if w.roman:
         raise WordError("enhancement applies to Arabic words")
     s = w.symbols
-    return CyclicWord(b"".join([_STEPS[a][b] for a, b in zip(s, s[1:] + s[:1])]))
+    steps = "".join([_STEPS[a][b] for a, b in zip(s, s[1:] + s[:1])])
+    return CyclicWord(steps.encode("latin-1"))
 
 
 def reduce_word(w: CyclicWord) -> CyclicWord:
@@ -174,12 +183,6 @@ def roman_of_arabic(w: CyclicWord) -> CyclicWord:
             return CyclicWord(bytes(roman), roman=True)
         last_bad = (offset + 2 * roman.index(None)) % n
     raise WordError(f"no rotation parses into the four pairs (near position {last_bad})")
-
-
-def arabic_of_roman(w: CyclicWord) -> CyclicWord:
-    if not w.roman:
-        return w
-    return CyclicWord(bytes(a for s in w.symbols for a in PAIR_OF_ROMAN[s]))
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +315,3 @@ def vectors_of_index(idx: DirectionIndex) -> tuple[OrbitVector, OrbitVector]:
     for shift in reversed(_exponents(idx.digits)):
         short, long = apply_L(shift, short), apply_L(shift, long)
     return short, long
-
-
-def mirror_vector(v: OrbitVector) -> OrbitVector:
-    """Vector of the reflected orbit: component order reverses."""
-    return OrbitVector(v.f, v.e, v.d, v.c)

@@ -28,12 +28,6 @@ class PeriodPair(FrozenValue):
         """The element short + long*phi of Z[phi]."""
         return GoldenNum.of(self.short, self.long)
 
-    @staticmethod
-    def decode(x: GoldenNum) -> "PeriodPair":
-        if x.a.denominator != 1 or x.b.denominator != 1:
-            raise ValueError(f"not an integer golden number: {x}")
-        return PeriodPair(int(x.a), int(x.b))
-
     @property
     def arabic(self) -> tuple[int, int]:
         return (2 * self.short, 2 * self.long)

@@ -10,6 +10,8 @@ The test modules import this file as `reference`: `tests/` has no
 import decimal
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import matmul
 
 from pentaflow import directions, tracer
 from pentaflow.analysis import SplittingWitness, _prefix_compatible
@@ -22,9 +24,20 @@ from pentaflow.directions import (
     in_closed_sector,
     mirror_digits,
 )
-from pentaflow.golden import GoldenNum, ONE, PHI, PHI2, ProjectivePoint, R_MAP, T_MAP, ZERO
+from pentaflow.golden import (
+    GoldenNum,
+    MoebiusMap,
+    ONE,
+    PHI,
+    PHI2,
+    ProjectivePoint,
+    R_MAP,
+    T_MAP,
+    ZERO,
+)
 from pentaflow.orbits import (
     BASE_ORBITS,
+    ROMAN_OF_PAIR,
     CyclicWord,
     Kind,
     WordError,
@@ -110,6 +123,42 @@ def penta_to_decimal(self, digits: int = 30) -> decimal.Decimal:
         quantum = (decimal.Decimal(1).scaleb(val.adjusted() - digits + 1)
                    if val != 0 else decimal.Decimal(1).scaleb(-digits))
         return +val.quantize(quantum)
+
+
+# ---------------------------------------------------------------------------
+# the helpers that nothing in the package called, as they stood at
+# `28461b3`, when they were deleted.  The tests still check the facts they
+# stated: the projective orders of the generators and the Roman parse's
+# inverse.
+
+
+def projectively_equal(m: MoebiusMap, n: MoebiusMap) -> bool:
+    """Equality up to a nonzero scalar, by cross multiplication.
+
+    Was `MoebiusMap.projectively_equal`."""
+    mine = (m.a, m.b, m.c, m.d)
+    theirs = (n.a, n.b, n.c, n.d)
+    pivot = next((i for i, e in enumerate(mine) if not e.is_zero()), None)
+    if pivot is None:
+        return all(e.is_zero() for e in theirs)
+    if theirs[pivot].is_zero():
+        return False
+    lam_num, lam_den = theirs[pivot], mine[pivot]
+    return all(
+        (mine[i] * lam_num - theirs[i] * lam_den).is_zero() for i in range(4)
+    )
+
+
+PAIR_OF_ROMAN = {v: k for k, v in ROMAN_OF_PAIR.items()}
+
+
+def arabic_of_roman(w: CyclicWord) -> CyclicWord:
+    """The Arabic word of a Roman one, each symbol written as its pair.
+
+    Was `orbits.arabic_of_roman`; checks `orbits.roman_of_arabic`."""
+    if not w.roman:
+        return w
+    return CyclicWord(bytes(a for s in w.symbols for a in PAIR_OF_ROMAN[s]))
 
 
 # ---------------------------------------------------------------------------
@@ -281,7 +330,7 @@ def strips_by_trial(x: GoldenNum, expected_long: int):
 # the directions
 
 
-T_POWERS = {m: T_MAP.power(m) for m in (1, 2, 3, 4)}
+T_POWERS = dict(enumerate(accumulate([T_MAP] * 4, matmul), start=1))
 
 
 def _coordinate_sequential(idx: DirectionIndex) -> ProjectivePoint:
@@ -481,7 +530,9 @@ def period_by_matrices(idx: DirectionIndex) -> PeriodPair:
     vectors' exponent fold."""
     if idx.bottom:
         return PeriodPair(1, 1)
-    return PeriodPair.decode(_period_vector(idx.digits)[0])
+    x = _period_vector(idx.digits)[0]
+    assert x.a.denominator == x.b.denominator == 1, x
+    return PeriodPair(int(x.a), int(x.b))
 
 
 # ---------------------------------------------------------------------------

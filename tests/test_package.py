@@ -119,3 +119,18 @@ def test_unknown_name_raises_attribute_error():
         pentaflow.no_such_name
     with pytest.raises(ImportError):
         exec("from pentaflow import no_such_name", {})
+
+
+def test_the_benchmark_hooks_install():
+    # bench/tracing.py wraps layer entry points and field and word methods by
+    # name, so deleting a name it wraps fails here and not first in the
+    # benchmark; a fresh interpreter, because install rebinds module names
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    src = Path(pentaflow.__file__).parents[1]
+    code = (f"import sys\nsys.path[:0] = [{str(bench)!r}, {str(src)!r}]\n"
+            "import pentaflow, tracing\n"
+            "recorder = tracing.Recorder(pentaflow)\n"
+            "recorder.install()\n"
+            "recorder.restore_classes()\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

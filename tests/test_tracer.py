@@ -145,7 +145,7 @@ def test_boundary_strip_words_and_displacements():
     lx, ly = long.displacement
     assert lx == U_VEC.x * PHI and ly == U_VEC.y * PHI
     assert short.length_squared == PHI * PHI
-    assert long.length_squared == PHI ** 4
+    assert long.length_squared == PHI * PHI * PHI * PHI
 
 
 def test_budget_exhaustion_reports_open_trace():
