@@ -54,12 +54,6 @@ def unwritable(path: str) -> str | None:
     return None
 
 
-def _coord_json(x) -> dict:
-    if x.is_infinity:
-        return {"infinity": True}
-    return {"coeffs": x.value.to_json(), "decimal": str(x.value.to_decimal(20))}
-
-
 def cmd_direction(args) -> int:
     import json
 
@@ -67,14 +61,16 @@ def cmd_direction(args) -> int:
     from .orbits import billiard_multiplier, vectors_of_index
 
     idx = _parse_index(args)
-    coord = coordinate_of_index(idx)
+    # a finite point: the factor maps fold ALPHA_COORD through the sector
+    coord = coordinate_of_index(idx).value
     # the periods are the vectors' symbol counts, Arabic words twice as long
     sv, lv = vectors_of_index(idx)
     mult = billiard_multiplier(sv)
     if args.json:
         out = {
             "index": str(idx),
-            "coordinate": _coord_json(coord),
+            "coordinate": {"coeffs": coord.to_json(),
+                           "decimal": str(coord.to_decimal(20))},
             "periods": {"short": sv.period, "long": lv.period,
                         "arabic": [2 * sv.period, 2 * lv.period]},
             "vectors": {"short": sv.as_tuple(), "long": lv.as_tuple()},
@@ -83,8 +79,7 @@ def cmd_direction(args) -> int:
         print(json.dumps(out, indent=2, sort_keys=True))
     else:
         print(f"index:       {idx}")
-        print(f"coordinate:  {coord}" + (
-            "" if coord.is_infinity else f"  ({coord.value.to_decimal(15)})"))
+        print(f"coordinate:  {coord}  ({coord.to_decimal(15)})")
         print(f"periods:     short {sv.period}, long {lv.period} "
               f"(arabic {2 * sv.period}, {2 * lv.period})")
         print(f"vectors:     short {sv}, long {lv}")

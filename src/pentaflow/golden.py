@@ -4,9 +4,9 @@ GoldenNum is a + b*phi with rational a, b and phi = (1+sqrt5)/2, so
 phi**2 = phi + 1.  Every predicate in this package (sign, equality,
 ordering) is decided by exact integer arithmetic in Q[phi].  A true plane
 coordinate may carry s = sin(36 degrees), s**2 = (3 - phi)/4; it is kept
-as the pair (p, q) meaning p + q*s, and decimal_of is the one output
-boundary.  PentaNum, that pair as an element of Q[phi][s], has its own
-arithmetic; the package computes and displays without it.
+as the pair (p, q) of golden numbers meaning p + q*s, and decimal_of is the
+one output boundary.  PentaNum, that pair as an element of Q[phi][s], keeps
+only the multiply, inverse and sign the traced benchmark times.
 """
 
 from __future__ import annotations
@@ -187,30 +187,17 @@ def decimal_of(p: GoldenNum, q: GoldenNum, digits: int) -> decimal.Decimal:
 
 
 class PentaNum(FrozenValue):
-    """Element p + q*s of Q[phi][s] with s = sin 36 degrees."""
+    """Element p + q*s of Q[phi][s] with s = sin 36 degrees.
+
+    The package computes in Q[phi] alone.  These members stay because the
+    traced benchmark counts and times them (the `penta.*` counters), until
+    those counters become optional (ROADMAP item 1)."""
 
     __slots__ = ("p", "q")
 
     def __init__(self, p: GoldenNum, q: GoldenNum):
         _set(self, "p", p)
         _set(self, "q", q)
-
-    @staticmethod
-    def of(p: GoldenNum, q: GoldenNum = ZERO) -> "PentaNum":
-        return PentaNum(p, q)
-
-    @staticmethod
-    def rational(x: Rational) -> "PentaNum":
-        return PentaNum(GoldenNum.of(x), ZERO)
-
-    def __add__(self, other: "PentaNum") -> "PentaNum":
-        return PentaNum(self.p + other.p, self.q + other.q)
-
-    def __sub__(self, other: "PentaNum") -> "PentaNum":
-        return PentaNum(self.p - other.p, self.q - other.q)
-
-    def __neg__(self) -> "PentaNum":
-        return PentaNum(-self.p, -self.q)
 
     def __mul__(self, other: "PentaNum") -> "PentaNum":
         # reduce s^2 = (3 - phi)/4 so (p, q) stays canonical
@@ -228,9 +215,6 @@ class PentaNum(FrozenValue):
         dinv = d.inverse()
         return PentaNum(self.p * dinv, -self.q * dinv)
 
-    def __truediv__(self, other: "PentaNum") -> "PentaNum":
-        return self * other.inverse()
-
     def is_zero(self) -> bool:
         return self.p.is_zero() and self.q.is_zero()
 
@@ -246,33 +230,6 @@ class PentaNum(FrozenValue):
         # opposite signs: compare p^2 against q^2 s^2 inside Q[phi]
         d = self.p * self.p - self.q * self.q * S_SQUARED
         return sp * d.sign()
-
-    def __lt__(self, other: "PentaNum") -> bool:
-        return (self - other).sign() < 0
-
-    def __le__(self, other: "PentaNum") -> bool:
-        return (self - other).sign() <= 0
-
-    def to_decimal(self, digits: int = 30) -> decimal.Decimal:
-        return decimal_of(self.p, self.q, digits)
-
-    def to_json(self) -> list:
-        return [self.p.to_json(), self.q.to_json()]
-
-    @staticmethod
-    def from_json(data: list) -> "PentaNum":
-        return PentaNum(GoldenNum.from_json(data[0]), GoldenNum.from_json(data[1]))
-
-    def __str__(self) -> str:
-        if self.q.is_zero():
-            return str(self.p)
-        if self.p.is_zero():
-            return f"({self.q})*s"
-        return f"({self.p}) + ({self.q})*s"
-
-
-#: sin 36 degrees
-SIN36 = PentaNum(ZERO, ONE)
 
 
 class ProjectivePoint(NamedTuple):

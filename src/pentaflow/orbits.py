@@ -202,7 +202,8 @@ def _orbit_cached(exponents: tuple[int, ...], bottom: bool, kind: Kind) -> Cycli
     """Rotate the orbit of the inner exponents by the outermost one, then
     enhance it.  The exponents are `directions._exponents`, outermost
     first, the chain `coordinate_of_index` folds; the inner ones are the
-    parent's.  BOTTOM and () are their own base."""
+    parent's.  BOTTOM and () are their own base.  Call it with the parent
+    cached, as `orbit_of_index` does, so that it recurses one level."""
     if bottom or not exponents:
         return BASE_ORBITS[(bottom, kind)]
     return enhance(rotate_alphabet(_orbit_cached(exponents[1:], False, kind),
@@ -213,7 +214,11 @@ def orbit_of_index(idx: DirectionIndex, kind: Kind) -> CyclicWord:
     """The Arabic symbolic orbit at a direction index, short or long kind."""
     if kind not in ("short", "long"):
         raise ValueError("kind must be 'short' or 'long'")
-    return _orbit_cached(tuple(_exponents(idx.digits)), idx.bottom, kind)
+    # innermost first, so that a deep index stays under the recursion limit
+    exps = tuple(_exponents(idx.digits))
+    for i in range(len(exps), -1, -1):
+        word = _orbit_cached(exps[i:], idx.bottom, kind)
+    return word
 
 
 def reduction_parent(idx: DirectionIndex) -> DirectionIndex:

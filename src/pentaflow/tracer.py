@@ -357,16 +357,12 @@ class IETSpec(NamedTuple):
 def iet_build(u: GoldenNum) -> IETSpec:
     """The section exchange at the signed boundary coordinate u: the
     first-return map to the horizontal diagonal of the direction (u, sin 36),
-    for u in [phi/2 - 1, 1 - phi/2].  Its coefficients are written only here.
-    For u < 0 it is the exchange of -u seen through p -> phi - p: the
-    division points are phi - p3, phi - p2, phi - p1, symbol k becomes
-    5 - k and each shift changes sign."""
+    for u in [phi/2 - 1, 1 - phi/2].  Its coefficients are written only here,
+    once for either sign: at -u the closed form is the exchange of u seen
+    through p -> phi - p (division points phi - p3, phi - p2, phi - p1,
+    symbol k read as 5 - k, each shift negated)."""
     if not in_closed_sector(ProjectivePoint(u)):
         raise ValueError("u must lie in [phi/2 - 1, 1 - phi/2]")
-    if u.sign() < 0:
-        m = iet_build(-u)
-        return IETSpec(u, PHI - m.p3, PHI - m.p2, PHI - m.p1,
-                       {k: -m.translations[5 - k] for k in (4, 3, 2, 1)})
     t_coeff = GoldenNum.of(1, 2)  # 2 phi + 1
     # the p3 coefficient phi^2 = phi + 1 was fixed at calibration
     p1 = HALF - u * PHI2

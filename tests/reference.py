@@ -46,6 +46,7 @@ from pentaflow.orbits import (
 )
 from pentaflow.periods import PeriodPair
 from pentaflow.tracer import (
+    IETSpec,
     PENTAGON_LOWER,
     PENTAGON_UPPER,
     PlanePoint,
@@ -286,6 +287,18 @@ def mirrored_step(x: GoldenNum, p: GoldenNum, side: str | None):
     swapped = {"L": "R", "R": "L", None: None}[side]
     img, sym = iet_build(-x).step(PHI - p, swapped)
     return PHI - img, 5 - sym
+
+
+def mirrored_spec(x: GoldenNum) -> IETSpec:
+    """The old branch of `iet_build` for x < 0: the exchange of -x seen
+    through the mirror p -> phi - p, with symbol k read as 5 - k and each
+    shift negated.
+
+    Guards `iet_build`, whose one closed form gives the same `IETSpec` at
+    either sign; retired after `0ffdc61`."""
+    m = iet_build(-x)
+    return IETSpec(x, PHI - m.p3, PHI - m.p2, PHI - m.p1,
+                   {k: -m.translations[5 - k] for k in (4, 3, 2, 1)})
 
 
 def cells_from_division_points(x: GoldenNum, steps: int) -> list[GoldenNum]:

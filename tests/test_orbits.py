@@ -228,6 +228,18 @@ def test_vectors_of_index_at_depth_16_build_no_word(monkeypatch):
     assert check_M(sv, lv)
 
 
+@pytest.mark.parametrize("digits", [500, 1200])
+def test_deep_orbits_stay_under_the_recursion_limit(digits):
+    # from a cold cache, one level of recursion per digit reached Python's
+    # limit at 497 digits; the long word of 0^499 1 has 2,006 symbols
+    orbits._orbit_cached.cache_clear()
+    idx = DirectionIndex.parse("0" * (digits - 1) + "1")
+    sv, lv = vectors_of_index(idx)
+    long = orbit_of_index(idx, "long")
+    assert len(long) == 2 * period_of_index(idx).long
+    assert (vector_of(orbit_of_index(idx, "short")), vector_of(long)) == (sv, lv)
+
+
 def test_apply_L():
     assert apply_L(1, OrbitVector(0, 0, 1, 0)) == OrbitVector(1, 1, 0, 0)
     assert apply_L(4, OrbitVector(0, 0, 1, 0)) == OrbitVector(0, 1, 0, 0)

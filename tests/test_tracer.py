@@ -46,6 +46,7 @@ from reference import (
     T0,
     cells_from_division_points,
     g,
+    mirrored_spec,
     mirrored_step,
     outcome,
     reference_exit_side,
@@ -356,6 +357,17 @@ def test_signed_exchange_matches_the_mirror_view():
                 assert spec.step(p, side) == mirrored_step(x, p, side)
 
 
+def test_negative_coordinates_have_the_mirrored_exchange():
+    # the one closed form gives, at every negative coordinate to depth 6,
+    # the IETSpec the retired branch built from -u through p -> phi - p
+    coords = [coordinate_of_index(DirectionIndex.from_digits(s)).value
+              for s in index_strings_to_depth(6)]
+    negative = [u for u in coords if u.sign() < 0]
+    assert negative
+    for u in negative:
+        assert iet_build(u) == mirrored_spec(u), u
+
+
 def test_strip_search_matches_the_trial_search():
     for s in [*index_strings_to_depth(2), (1, 2, 1)]:
         idx = DirectionIndex.from_digits(s)
@@ -580,8 +592,9 @@ def test_trace_json_report():
     s_tr, _ = periodic_orbits_for_coordinate(x, expected_long=4)
     data = json.loads(json.dumps(s_tr.to_json()))
     assert data["closed"] and data["word"]
-    dx = PentaNum.from_json(data["displacement"]["x"])
-    assert dx == PentaNum(s_tr.displacement[0], ZERO)
+    # each coordinate is the pair [p, q] meaning p + q*s
+    p, q = (GoldenNum.from_json(half) for half in data["displacement"]["x"])
+    assert (p, q) == (s_tr.displacement[0], ZERO)
     assert GoldenNum.from_json(data["length_squared"]) == s_tr.length_squared
 
 
