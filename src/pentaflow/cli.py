@@ -142,13 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run verification suites")
     v.add_argument("--depth", type=int, required=True)
-    v.add_argument("--max-depth", type=int, default=8,
-                   help="hard limit on --depth (default 8)")
     v.add_argument("--suite", action="append",
                    help=f"one of {', '.join(sorted(SUITE_NAMES))}; repeatable")
     v.add_argument("--json-out", help="write the ledger as JSON")
-    v.add_argument("--conjectures-advisory", action="store_true",
-                   help="conjecture failures do not affect the exit code")
     v.set_defaults(func=_verify)
 
     r = sub.add_parser("render", help="render an orbit as SVG")

@@ -72,14 +72,14 @@ def cmd_render(args) -> int:
             print("render: --u must lie in the closed principal sector",
                   file=sys.stderr)
             return EXIT_USAGE
+        try:
+            idx = index_of_coordinate(x)
+        except DepthExceeded as e:
+            print(f"render: {e}", file=sys.stderr)
+            return EXIT_BUDGET
     else:
-        x = coordinate_of_index(_parse_index(args)).value
-
-    try:
-        idx = index_of_coordinate(x)
-    except DepthExceeded as e:
-        print(f"render: {e}", file=sys.stderr)
-        return EXIT_BUDGET
+        idx = _parse_index(args)
+        x = coordinate_of_index(idx).value
     pp = period_of_index(idx)
     billiard = (f" and a billiard of at most {10 * pp.short} reflections"
                 if args.billiard else "")

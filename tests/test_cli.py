@@ -5,7 +5,8 @@ from pathlib import Path
 import pytest
 
 from pentaflow import orbits, periods, tracer
-from pentaflow.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, main
+from pentaflow.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from pentaflow.directions import DirectionIndex, coordinate_of_index
 from pentaflow.golden import GoldenNum
 
 PINNED = Path(__file__).parent / "data"
@@ -99,6 +100,57 @@ def test_verify_usage(capsys):
     assert code == EXIT_USAGE
     code, _ = run(capsys, "verify", "--depth", "1", "--suite", "nope")
     assert code == EXIT_USAGE
+
+
+def test_verify_depth_limit(monkeypatch, capsys):
+    # depth 8 is the deepest; the guard names the limit before any suite runs
+    from pentaflow import verify
+
+    def must_not_run(depth):
+        raise AssertionError("a suite ran")
+
+    for name in verify.SUITES:
+        monkeypatch.setitem(verify.SUITES, name, must_not_run)
+    assert main(["verify", "--depth", "9"]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "verify: depth must be 1 to 8, not 9\n")
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    usage = capsys.readouterr().out
+    assert "--depth" in usage
+    assert "--max-depth" not in usage and "--conjectures-advisory" not in usage
+
+
+def test_a_failed_conjecture_fails_the_run(monkeypatch, capsys):
+    from pentaflow import verify
+
+    monkeypatch.setitem(verify.SUITES, "conjectures",
+                        lambda depth: [{"case": "concat:x", "ok": False}])
+    code, out = run(capsys, "verify", "--depth", "1", "--suite", "conjectures")
+    assert code == EXIT_VERIFY
+    assert out == "suite conjectures: 1 checked, 1 failures\n"
+
+
+def test_verify_oracle_budget_row(tmp_path, monkeypatch, capsys):
+    # a trace that misses its period fails its own row, with the error, and
+    # the other directions are still checked
+    trace = tracer.periodic_orbits_for_coordinate
+    stuck = coordinate_of_index(DirectionIndex((2,))).value
+
+    def exhausted_at_2(x, expected_long):
+        if x == stuck:
+            raise tracer.TraceBudgetExceeded("d", 8, 8)
+        return trace(x, expected_long=expected_long)
+
+    monkeypatch.setattr(tracer, "periodic_orbits_for_coordinate", exhausted_at_2)
+    out = tmp_path / "ledger.json"
+    code, _ = run(capsys, "verify", "--depth", "1", "--suite", "orbits-vs-oracle",
+                  "--json-out", str(out))
+    assert code == EXIT_VERIFY
+    suite = json.loads(out.read_text())["orbits-vs-oracle"]
+    assert (suite["checked"], suite["failures"]) == (4, 1)
+    assert {r["case"]: r for r in suite["rows"]}["2"] == {
+        "case": "2", "ok": False,
+        "error": "trace in direction d made 8 crossings without closing (cap 8)"}
 
 
 def test_verify_budget_exhausted(tmp_path, monkeypatch, capsys):
