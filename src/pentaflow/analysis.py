@@ -33,7 +33,6 @@ from .tracer import (
     PlanePoint,
     TraceResult,
     TraceBudgetExceeded,
-    direction_of_coordinate,
     direction_of_vector,
     dot,
     strip_cells_for_coordinate,
@@ -103,39 +102,43 @@ class BilliardReport(NamedTuple):
         return self.lengths_exact and self.ratio_is_phi_squared
 
 
-def _billiard_from_cell(lo: GoldenNum, hi: GoldenNum, direction,
-                        cap: int) -> TraceResult:
-    """Billiard trace from 5/13 of the way across the strip cell, which
-    closes after exactly cap reflections.  An orbit closing after half as
-    many reflections, an odd number, returns under a composition of an odd
-    number of reflections, itself a reflection of D5; it fixes only the
-    directions along its axis, which are parallel to a side.  In the sector
-    only the two corner directions are, and there the axis crosses each
-    cell at its midpoint, so a start off the midpoint closes at the cap."""
-    start = PlanePoint(lo + (hi - lo) * GoldenNum.of("5/13"), ZERO)
-    res = trace_billiard(start, direction, max_reflections=cap)
+def strip_billiard(strip: TraceResult, start: PlanePoint) -> tuple[int, TraceResult]:
+    """The billiard multiplier of a closed surface strip and the pentagon
+    billiard from start in its direction.  By the Katok-Zemlyakov unfolding
+    the billiard closes within the strip's crossings times the multiplier
+    of the strip's word, its cap; one still open there raises
+    TraceBudgetExceeded."""
+    mult = billiard_multiplier(vector_of(strip.word))
+    cap = mult * strip.crossings
+    res = trace_billiard(start, strip.direction, max_reflections=cap)
     if not res.closed:
-        raise TraceBudgetExceeded(direction, cap, res.crossings)
-    return res
+        raise TraceBudgetExceeded(strip.direction, cap, res.crossings)
+    return mult, res
 
 
 def billiard_report(idx: DirectionIndex) -> BilliardReport:
     """Trace both strips on the surface and the matching pentagon billiards,
-    checking the exact length multiple and the golden ratio of lengths."""
+    checking the exact length multiple and the golden ratio of lengths.
+
+    Each billiard starts 5/13 of the way across its strip's cell, so that
+    it closes exactly at its cap.  An orbit closing after half as many
+    reflections, an odd number, returns under a composition of an odd
+    number of reflections, itself a reflection of D5; it fixes only the
+    directions along its axis, which are parallel to a side.  In the sector
+    only the two corner directions are, and there the axis crosses each
+    cell at its midpoint, so a start off the midpoint closes at the cap."""
     x = coordinate_of_index(idx).value
     cells = strip_cells_for_coordinate(x, expected_long=period_of_index(idx).long)
-    (s_lo, s_hi, s_tr), (l_lo, l_hi, l_tr) = cells
-    mult_s = billiard_multiplier(vector_of(s_tr.word))
-    mult_l = billiard_multiplier(vector_of(l_tr.word))
-    direction = direction_of_coordinate(x)
-    b_s = _billiard_from_cell(s_lo, s_hi, direction, mult_s * s_tr.crossings)
-    b_l = _billiard_from_cell(l_lo, l_hi, direction, mult_l * l_tr.crossings)
+    (_, _, s_tr), (_, _, l_tr) = cells
+    (mult_s, b_s), (mult_l, b_l) = (
+        strip_billiard(tr, PlanePoint(lo + (hi - lo) * GoldenNum.of("5/13"), ZERO))
+        for lo, hi, tr in cells)
 
     msq = GoldenNum.of(mult_s * mult_s)
     lengths_exact = (
         mult_s == mult_l
         and (b_s.length_squared - msq * s_tr.length_squared).is_zero()
-        and (b_l.length_squared - GoldenNum.of(mult_l * mult_l) * l_tr.length_squared).is_zero()
+        and (b_l.length_squared - msq * l_tr.length_squared).is_zero()
     )
     ratio_ok = (b_l.length_squared - PHI2 * b_s.length_squared).is_zero()
     return BilliardReport(idx, mult_s, s_tr, l_tr, b_s, b_l, lengths_exact, ratio_ok)

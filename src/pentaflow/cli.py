@@ -58,6 +58,7 @@ def cmd_direction(args) -> int:
     import json
 
     from .directions import coordinate_of_index
+    from .golden import ZERO, decimal_of
     from .orbits import billiard_multiplier, vectors_of_index
 
     idx = _parse_index(args)
@@ -70,7 +71,7 @@ def cmd_direction(args) -> int:
         out = {
             "index": str(idx),
             "coordinate": {"coeffs": coord.to_json(),
-                           "decimal": str(coord.to_decimal(20))},
+                           "decimal": str(decimal_of(coord, ZERO, 20))},
             "periods": {"short": sv.period, "long": lv.period,
                         "arabic": [2 * sv.period, 2 * lv.period]},
             "vectors": {"short": sv.as_tuple(), "long": lv.as_tuple()},
@@ -79,7 +80,7 @@ def cmd_direction(args) -> int:
         print(json.dumps(out, indent=2, sort_keys=True))
     else:
         print(f"index:       {idx}")
-        print(f"coordinate:  {coord}  ({coord.to_decimal(15)})")
+        print(f"coordinate:  {coord}  ({decimal_of(coord, ZERO, 15)})")
         print(f"periods:     short {sv.period}, long {lv.period} "
               f"(arabic {2 * sv.period}, {2 * lv.period})")
         print(f"vectors:     short {sv}, long {lv}")

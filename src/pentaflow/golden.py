@@ -137,9 +137,6 @@ class GoldenNum(FrozenValue):
     def __ge__(self, other: "GoldenNum") -> bool:
         return (self - other).sign() >= 0
 
-    def to_decimal(self, digits: int = 30) -> decimal.Decimal:
-        return decimal_of(self, ZERO, digits)
-
     def to_json(self) -> list:
         return [[self.a.numerator, self.a.denominator],
                 [self.b.numerator, self.b.denominator]]
@@ -207,16 +204,12 @@ class PentaNum(FrozenValue):
         )
 
     def inverse(self) -> "PentaNum":
+        # p^2 - q^2 s^2 vanishes only at p = q = 0, since s is not in Q[phi]
         d = self.p * self.p - self.q * self.q * S_SQUARED
         if d.is_zero():
-            if self.is_zero():
-                raise ZeroDivisionError("division by zero in Q[phi][s]")
-            raise ArithmeticError("inverse: s would be rational over Q[phi]")
+            raise ZeroDivisionError("division by zero in Q[phi][s]")
         dinv = d.inverse()
         return PentaNum(self.p * dinv, -self.q * dinv)
-
-    def is_zero(self) -> bool:
-        return self.p.is_zero() and self.q.is_zero()
 
     def sign(self) -> int:
         """Exact sign of p + q*s using s > 0."""

@@ -64,14 +64,6 @@ class CyclicWord(FrozenValue):
         object.__setattr__(self, "roman", roman)
 
     @staticmethod
-    def arabic(symbols: Iterable[int]) -> "CyclicWord":
-        return CyclicWord(symbols, roman=False)
-
-    @staticmethod
-    def roman_word(symbols: Iterable[int]) -> "CyclicWord":
-        return CyclicWord(symbols, roman=True)
-
-    @staticmethod
     def parse(text: str) -> "CyclicWord":
         parts = text.split()
         if not parts:
@@ -190,10 +182,10 @@ def roman_of_arabic(w: CyclicWord) -> CyclicWord:
 
 #: generation-zero orbits, fixed by the tracer calibration (CONVENTIONS.md)
 BASE_ORBITS = {
-    (False, "short"): CyclicWord.arabic((2, 5)),   # top endpoint, one short pass
-    (False, "long"): CyclicWord.arabic((4, 3)),
-    (True, "short"): CyclicWord.arabic((4, 1)),    # bottom endpoint
-    (True, "long"): CyclicWord.arabic((2, 3)),
+    (False, "short"): CyclicWord((2, 5)),   # top endpoint, one short pass
+    (False, "long"): CyclicWord((4, 3)),
+    (True, "short"): CyclicWord((4, 1)),    # bottom endpoint
+    (True, "long"): CyclicWord((2, 3)),
 }
 
 

@@ -28,10 +28,6 @@ class PeriodPair(FrozenValue):
         """The element short + long*phi of Z[phi]."""
         return GoldenNum.of(self.short, self.long)
 
-    @property
-    def arabic(self) -> tuple[int, int]:
-        return (2 * self.short, 2 * self.long)
-
     def as_tuple(self) -> tuple[int, int]:
         return (self.short, self.long)
 

@@ -19,8 +19,12 @@ from .directions import (
     index_of_coordinate,
 )
 from .golden import ZERO, GoldenNum, ProjectivePoint, decimal_of
-from .orbits import billiard_multiplier, vector_of
 from .periods import period_of_index
+
+#: the longest period `render` traces.  Its work and memory grow with the
+#: period: `--u 1/10` (periods 2,330/3,770) draws in under a minute, and
+#: `--u 1/100` (61,000/98,700) would run for many minutes
+MAX_PERIOD = 10_000
 
 
 def _fmt(v) -> str:
@@ -81,6 +85,10 @@ def cmd_render(args) -> int:
         idx = _parse_index(args)
         x = coordinate_of_index(idx).value
     pp = period_of_index(idx)
+    if pp.long > MAX_PERIOD:
+        print(f"render: index {idx} has periods {pp.short}/{pp.long}, above the "
+              f"limit of {MAX_PERIOD}", file=sys.stderr)
+        return EXIT_USAGE
     billiard = (f" and a billiard of at most {10 * pp.short} reflections"
                 if args.billiard else "")
     print(f"render: index {idx}, periods {pp.short}/{pp.long}: tracing strips "
@@ -89,10 +97,9 @@ def cmd_render(args) -> int:
     try:
         s_tr, l_tr = tracer.periodic_orbits_for_coordinate(x, expected_long=pp.long)
         if args.billiard:
-            cap = billiard_multiplier(vector_of(s_tr.word)) * s_tr.crossings
-            res = tracer.trace_billiard(s_tr.start, s_tr.direction, max_reflections=cap)
-            if not res.closed:
-                raise tracer.TraceBudgetExceeded(s_tr.direction, cap, res.crossings)
+            from .analysis import strip_billiard
+
+            _mult, res = strip_billiard(s_tr, s_tr.start)
     except tracer.TraceBudgetExceeded as e:
         print(f"render: {e}", file=sys.stderr)
         return EXIT_BUDGET

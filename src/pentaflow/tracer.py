@@ -257,7 +257,7 @@ def _result(labels: list[int], closed: bool, flight: GoldenNum,
             start: PlanePoint, direction: PlanePoint,
             path: list) -> TraceResult:
     disp = direction.scale(flight)
-    word = CyclicWord.arabic(labels) if closed else tuple(labels)
+    word = CyclicWord(labels) if closed else tuple(labels)
     return TraceResult(word, closed, (disp.x, disp.y), len(labels),
                        start, direction, tuple(path))
 
@@ -388,7 +388,7 @@ def iet_orbit(spec: IETSpec, x0: GoldenNum,
         p, k = spec.step(p)
         word.append(k)
         if p == x0:
-            return CyclicWord.roman_word(word), True
+            return CyclicWord(word, roman=True), True
     return tuple(word), False
 
 

@@ -89,7 +89,7 @@ def outcome(fn, *args):
 # ---------------------------------------------------------------------------
 # the field's decimals, the two methods as they stood at `6712432`.  They
 # guard `golden.decimal_of`, the one decimal routine since the next commit,
-# which both `to_decimal` methods and the tracer's display forms call.
+# which `direction`, `render` and the tracer's display forms call.
 
 
 def golden_to_decimal(self, digits: int = 30) -> decimal.Decimal:

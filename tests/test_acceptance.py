@@ -259,8 +259,8 @@ def test_criterion_10_conjecture_suites():
     c, d = (4,), tuple(W("I IV II I").symbols)
     g1s = roman_of_arabic(orbit_of_index(DirectionIndex((2, 2, 3)), "short"))
     g1l = roman_of_arabic(orbit_of_index(DirectionIndex((2, 2, 3)), "long"))
-    assert CyclicWord.roman_word(ap + bp + ap) == g1s
-    assert CyclicWord.roman_word(d + c + d + a + b + a) == g1l
+    assert CyclicWord(ap + bp + ap, roman=True) == g1s
+    assert CyclicWord(d + c + d + a + b + a, roman=True) == g1l
     assert check_conjecture_splitting(DirectionIndex((1, 1)), radius=2).passed
     elapsed = time.time() - t0
     _announce(10, f"both experiments pass with witnesses on all arcs and "

@@ -97,12 +97,13 @@ def test_billiard_report_examples():
         assert billiard.crossings == 5 * surface.crossings
 
 
-def test_billiard_below_its_exact_cap_fails_loudly():
-    x = coordinate_of_index(DirectionIndex((2,))).value
-    (lo, hi, s_tr), _ = tracer.strip_cells_for_coordinate(x, expected_long=4)
+def test_billiard_below_its_exact_cap_fails_loudly(monkeypatch):
+    # at the corner the billiard needs 5 strip periods; with a multiplier
+    # of 1 the routine stops after the strip's 2 crossings and says so
+    monkeypatch.setattr(analysis, "billiard_multiplier", lambda v: 1)
     with pytest.raises(tracer.TraceBudgetExceeded) as e:
-        analysis._billiard_from_cell(lo, hi, s_tr.direction, s_tr.crossings - 1)
-    assert e.value.cap == e.value.crossings == s_tr.crossings - 1
+        billiard_report(DirectionIndex())
+    assert e.value.cap == e.value.crossings == 2
 
 
 def test_concat_children_period_bookkeeping():
@@ -161,8 +162,8 @@ def test_conjecture_splitting_pinned_center():
     d = tuple(CyclicWord.parse("I IV II I").symbols)
     gamma1_short = roman_of_arabic(orbit_of_index(DirectionIndex((2, 2, 3)), "short"))
     gamma1_long = roman_of_arabic(orbit_of_index(DirectionIndex((2, 2, 3)), "long"))
-    assert CyclicWord.roman_word(ap + bp + ap) == gamma1_short
-    assert CyclicWord.roman_word(d + c + d + a + b + a) == gamma1_long
+    assert CyclicWord(ap + bp + ap, roman=True) == gamma1_short
+    assert CyclicWord(d + c + d + a + b + a, roman=True) == gamma1_long
     # beginning condition: b' is a prefix of a
     assert a[:len(bp)] == bp
 

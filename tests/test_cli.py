@@ -327,3 +327,19 @@ def test_render_traces_each_orbit_once(tmp_path, monkeypatch, argv, calls):
     monkeypatch.setattr(tracer, "_exit_side", counted)
     assert main(["render", *argv, "--out", str(tmp_path / "o.svg")]) == EXIT_OK
     assert count == calls
+
+
+def test_render_refuses_periods_above_the_limit(tmp_path, monkeypatch, capsys):
+    # --u 1/1000 lies 80 digits deep; the limit is checked on its exact
+    # periods before any strip is traced or any file written
+    def must_not_trace(*args):
+        raise AssertionError("traced past the period limit")
+
+    monkeypatch.setattr(tracer, "_exit_side", must_not_trace)
+    out = tmp_path / "o.svg"
+    assert main(["render", "--u", "1/1000", "--out", str(out)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(" has periods 196418000/317811000, above the "
+                                 "limit of 10000\n")
+    assert not out.exists()

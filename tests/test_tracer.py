@@ -123,7 +123,7 @@ def test_side_labeling_is_the_unique_calibrated_one():
     for perm in itertools.permutations((1, 2, 3, 4, 5)):
         lab = dict(zip(names, perm))
         ok = all(
-            CyclicWord.arabic(tuple(lab[n] for n in seq)) == CyclicWord.arabic(w)
+            CyclicWord(tuple(lab[n] for n in seq)) == CyclicWord(w)
             for seq, w in want.items()
         )
         if ok:
@@ -482,7 +482,7 @@ def test_section_map_agrees_with_geometric_returns():
         res = trace_surface(section_point(p), direction_of_coordinate(x),
                             max_crossings=2 * pp.long)
         assert res.closed
-        assert roman_of_arabic(res.word) == CyclicWord.roman_word(word)
+        assert roman_of_arabic(res.word) == CyclicWord(word, roman=True)
 
 
 def test_section_map_agrees_with_traced_prefix_at_random_parameters():
