@@ -22,7 +22,6 @@ from .golden import (
     FrozenValue,
     GoldenNum,
     IDENTITY_MAP,
-    INFINITY,
     ProjectivePoint,
     R_MAP,
     T_MAP,
@@ -49,15 +48,6 @@ class DepthExceeded(RuntimeError):
 ALPHA_COORD = GoldenNum.of(1, "-1/2")
 #: coordinate of the bottom sector endpoint, phi/2 - 1
 BOTTOM_COORD = -ALPHA_COORD
-
-#: the five base directions, in circular order
-GENERATION0_COORDS = (
-    ProjectivePoint(ALPHA_COORD),
-    ProjectivePoint(GoldenNum.of(0, "1/2")),
-    INFINITY,
-    ProjectivePoint(GoldenNum.of(0, "-1/2")),
-    ProjectivePoint(BOTTOM_COORD),
-)
 
 
 class DirectionIndex(FrozenValue):
@@ -138,6 +128,9 @@ def _exponents(digits: Sequence[int]) -> list[int]:
 
 #: T^-m for m = 0..4, as powers of the adjugate (equal up to a scalar)
 _T_INV_POWERS = list(accumulate([T_MAP.inverse()] * 4, matmul, initial=IDENTITY_MAP))
+#: the five base directions, in circular order: the orbit of the top
+#: endpoint under the rotation T, whose m-th power is _T_INV_POWERS[-m]
+GENERATION0_COORDS = tuple(_T_INV_POWERS[-m].apply(ALPHA_COORD) for m in range(5))
 #: T^-m R for m = 1..4: one renormalization step on sub-arc m
 _RENORM_MAPS = tuple(_T_INV_POWERS[m] @ R_MAP for m in (1, 2, 3, 4))
 #: R T^m at index m = 1..4, one map per generator-word factor: the adjugate

@@ -304,11 +304,12 @@ def vectors_of_index(idx: DirectionIndex) -> tuple[OrbitVector, OrbitVector]:
     with shift i maps the parent's vector v to apply_L(i, v), and the
     shifts of the whole chain, innermost last, are the rotation exponents
     `directions._exponents` that `coordinate_of_index` folds.  BOTTOM and
-    () are their own base.  Short and long each start from their own base
-    orbit, so long = M short stays a check.  O(depth) vector operations.
+    () are their own base.  The short vector is folded alone: M commutes
+    with every apply_L and long = M short at both bases (CONVENTIONS.md,
+    the Veech step), so long = M short at every index.  O(depth) vector
+    operations.
     """
     short = vector_of(BASE_ORBITS[(idx.bottom, "short")])
-    long = vector_of(BASE_ORBITS[(idx.bottom, "long")])
     for shift in reversed(_exponents(idx.digits)):
-        short, long = apply_L(shift, short), apply_L(shift, long)
-    return short, long
+        short = apply_L(shift, short)
+    return short, apply_M(short)

@@ -62,6 +62,9 @@ def _xy(p: tracer.PlanePoint) -> tuple[float, float]:
 
 
 def cmd_render(args) -> int:
+    if args.u is not None and args.index:
+        print("render: give an index or --u, not both", file=sys.stderr)
+        return EXIT_USAGE
     if reason := unwritable(args.out):
         print(f"render: cannot write {args.out}: {reason}", file=sys.stderr)
         return EXIT_USAGE

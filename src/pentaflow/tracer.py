@@ -36,7 +36,7 @@ from .golden import (
     ProjectivePoint,
     decimal_of,
 )
-from .orbits import CyclicWord, roman_of_arabic
+from .orbits import CyclicWord
 
 
 class SaddleConnectionError(RuntimeError):
@@ -146,9 +146,10 @@ SIDES = tuple(
     for (name, label), v0, v1 in zip(SIDE_LABELS.items(), PENTAGON_UPPER,
                                      PENTAGON_UPPER[1:] + PENTAGON_UPPER[:1]))
 
-#: the diagonals bounding the principal sector, length phi each
-U_VEC = PlanePoint(HALF, PHI2)
-V_VEC = PlanePoint(-HALF, PHI2)
+#: the diagonals bounding the principal sector, length phi each: from the
+#: two lower vertices up to the apex
+U_VEC = _A - _D
+V_VEC = _A - _E
 
 
 def direction_of_coordinate(x: GoldenNum) -> PlanePoint:
@@ -226,12 +227,6 @@ class TraceResult(NamedTuple):
     def length_squared(self) -> GoldenNum:
         d = PlanePoint(*self.displacement)
         return dot(d, d)
-
-    @property
-    def roman(self) -> CyclicWord:
-        if not self.closed:
-            raise ValueError("only closed traces have a cyclic Roman form")
-        return roman_of_arabic(self.word)
 
     def to_json(self) -> dict:
         # the true components dx + 0*s and 0 + dy*s, each as [p, q]

@@ -21,6 +21,7 @@ from pentaflow.directions import (
     BOTTOM_COORD,
     DepthExceeded,
     DirectionIndex,
+    _exponents,
     in_closed_sector,
     mirror_digits,
 )
@@ -42,6 +43,7 @@ from pentaflow.orbits import (
     Kind,
     WordError,
     _chain_path_interior,
+    roman_of_arabic,
     rotations,
 )
 from pentaflow.periods import PeriodPair
@@ -130,7 +132,7 @@ def penta_to_decimal(self, digits: int = 30) -> decimal.Decimal:
 # the helpers that nothing in the package called, as they stood at
 # `28461b3`, when they were deleted.  The tests still check the facts they
 # stated: the projective orders of the generators and the Roman parse's
-# inverse.
+# inverse; the Veech-step certificate compares slope actions with the first.
 
 
 def projectively_equal(m: MoebiusMap, n: MoebiusMap) -> bool:
@@ -504,6 +506,34 @@ def _orbit_cached(digits: tuple[int, ...], bottom: bool, kind: Kind) -> CyclicWo
         return BASE_ORBITS[(bottom, kind)]
     shift, parent = _generation_step(digits)
     return enhance(rotate_alphabet(_orbit_cached(parent, False, kind), shift))
+
+
+# ---------------------------------------------------------------------------
+# the orbit engine as Roman substitutions.  Up to rotation, the generation
+# step with shift i is a letter substitution sigma_i on Roman words, so an
+# orbit is its base letter under the sigmas of the rotation exponents, an
+# S-adic expansion.  The table was found by search on the orbit words and
+# holds only on them: on all Roman words of one to three letters, shifts 1
+# and 4 admit no substitution.  The package does not use it; the tests fix
+# it as a fact of the orbits and derive the apply_L matrices from it.
+
+#: ROMAN_SUBSTITUTIONS[i][k] is sigma_i of the Roman letter k
+ROMAN_SUBSTITUTIONS = {
+    1: {1: (3, 4, 1), 2: (3,), 3: (2, 1), 4: (1,)},
+    2: {1: (2, 1, 3, 4), 2: (2, 1), 3: (1, 4), 4: (1, 3, 4)},
+    3: {1: (4, 2, 1), 2: (4, 1), 3: (3, 4), 4: (3, 4, 2, 1)},
+    4: {1: (4,), 2: (3, 4), 3: (2,), 4: (2, 1, 4)},
+}
+
+
+def roman_by_substitutions(idx: DirectionIndex, kind: Kind) -> CyclicWord:
+    """The Roman orbit at idx, up to rotation: the base orbit's one letter
+    under the substitutions of the rotation exponents, innermost first."""
+    word = roman_of_arabic(BASE_ORBITS[(idx.bottom, kind)]).symbols
+    for shift in reversed(_exponents(idx.digits)):
+        images = {k: bytes(v) for k, v in ROMAN_SUBSTITUTIONS[shift].items()}
+        word = b"".join([images[k] for k in word])
+    return CyclicWord(word, roman=True)
 
 
 # ---------------------------------------------------------------------------

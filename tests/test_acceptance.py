@@ -42,6 +42,7 @@ from pentaflow.orbits import (
     reduce_word,
     roman_of_arabic,
     rotate_alphabet,
+    vector_of,
     vectors_of_index,
 )
 from pentaflow.periods import PeriodPair, child_periods, period_of_index
@@ -183,10 +184,11 @@ def test_criterion_05_oracle_equivalence():
 
 
 def test_criterion_06_matrix_relation():
+    # on the counts of the built words: vectors_of_index derives long as
+    # M short
     for s in index_strings_to_depth(4):
         idx = DirectionIndex.from_digits(s)
-        sv, lv = vectors_of_index(idx)
-        assert check_M(sv, lv)
+        assert check_M(*(vector_of(orbit_of_index(idx, k)) for k in ("short", "long")))
     basis = [OrbitVector(1, 0, 0, 0), OrbitVector(0, 1, 0, 0),
              OrbitVector(0, 0, 1, 0), OrbitVector(0, 0, 0, 1)]
     for e in basis:

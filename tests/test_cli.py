@@ -255,6 +255,14 @@ def test_render_bad_u_is_a_usage_error(tmp_path, capsys, u, reason):
     assert not out.exists()
 
 
+def test_render_refuses_an_index_with_u(tmp_path, capsys):
+    # the digits and --u each name a direction; neither is dropped
+    out = tmp_path / "o.svg"
+    assert main(["render", "1", "--u", "0", "--out", str(out)]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "render: give an index or --u, not both\n")
+    assert not out.exists()
+
+
 def test_negative_u_is_written_with_an_equals_sign(tmp_path, capsys):
     # after a space argparse reads -1/2 as an option, so the help and the
     # README show --u=-1/10; that form reaches the sector check

@@ -3,15 +3,20 @@ import tracemalloc
 
 import pytest
 
-from pentaflow import orbits
+from pentaflow import orbits, tracer
+from pentaflow.analysis import displacement
 from pentaflow.directions import (
+    ALPHA_COORD,
     BOTTOM,
+    BOTTOM_COORD,
     DirectionIndex,
+    _FACTOR_MAPS,
     _exponents,
     arc_left_vertex,
     arc_right_vertex,
     index_strings_to_depth,
 )
+from pentaflow.golden import ONE, PHI, PHI2, MoebiusMap
 from pentaflow.orbits import (
     CyclicWord,
     OrbitVector,
@@ -31,6 +36,7 @@ from pentaflow.orbits import (
     vectors_of_index,
 )
 from pentaflow.periods import period_of_index
+from pentaflow.tracer import cross, direction_of_coordinate
 from pentaflow.verify import _all_indices
 import reference
 from reference import DEPTH3, W
@@ -50,6 +56,8 @@ ENHANCED_ROWS = {
     3: W("2 3 4 1 4 3 2 5 2 3 4 1 4 3 2 3 4 3 2 3 4 3"),
     4: W("3 2 3 4 1 4 3 2 3 2 5 2 3 2 5 2"),
 }
+#: the unit count vectors of I, II, III and IV
+BASIS = [OrbitVector(*(int(i == k) for i in range(4))) for k in range(4)]
 
 
 def test_cyclic_equality():
@@ -225,7 +233,6 @@ def test_vectors_of_index_at_depth_16_build_no_word(monkeypatch):
     assert peak < 5 * 2**20
     pp = period_of_index(idx)
     assert (sv.period, lv.period) == (pp.short, pp.long) == (26_721_756, 43_236_712)
-    assert check_M(sv, lv)
 
 
 @pytest.mark.parametrize("digits", [500, 1200])
@@ -260,14 +267,67 @@ def test_check_M_holds_at_every_depth():
     # M commutes with each generation step L_i, both linear, so checking the
     # basis vectors suffices; with long = M short at both bases, induction
     # on the shifts gives check_M at every index
-    basis = [OrbitVector(*(int(i == k) for i in range(4))) for k in range(4)]
     for shift in range(1, 5):
-        for e in basis:
+        for e in BASIS:
             assert apply_M(apply_L(shift, e)) == apply_L(shift, apply_M(e)), (shift, e)
     for bottom in (False, True):
         short, long = (vector_of(orbits.BASE_ORBITS[(bottom, kind)])
                        for kind in ("short", "long"))
         assert long == apply_M(short)
+
+
+def _solve(u, v, au, av):
+    """The chart-linear map (a, b, c, d), as tracer._mat_apply applies it,
+    that sends u to au and v to av; u and v must span the plane."""
+    inv = (u.x * v.y - u.y * v.x).inverse()
+    return ((au.x * v.y - av.x * u.y) * inv, (av.x * u.x - au.x * v.x) * inv,
+            (au.y * v.y - av.y * u.y) * inv, (av.y * u.x - au.y * v.x) * inv)
+
+
+def test_the_veech_step_is_one_affine_map_per_shift():
+    # the certificate of the Veech step (CONVENTIONS.md).  P maps symbol
+    # counts to the chart displacement; its columns are the sector
+    # diagonals.  Each shift i has one chart-linear A_i with A_i P = P L_i,
+    # of determinant -1, whose slope action is the factor map that
+    # coordinate_of_index folds.  With P M = phi P and the base
+    # displacements along their corner directions, induction over the
+    # exponents gives at every index: the displacement is parallel to the
+    # direction, dl = phi ds, and so the squared length is the closed form
+    # of length_squared_formula
+    P = [displacement(e) for e in BASIS]
+    for shift in range(1, 5):
+        images = [displacement(apply_L(shift, e)) for e in BASIS]
+        # III and II displace by the diagonals U and V, a basis of the plane
+        A = _solve(P[2], P[1], images[2], images[1])
+        assert [tracer._mat_apply(A, p) for p in P] == images, shift
+        a, b, c, d = A
+        assert a * d - b * c == -ONE, shift
+        assert reference.projectively_equal(MoebiusMap(*A), _FACTOR_MAPS[shift]), shift
+    for e, p in zip(BASIS, P):
+        assert displacement(apply_M(e)) == p.scale(PHI), e
+        # the height is phi^2 times the count (c + f) phi + (d + e)
+        assert p.y == PHI2 * (PHI if e.c or e.f else ONE), e
+    for bottom, x in ((False, ALPHA_COORD), (True, BOTTOM_COORD)):
+        for kind in ("short", "long"):
+            p = displacement(vector_of(orbits.BASE_ORBITS[(bottom, kind)]))
+            assert cross(p, direction_of_coordinate(x)).is_zero(), (bottom, kind)
+
+
+def test_roman_substitutions_compose_to_the_orbits_to_depth_six():
+    # all 8,194 words: every index to generation 6 and the bottom corner,
+    # both kinds
+    for idx in (*_all_indices(6), BOTTOM):
+        for kind in ("short", "long"):
+            want = roman_of_arabic(orbit_of_index(idx, kind))
+            assert reference.roman_by_substitutions(idx, kind) == want, (idx, kind)
+
+
+def test_L_is_the_incidence_matrix_of_the_roman_substitution():
+    # a second derivation of apply_L, next to the Veech-step certificate:
+    # column k of L_i counts the letters of sigma_i(k)
+    for shift, table in reference.ROMAN_SUBSTITUTIONS.items():
+        for k, image in table.items():
+            assert apply_L(shift, BASIS[k - 1]).as_tuple() == tuple(map(image.count, (1, 2, 3, 4)))
 
 
 def test_M_relation():
@@ -276,14 +336,11 @@ def test_M_relation():
     assert not check_M(OrbitVector(1, 0, 0, 0), OrbitVector(1, 0, 0, 0))
     for s in index_strings_to_depth(4):
         idx = DirectionIndex.from_digits(s)
-        sv, lv = vectors_of_index(idx)
-        assert check_M(sv, lv)
+        assert check_M(*(vector_of(orbit_of_index(idx, k)) for k in ("short", "long")))
 
 
 def test_M_squared_is_M_plus_identity():
-    basis = [OrbitVector(1, 0, 0, 0), OrbitVector(0, 1, 0, 0),
-             OrbitVector(0, 0, 1, 0), OrbitVector(0, 0, 0, 1)]
-    for e in basis:
+    for e in BASIS:
         assert apply_M(apply_M(e)) == apply_M(e) + e
 
 
