@@ -261,6 +261,8 @@ def check_conjecture_splitting(beta: DirectionIndex, radius: int) -> ConjectureR
         short_i = a' (b' a')^i   and   long_i = d (c d)^i (a b)^i a
     as cyclic words, i = 0 at the far anchor.
     """
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
     if radius == 0:
         return ConjectureReport(f"center {beta}", (), True)
     S, L = _roman_bytes(beta, "short"), _roman_bytes(beta, "long")

@@ -1,8 +1,8 @@
 """Command line surface: direction reports, orbit printing, batch
 verification (`pentaflow.verify`) and SVG rendering (`pentaflow.render`).
 
-Exit codes: 0 success, 1 verification failure, 2 usage error, 3 a trace
-missed its exact period or renormalization ran out of depth.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 (`render`
+only) a trace missed its exact period or renormalization ran out of depth.
 """
 
 import argparse

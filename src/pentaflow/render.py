@@ -14,11 +14,11 @@ from . import tracer
 from .cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, _parse_index, unwritable
 from .directions import (
     DepthExceeded,
+    SectorError,
     coordinate_of_index,
-    in_closed_sector,
     index_of_coordinate,
 )
-from .golden import ZERO, GoldenNum, ProjectivePoint, decimal_of
+from .golden import ZERO, GoldenNum, decimal_of
 from .periods import period_of_index
 
 #: the longest period `render` traces.  Its work and memory grow with the
@@ -75,12 +75,12 @@ def cmd_render(args) -> int:
             reason = "zero denominator" if isinstance(e, ZeroDivisionError) else e
             print(f"render: bad --u '{args.u}': {reason}", file=sys.stderr)
             return EXIT_USAGE
-        if not in_closed_sector(ProjectivePoint(x)):
+        try:
+            idx = index_of_coordinate(x)
+        except SectorError:
             print("render: --u must lie in the closed principal sector",
                   file=sys.stderr)
             return EXIT_USAGE
-        try:
-            idx = index_of_coordinate(x)
         except DepthExceeded as e:
             print(f"render: {e}", file=sys.stderr)
             return EXIT_BUDGET

@@ -387,13 +387,14 @@ def iet_orbit(spec: IETSpec, x0: GoldenNum,
     return tuple(word), False
 
 
-def section_cell_points(x: GoldenNum, steps: int) -> list[GoldenNum]:
+def section_cell_points(x: GoldenNum) -> list[GoldenNum]:
     """The points cutting the diagonal into cells: the division points, the
-    two ends and up to steps one-sided images of each, where the leaves from
-    the cone points cross the diagonal.  In a periodic direction these
-    leaves are the strips' boundaries, so once steps exceeds the long period
-    by two the cells are exactly the strips' crossings of the diagonal,
-    short plus long of them, and the exchange permutes them."""
+    two ends and their one-sided images, where the leaves from the cone
+    points cross the diagonal.  Each leaf is followed until it is back at a
+    seed, as it always is: every sector point of Q[phi] is a periodic
+    direction, whose leaves are saddle connections bounding the strips.  So
+    the cells are the strips' crossings, short plus long, and the exchange
+    permutes them."""
     spec = iet_build(x)
     cuts = (ZERO, PHI, *spec.division_points)
     pts = set(cuts)
@@ -402,7 +403,7 @@ def section_cell_points(x: GoldenNum, steps: int) -> list[GoldenNum]:
     frontier = list(dict.fromkeys((p, side) for p in cuts for side in "LR"
                                   if (p, side) not in ((ZERO, "L"), (PHI, "R"))))
     seeds = set(frontier)
-    for _ in range(steps):
+    while frontier:
         frontier = [(spec.step(v, side)[0], side) for v, side in frontier]
         pts.update(v for v, _side in frontier)
         # a leaf back at a seed goes on as that seed's leaf, already followed
@@ -415,18 +416,19 @@ def strip_cells_for_coordinate(x: GoldenNum, expected_long: int
     """One section cell per parallel strip of a periodic direction.
 
     The exchange permutes the cells of section_cell_points, and each cycle
-    of their midpoints is one strip.  Each cycle is followed in 1-D for at
-    most expected_long returns, the exact long period, and its strip traced
-    once in 2-D, from the midpoint of its first cell, capped at
-    2 * expected_long crossings.  A longer cycle or an open trace raises
-    TraceBudgetExceeded; a midpoint sent off the midpoints, or other than
-    two cycles, raises ArithmeticError.  Returns two entries (lo, hi,
-    trace-from-midpoint), ordered short then long by combinatorial length,
-    breaking ties by geometric length."""
+    of their midpoints is one strip.  Each cycle is followed in 1-D until it
+    is back at its first midpoint, within the number of cells since the
+    exchange is injective, and its strip traced once in 2-D from there.
+    The one budget is that trace's cap, 2 * expected_long crossings for the
+    exact long period: an open trace raises TraceBudgetExceeded with the
+    crossings made.  A midpoint sent off the midpoints, or other than two
+    cycles, means inconsistent cells and raises ArithmeticError.  Returns
+    (lo, hi, trace-from-midpoint) twice, short then long by combinatorial
+    length, breaking ties by geometric length."""
     direction = direction_of_coordinate(x)
     cap = 2 * expected_long
     spec = iet_build(x)
-    pts = section_cell_points(x, expected_long + 2)
+    pts = section_cell_points(x)
     cells = {(lo + hi) * HALF: (lo, hi) for lo, hi in zip(pts, pts[1:])}
     seen: set[GoldenNum] = set()
     strips = []
@@ -434,7 +436,7 @@ def strip_cells_for_coordinate(x: GoldenNum, expected_long: int
         if mid in seen:
             continue
         p = mid
-        for _ in range(expected_long):
+        while True:
             seen.add(p)
             p, _sym = spec.step(p)
             if p not in cells:
@@ -442,8 +444,6 @@ def strip_cells_for_coordinate(x: GoldenNum, expected_long: int
                                       f"midpoint to {p}, off the midpoints")
             if p == mid:
                 break
-        else:
-            raise TraceBudgetExceeded(direction, cap, cap)
         res = trace_surface(PlanePoint(mid, ZERO), direction, max_crossings=cap)
         if not res.closed:
             raise TraceBudgetExceeded(direction, cap, res.crossings)

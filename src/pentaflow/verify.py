@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import sys
 
-from .cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, SUITE_NAMES, unwritable
+from .cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, SUITE_NAMES, unwritable
 from .directions import (
     BOTTOM,
     DirectionIndex,
@@ -148,8 +148,12 @@ def _suite_displacement(idx: DirectionIndex) -> dict:
 @_each_direction
 def _suite_billiard(idx: DirectionIndex) -> dict:
     from .analysis import billiard_report
+    from .tracer import TraceBudgetExceeded
 
-    rep = billiard_report(idx)
+    try:
+        rep = billiard_report(idx)
+    except TraceBudgetExceeded as e:
+        return {"ok": False, "error": str(e)}
     return {"ok": rep.passed, "multiplier": rep.multiplier}
 
 
@@ -187,19 +191,9 @@ def cmd_verify(args) -> int:
     if args.json_out and (reason := unwritable(args.json_out)):
         print(f"verify: cannot write ledger {args.json_out}: {reason}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        results = {n: SUITES[n](args.depth) for n in names}
-    except RuntimeError as e:
-        # only a suite that traces runs out of budget, and it loaded the tracer
-        from .tracer import TraceBudgetExceeded
-
-        if not isinstance(e, TraceBudgetExceeded):
-            raise
-        print(f"verify: budget exhausted: {e}", file=sys.stderr)
-        return EXIT_BUDGET
     ledger = {}
     for n in names:
-        rows = sorted(results[n], key=lambda r: r["case"])
+        rows = sorted(SUITES[n](args.depth), key=lambda r: r["case"])
         bad = sum(not r["ok"] for r in rows)
         ledger[n] = {"checked": len(rows), "failures": bad, "rows": rows}
         print(f"suite {n}: {len(rows)} checked, {bad} failures")

@@ -180,6 +180,12 @@ def test_conjecture_splitting_corners_and_radius_zero():
     assert rep.passed and rep.results == ()
 
 
+def test_conjecture_splitting_rejects_a_negative_radius():
+    # as neighbor_family does, instead of a silent failed report
+    with pytest.raises(ValueError, match="radius must be nonnegative"):
+        check_conjecture_splitting(DirectionIndex((1,)), radius=-1)
+
+
 def test_length_formula_closed_form():
     # at the vertical the closed form reduces to phi^4 s^2 times the count
     x = g(0)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from pentaflow import orbits, periods, tracer
+from pentaflow import analysis, orbits, periods, tracer
 from pentaflow.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
 from pentaflow.directions import DirectionIndex, coordinate_of_index
 from pentaflow.golden import GoldenNum
@@ -130,51 +130,47 @@ def test_a_failed_conjecture_fails_the_run(monkeypatch, capsys):
     assert out == "suite conjectures: 1 checked, 1 failures\n"
 
 
-def test_verify_oracle_budget_row(tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("suite", ["orbits-vs-oracle", "billiard"])
+def test_verify_oracle_budget_row(suite, tmp_path, monkeypatch, capsys):
     # a trace that misses its period fails its own row, with the error, and
-    # the other directions are still checked
-    trace = tracer.periodic_orbits_for_coordinate
+    # the other directions are still checked and the ledger written
+    strips = tracer.strip_cells_for_coordinate
     stuck = coordinate_of_index(DirectionIndex((2,))).value
 
-    def exhausted_at_2(x, expected_long):
-        if x == stuck:
-            raise tracer.TraceBudgetExceeded("d", 8, 8)
-        return trace(x, expected_long=expected_long)
+    def too_small_at_2(x, expected_long):
+        return strips(x, 1 if x == stuck else expected_long)
 
-    monkeypatch.setattr(tracer, "periodic_orbits_for_coordinate", exhausted_at_2)
+    # both suites search the strips, the billiard through its own import
+    monkeypatch.setattr(tracer, "strip_cells_for_coordinate", too_small_at_2)
+    monkeypatch.setattr(analysis, "strip_cells_for_coordinate", too_small_at_2)
+    with pytest.raises(tracer.TraceBudgetExceeded) as e:
+        too_small_at_2(stuck, 4)
     out = tmp_path / "ledger.json"
-    code, _ = run(capsys, "verify", "--depth", "1", "--suite", "orbits-vs-oracle",
-                  "--json-out", str(out))
+    code, stdout = run(capsys, "verify", "--depth", "1", "--suite", suite,
+                       "--json-out", str(out))
     assert code == EXIT_VERIFY
-    suite = json.loads(out.read_text())["orbits-vs-oracle"]
-    assert (suite["checked"], suite["failures"]) == (4, 1)
-    assert {r["case"]: r for r in suite["rows"]}["2"] == {
-        "case": "2", "ok": False,
-        "error": "trace in direction d made 8 crossings without closing (cap 8)"}
+    assert stdout == f"suite {suite}: 4 checked, 1 failures\n"
+    rows = json.loads(out.read_text())[suite]["rows"]
+    assert {r["case"]: r for r in rows}["2"] == {"case": "2", "ok": False,
+                                                 "error": str(e.value)}
+    assert str(e.value).endswith("made 2 crossings without closing (cap 2)")
+    assert sum(r["ok"] for r in rows) == 3
 
 
-def test_verify_budget_exhausted(tmp_path, monkeypatch, capsys):
-    # a suite that runs out of trace budget exits 3; any other error propagates
+def test_verify_budget_exhausted(monkeypatch):
+    # a suite records a missed period in its row, so verify has no budget
+    # exit: an error raised out of a suite itself, a budget one included,
+    # propagates
     from pentaflow import verify
 
-    def exhausted(depth):
-        raise tracer.TraceBudgetExceeded("d", 8, 8)
+    for error in (tracer.TraceBudgetExceeded("d", 8, 8), RuntimeError("not a budget")):
+        def broken(depth):
+            raise error
 
-    monkeypatch.setitem(verify.SUITES, "table", exhausted)
-    ledger = tmp_path / "ledger.json"
-    assert main(["verify", "--depth", "1", "--suite", "table",
-                 "--json-out", str(ledger)]) == EXIT_BUDGET
-    assert capsys.readouterr().err == ("verify: budget exhausted: trace in direction d "
-                                       "made 8 crossings without closing (cap 8)\n")
-    # the path was checked before the suites ran, and no file was made
-    assert not ledger.exists()
-
-    def broken(depth):
-        raise RuntimeError("not a budget")
-
-    monkeypatch.setitem(verify.SUITES, "table", broken)
-    with pytest.raises(RuntimeError, match="not a budget"):
-        main(["verify", "--depth", "1", "--suite", "table"])
+        monkeypatch.setitem(verify.SUITES, "table", broken)
+        with pytest.raises(type(error)) as e:
+            main(["verify", "--depth", "1", "--suite", "table"])
+        assert e.value is error
 
 
 def test_verify_deterministic_ledger(tmp_path, capsys):

@@ -40,6 +40,7 @@ from pentaflow.tracer import (
     trace_billiard,
     trace_surface,
 )
+from pentaflow.verify import _all_indices
 from reference import (
     DEPTH3_AND_BOTTOM,
     JUMPS,
@@ -159,15 +160,38 @@ def test_budget_exhaustion_reports_open_trace():
     assert PlanePoint(*res.displacement) == unfolded_by_translations(res)
 
 
-def test_strip_search_fails_loudly_below_the_exact_period():
+def test_strip_search_fails_loudly_below_the_exact_period(monkeypatch):
     # index 2 has periods 2/4; a long period of 1 caps every trace at 2
-    # crossings, so the first cell's orbit cannot close
+    # crossings, so the first cell's orbit cannot close, and the error
+    # carries the crossings the trace made
     x = coordinate_of_index(DirectionIndex((2,))).value
+    exit_side, calls = tracer._exit_side, []
+
+    def counted(pos, direction):
+        calls.append(pos)
+        return exit_side(pos, direction)
+
+    monkeypatch.setattr(tracer, "_exit_side", counted)
     with pytest.raises(tracer.TraceBudgetExceeded) as e:
         tracer.strip_cells_for_coordinate(x, expected_long=1)
     assert e.value.cap == 2 and e.value.crossings == 2
+    assert len(calls) == e.value.cap
     assert e.value.direction == direction_of_coordinate(x)
     assert "cap 2" in str(e.value) and str(e.value.direction) in str(e.value)
+
+
+def test_every_period_below_the_exact_one_exhausts_the_strip_trace():
+    # the cells do not depend on the period given, so a too-small one is
+    # met only by the strip trace's cap, which the long strip always reaches
+    cases = 0
+    for idx in (*_all_indices(2), BOTTOM):
+        x = coordinate_of_index(idx).value
+        for expected_long in range(1, period_of_index(idx).long):
+            with pytest.raises(tracer.TraceBudgetExceeded) as e:
+                tracer.strip_cells_for_coordinate(x, expected_long)
+            assert e.value.cap == e.value.crossings == 2 * expected_long, (idx, expected_long)
+            cases += 1
+    assert cases == 89
 
 
 def test_exit_side_matches_the_nearest_hit_search(monkeypatch):
@@ -325,10 +349,9 @@ def test_exchange_step_matches_the_interval_scan():
     rng = random.Random(20111019)
     for idx in DEPTH3_AND_BOTTOM:
         x = coordinate_of_index(idx).value
-        steps = period_of_index(idx).long + 2
         for u in dict.fromkeys((x, -x)):
             spec = iet_build(u)
-            points = [*tracer.section_cell_points(u, steps), g(Fraction(-1, 7)),
+            points = [*tracer.section_cell_points(u), g(Fraction(-1, 7)),
                       PHI + g(Fraction(1, 7))]
             points += [PHI * g(Fraction(rng.randint(1, 999), 1000)) for _ in range(10)]
             assert ZERO in points and PHI in points
@@ -389,7 +412,7 @@ def test_cells_are_the_strips_crossings():
     for idx in DEPTH3_AND_BOTTOM:
         x = coordinate_of_index(idx).value
         pp = period_of_index(idx)
-        pts = tracer.section_cell_points(x, pp.long + 2)
+        pts = tracer.section_cell_points(x)
         mids = [(lo + hi) / g(2) for lo, hi in zip(pts, pts[1:])]
         assert len(mids) == pp.short + pp.long, idx
         assert set(cells_from_division_points(x, pp.long + 2)) <= set(pts)
@@ -411,15 +434,14 @@ def test_cells_are_the_strips_crossings():
 def test_cell_points_step_alike_under_every_hash_seed():
     # the seeds are followed in a fixed order, not a set's string-hash
     # order, so the exchange sees the same steps in every process
-    code = ("from pentaflow import directions, periods, tracer\n"
+    code = ("from pentaflow import directions, tracer\n"
             "calls, step = [], tracer.IETSpec.step\n"
             "def record(spec, p, side=None):\n"
             "    calls.append((p, side))\n"
             "    return step(spec, p, side)\n"
             "tracer.IETSpec.step = record\n"
             "idx = directions.DirectionIndex((1, 2))\n"
-            "tracer.section_cell_points(directions.coordinate_of_index(idx).value,\n"
-            "                           periods.period_of_index(idx).long + 2)\n"
+            "tracer.section_cell_points(directions.coordinate_of_index(idx).value)\n"
             "print(calls)")
     path = [str(Path(tracer.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
     runs = [subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -434,14 +456,14 @@ def test_strip_search_raises_on_cells_that_are_not_the_strips(monkeypatch):
     cells_of = tracer.section_cell_points
     # index 1: the whole diagonal as one cell sends its midpoint elsewhere
     x = coordinate_of_index(DirectionIndex((1,))).value
-    monkeypatch.setattr(tracer, "section_cell_points", lambda x, steps: [ZERO, PHI])
+    monkeypatch.setattr(tracer, "section_cell_points", lambda x: [ZERO, PHI])
     with pytest.raises(ArithmeticError, match="off the midpoints"):
         tracer.strip_cells_for_coordinate(x, expected_long=3)
     # the top corner's two fixed cells, one cut in two: three cycles
     x = coordinate_of_index(DirectionIndex()).value
-    lo, mid, hi = cells_of(x, 3)
+    lo, mid, hi = cells_of(x)
     cut = [lo, (lo + mid) / g(2), mid, hi]
-    monkeypatch.setattr(tracer, "section_cell_points", lambda x, steps: cut)
+    monkeypatch.setattr(tracer, "section_cell_points", lambda x: cut)
     with pytest.raises(ArithmeticError, match="found 3 strip"):
         tracer.strip_cells_for_coordinate(x, expected_long=1)
 
@@ -456,7 +478,7 @@ def test_iet_matches_surface_words():
         s_tr, l_tr = periodic_orbits_for_coordinate(x, expected_long=pp.long)
         spec = iet_build(x)
         got = set()
-        pts = tracer.section_cell_points(x, pp.long + 2)
+        pts = tracer.section_cell_points(x)
         for lo, hi in zip(pts, pts[1:]):
             w, closed = iet_orbit(spec, (lo + hi) / g(2), pp.long)
             assert closed
