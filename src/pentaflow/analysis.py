@@ -235,6 +235,11 @@ def check_conjecture_concat(left: DirectionIndex,
 
 
 class SplittingWitness(NamedTuple):
+    """A splitting that tiles one neighbor chain: the center's short orbit
+    cut as c + d, its long orbit cut as a + b and again as a' + b', and
+    common_prefix = min(|a|, |b'|), the symbols a and b' share at their
+    beginning.  At a corner b and d are empty and common_prefix is 0: a'
+    and a are rotations of L, c of S, and b' of the anchor's short orbit."""
     side: str
     c: tuple[int, ...]
     d: tuple[int, ...]
@@ -243,13 +248,6 @@ class SplittingWitness(NamedTuple):
     a_prime: tuple[int, ...]
     b_prime: tuple[int, ...]
     common_prefix: int
-
-
-def _prefix_compatible(a: tuple[int, ...], b: tuple[int, ...]) -> int | None:
-    n = min(len(a), len(b))
-    if n == 0:
-        return 0
-    return n if a[:n] == b[:n] else None
 
 
 def check_conjecture_splitting(beta: DirectionIndex, radius: int) -> ConjectureReport:
@@ -282,44 +280,39 @@ def check_conjecture_splitting(beta: DirectionIndex, radius: int) -> ConjectureR
 
 
 def _find_splitting(S, L, shorts, longs, side) -> SplittingWitness | None:
+    """The first splitting in nested-loop order (rotation of L, cut of a,
+    rotation of S, then (a', b')), each condition tested once on the pieces
+    it reads."""
     shorts2 = [w + w for w in shorts]
     longs2 = [w + w for w in longs]
-    n_l, n_s = len(L), len(S)
+    n_l, n_s, n_0 = len(L), len(S), len(longs[0])
 
-    # candidate (a', b'): rotation of L cut at |short_0|, piece matching short_0
+    # (a', b'): rotations of L cut at |short_0| that tile the short chain
     cut = len(shorts[0])
-    ab_primes = [(rot[:cut], rot[cut:]) for rot in rotations(L)
-                 if _is_rotation(rot[:cut], shorts2[0])]
+    ab_primes = [(ap, bp) for ap, bp in ((rot[:cut], rot[cut:]) for rot in rotations(L))
+                 if all(_is_rotation(ap + (bp + ap) * i, ww) for i, ww in enumerate(shorts2))]
     if not ab_primes:
         return None
 
-    # candidate (a, b) and (c, d): d + a must tile long_0, so a must be a
-    # factor of long_0 long_0, and a must share its beginning with some b'
+    # (a, b): the cuts with 0 <= |d| <= |S|.  Each b' has n_l - cut
+    # symbols, so a and b' agree on min(|a|, |b'|) symbols when b' begins
+    # with a[:n_l - cut].  That test, and a occurring in long_0 long_0 as
+    # d + a tiles long_0, only fail more as a grows: the first failure ends
+    # the cuts.
     for rot_l in rotations(L):
-        for cut_a in range(n_l + 1):
+        for cut_a in range(max(0, n_0 - n_s), min(n_l, n_0) + 1):
             a, b = rot_l[:cut_a], rot_l[cut_a:]
-            d_len = len(longs[0]) - cut_a
-            if not 0 <= d_len <= n_s or a not in longs2[0]:
-                continue
-            fits = [(ap, bp, pref) for ap, bp in ab_primes
-                    if (pref := _prefix_compatible(a, bp)) is not None]
-            if not fits:
-                continue
+            head = a[:n_l - cut]
+            fit = next(((ap, bp) for ap, bp in ab_primes if bp.startswith(head)), None)
+            if fit is None or a not in longs2[0]:
+                break
+            cut_c = n_s + cut_a - n_0
             for rot_s in rotations(S):
-                c, d = rot_s[:n_s - d_len], rot_s[n_s - d_len:]
-                if not _is_rotation(d + a, longs2[0]):
-                    continue
-                for ap, bp, pref in fits:
-                    if _verify_chain(ap, bp, a, b, c, d, shorts2, longs2):
-                        return SplittingWitness(side, *map(tuple, (c, d, a, b, ap, bp)), pref)
+                c, d = rot_s[:cut_c], rot_s[cut_c:]
+                if all(_is_rotation(d + (c + d) * i + (a + b) * i + a, ww)
+                       for i, ww in enumerate(longs2)):
+                    return SplittingWitness(side, *map(tuple, (c, d, a, b, *fit)), len(head))
     return None
-
-
-def _verify_chain(ap, bp, a, b, c, d, shorts2, longs2) -> bool:
-    """Do the pieces tile the chain, given each chain word doubled?"""
-    return all(_is_rotation(ap + (bp + ap) * i, shorts2[i])
-               and _is_rotation(d + (c + d) * i + (a + b) * i + a, longs2[i])
-               for i in range(1, len(shorts2)))
 
 
 def _find_corner_splitting(S, L, shorts, longs, side) -> SplittingWitness | None:

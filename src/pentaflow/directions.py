@@ -311,6 +311,8 @@ def neighbor_chain(beta: DirectionIndex, side: str, n: int) -> list[DirectionInd
     """The first n tessellation neighbors of beta on one side ('upper' or
     'lower'): the far anchor first, later entries converging to beta.  A
     corner has no neighbors on its outer side."""
+    if side not in ("upper", "lower"):
+        raise ValueError(f"side must be 'upper' or 'lower', not {side!r}")
     if side == "upper":
         if not beta.bottom and not beta.digits:
             return []

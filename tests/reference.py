@@ -14,7 +14,7 @@ from itertools import accumulate
 from operator import matmul
 
 from pentaflow import directions, tracer
-from pentaflow.analysis import SplittingWitness, _prefix_compatible
+from pentaflow.analysis import SplittingWitness
 from pentaflow.directions import (
     ALPHA_COORD,
     BOTTOM,
@@ -662,11 +662,24 @@ def _find_splitting(S, L, shorts, longs, side) -> SplittingWitness | None:
     return None
 
 
+def _prefix_compatible(a: tuple[int, ...], b: tuple[int, ...]) -> int | None:
+    """How many symbols a and b share at their beginning, min(|a|, |b|),
+    or None if they differ there.
+
+    Was `analysis._prefix_compatible` as it stood at `5fee263`; the
+    package's `_find_splitting` now tests whether b' begins with a[:|b'|]."""
+    n = min(len(a), len(b))
+    if n == 0:
+        return 0
+    return n if a[:n] == b[:n] else None
+
+
 def _verify_chain(ap, bp, a, b, c, d, shorts, longs) -> bool:
     """Every chain member, given by its key, matches the pattern built from
     the pieces.
 
-    Guards `analysis._verify_chain`; retired at `cd9cfce`."""
+    Guards the chain tests in `analysis._find_splitting`, which were
+    `analysis._verify_chain` until `5fee263`; retired at `cd9cfce`."""
     for i in range(1, len(shorts)):
         want_s = ap + (bp + ap) * i
         want_l = d + (c + d) * i + (a + b) * i + a

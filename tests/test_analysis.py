@@ -21,6 +21,7 @@ from pentaflow.directions import (
     arc_right_vertex,
     coordinate_of_index,
     index_strings_to_depth,
+    indices_at_generation,
     neighbor_chain,
 )
 from pentaflow.golden import GoldenNum, PHI
@@ -237,3 +238,30 @@ def test_splitting_witnesses_equal_the_reference_search(radius):
                              search(S, L, shorts, longs, side)))
         assert repr(rep.results) == repr(tuple(want)), beta
         assert rep.passed == (bool(want) and all(w is not None for _, _, w in want))
+
+
+@pytest.mark.parametrize("depth, radius", [(4, 1), (3, 2)])
+def test_splitting_witnesses_tile_their_chains(depth, radius):
+    """Every generic center to the depth, on long words of up to 97 Roman
+    symbols: each witness splits the center's orbits, tiles its chain in
+    both patterns for every i, and a and b' agree on their first
+    common_prefix = min(|a|, |b'|) symbols.  No search is run but the
+    package's."""
+    def word(pieces):
+        return CyclicWord(pieces, roman=True)
+
+    for beta in (i for gen in range(1, depth + 1) for i in indices_at_generation(gen)):
+        rep = check_conjecture_splitting(beta, radius)
+        assert rep.passed and len(rep.results) == 2, beta
+        for side, names, w in rep.results:
+            chain = neighbor_chain(beta, side, radius + 1)
+            assert names == tuple(map(str, chain))
+            assert word(w.c + w.d) == _roman(beta, "short"), (beta, side)
+            assert word(w.a + w.b) == word(w.a_prime + w.b_prime) == _roman(beta, "long")
+            for i, gamma in enumerate(chain):
+                assert word(w.a_prime + (w.b_prime + w.a_prime) * i) == \
+                    _roman(gamma, "short"), (beta, side, i)
+                assert word(w.d + (w.c + w.d) * i + (w.a + w.b) * i + w.a) == \
+                    _roman(gamma, "long"), (beta, side, i)
+            k = w.common_prefix
+            assert k == min(len(w.a), len(w.b_prime)) and w.a[:k] == w.b_prime[:k], (beta, side)

@@ -19,6 +19,7 @@ from pentaflow.directions import (
     index_of_coordinate,
     index_strings_to_depth,
     indices_at_generation,
+    neighbor_chain,
     neighbor_family,
     pentagon_for_arc,
     pentagons_to_depth,
@@ -261,6 +262,14 @@ def test_neighbor_family_corners():
     names = [str(v) for _, v, _ in fam.members]
     assert names == ["()", "3", "33", "333", "3333"]
     assert len(fam.members) == 5
+
+
+
+def test_neighbor_chain_rejects_an_unknown_side():
+    # a side other than the two, even in another case, is no silent "lower"
+    for side in ("Upper", "LOWER", "", "left"):
+        with pytest.raises(ValueError, match=f"side must be 'upper' or 'lower', not {side!r}"):
+            neighbor_chain(DirectionIndex((1,)), side, 2)
 
 
 def test_arc_endpoints():
