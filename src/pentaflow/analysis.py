@@ -28,11 +28,11 @@ from .orbits import (
     vector_of,
     vectors_of_index,
 )
-from .periods import PeriodPair, period_of_index
+from .periods import PeriodPair
 from .tracer import (
     PlanePoint,
     TraceResult,
-    TraceBudgetExceeded,
+    closed_within,
     direction_of_vector,
     dot,
     strip_cells_for_coordinate,
@@ -105,15 +105,13 @@ class BilliardReport(NamedTuple):
 def strip_billiard(strip: TraceResult, start: PlanePoint) -> tuple[int, TraceResult]:
     """The billiard multiplier of a closed surface strip and the pentagon
     billiard from start in its direction.  By the Katok-Zemlyakov unfolding
-    the billiard closes within the strip's crossings times the multiplier
-    of the strip's word, its cap; one still open there raises
-    TraceBudgetExceeded."""
-    mult = billiard_multiplier(vector_of(strip.word))
-    cap = mult * strip.crossings
+    the billiard closes when the strip's holonomy in D5 does, whose elements
+    have order 1, 2 or 5: within five strip periods, its cap.  One still
+    open there raises ArithmeticError.  The multiplier is the formula's, so
+    a wrong one fails the length check, not the cap."""
+    cap = 5 * strip.crossings
     res = trace_billiard(start, strip.direction, max_reflections=cap)
-    if not res.closed:
-        raise TraceBudgetExceeded(strip.direction, cap, res.crossings)
-    return mult, res
+    return billiard_multiplier(vector_of(strip.word)), closed_within(res, cap)
 
 
 def billiard_report(idx: DirectionIndex) -> BilliardReport:
@@ -121,14 +119,15 @@ def billiard_report(idx: DirectionIndex) -> BilliardReport:
     checking the exact length multiple and the golden ratio of lengths.
 
     Each billiard starts 5/13 of the way across its strip's cell, so that
-    it closes exactly at its cap.  An orbit closing after half as many
-    reflections, an odd number, returns under a composition of an odd
-    number of reflections, itself a reflection of D5; it fixes only the
-    directions along its axis, which are parallel to a side.  In the sector
-    only the two corner directions are, and there the axis crosses each
-    cell at its midpoint, so a start off the midpoint closes at the cap."""
+    it closes after exactly the multiplier times the strip's crossings.  An
+    orbit closing after half as many reflections, an odd number, returns
+    under a composition of an odd number of reflections, itself a
+    reflection of D5; it fixes only the directions along its axis, which
+    are parallel to a side.  In the sector only the two corner directions
+    are, and there the axis crosses each cell at its midpoint, so a start
+    off the midpoint closes at the full count."""
     x = coordinate_of_index(idx).value
-    cells = strip_cells_for_coordinate(x, expected_long=period_of_index(idx).long)
+    cells = strip_cells_for_coordinate(x)
     (_, _, s_tr), (_, _, l_tr) = cells
     (mult_s, b_s), (mult_l, b_l) = (
         strip_billiard(tr, PlanePoint(lo + (hi - lo) * GoldenNum.of("5/13"), ZERO))

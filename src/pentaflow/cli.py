@@ -2,7 +2,7 @@
 verification (`pentaflow.verify`) and SVG rendering (`pentaflow.render`).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 (`render`
-only) a trace missed its exact period or renormalization ran out of depth.
+only) renormalization of `--u` ran out of depth.
 """
 
 import argparse
@@ -39,13 +39,15 @@ def _parse_index(args):
 def unwritable(path: str) -> str | None:
     """Why `open(path, "w")` would fail, or None, found without creating the
     file, so that `verify` and `render` refuse the path before their work:
-    a directory at the path, or a parent directory that is missing or not
-    writable."""
+    a directory at the path, a file there that is not writable, or for a
+    new file a parent directory that is missing or not writable."""
     import errno
     import os
 
     if os.path.isdir(path):
         return os.strerror(errno.EISDIR)
+    if os.path.exists(path):
+        return None if os.access(path, os.W_OK) else os.strerror(errno.EACCES)
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         return os.strerror(errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT)

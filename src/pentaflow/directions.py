@@ -171,9 +171,10 @@ def index_of_coordinate(x: ProjectivePoint | GoldenNum,
     four sub-arcs.  Each step reads which sub-arc m holds the point from
     three exact comparisons and applies T^-m R, which carries sub-arc m
     onto the closed sector and its lower end to the top endpoint; the run
-    ends there.  Points of the golden field always terminate, though
-    points very close to a shallow vertex take long same-digit runs; the
-    depth budget, counted in digits, guards against non-field input.
+    ends there.  Every point of the golden field terminates, and both
+    accepted types hold one, but points very close to a shallow vertex take
+    long same-digit runs.  The depth budget, counted in digits, bounds the
+    run time of those: `render --u 1/100000` stops at 2,000 digits.
     """
     if isinstance(x, GoldenNum):
         x = ProjectivePoint(x)

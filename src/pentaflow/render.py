@@ -97,15 +97,11 @@ def cmd_render(args) -> int:
     print(f"render: index {idx}, periods {pp.short}/{pp.long}: tracing strips "
           f"of {2 * pp.short} and {2 * pp.long} crossings{billiard}",
           file=sys.stderr)
-    try:
-        s_tr, l_tr = tracer.periodic_orbits_for_coordinate(x, expected_long=pp.long)
-        if args.billiard:
-            from .analysis import strip_billiard
+    (_, _, s_tr), (_, _, l_tr) = tracer.strip_cells_for_coordinate(x)
+    if args.billiard:
+        from .analysis import strip_billiard
 
-            _mult, res = strip_billiard(s_tr, s_tr.start)
-    except tracer.TraceBudgetExceeded as e:
-        print(f"render: {e}", file=sys.stderr)
-        return EXIT_BUDGET
+        _mult, res = strip_billiard(s_tr, s_tr.start)
 
     lines = []
     if args.billiard:

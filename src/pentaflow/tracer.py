@@ -43,17 +43,6 @@ class SaddleConnectionError(RuntimeError):
     """The trajectory ran into a cone point."""
 
 
-class TraceBudgetExceeded(RuntimeError):
-    """A trace ran to its cap, the exact closing count, without closing."""
-
-    def __init__(self, direction: PlanePoint, cap: int, crossings: int):
-        super().__init__(f"trace in direction {direction} made {crossings} "
-                         f"crossings without closing (cap {cap})")
-        self.direction = direction
-        self.cap = cap
-        self.crossings = crossings
-
-
 class SingularOrbit(RuntimeError):
     """A section orbit hit a division point."""
 
@@ -257,6 +246,17 @@ def _result(labels: list[int], closed: bool, flight: GoldenNum,
                        start, direction, tuple(path))
 
 
+def closed_within(res: TraceResult, cap: int) -> TraceResult:
+    """res, which its caller capped where it must have closed: a trace
+    still open there means the tracer contradicts itself, and raises
+    ArithmeticError naming the direction, the cap and the crossings made."""
+    if not res.closed:
+        raise ArithmeticError(f"trace in direction {res.direction} made "
+                              f"{res.crossings} crossings without closing "
+                              f"(cap {cap})")
+    return res
+
+
 def _walk(start: PlanePoint, direction: PlanePoint, cap: int,
           turn) -> TraceResult:
     """The one trace loop, in the upper pentagon: leave through _exit_side,
@@ -411,22 +411,21 @@ def section_cell_points(x: GoldenNum) -> list[GoldenNum]:
     return sorted(pts)
 
 
-def strip_cells_for_coordinate(x: GoldenNum, expected_long: int
+def strip_cells_for_coordinate(x: GoldenNum
                                ) -> list[tuple[GoldenNum, GoldenNum, TraceResult]]:
     """One section cell per parallel strip of a periodic direction.
 
     The exchange permutes the cells of section_cell_points, and each cycle
     of their midpoints is one strip.  Each cycle is followed in 1-D until it
     is back at its first midpoint, within the number of cells since the
-    exchange is injective, and its strip traced once in 2-D from there.
-    The one budget is that trace's cap, 2 * expected_long crossings for the
-    exact long period: an open trace raises TraceBudgetExceeded with the
-    crossings made.  A midpoint sent off the midpoints, or other than two
-    cycles, means inconsistent cells and raises ArithmeticError.  Returns
+    exchange is injective, and its strip traced once in 2-D from there,
+    capped at twice the cycle's length: that length is the strip's period,
+    and its surface word crosses two sides per period.  A midpoint sent off
+    the midpoints, other than two cycles, or a trace still open at its cap
+    means the tracer contradicts itself and raises ArithmeticError.  Returns
     (lo, hi, trace-from-midpoint) twice, short then long by combinatorial
     length, breaking ties by geometric length."""
     direction = direction_of_coordinate(x)
-    cap = 2 * expected_long
     spec = iet_build(x)
     pts = section_cell_points(x)
     cells = {(lo + hi) * HALF: (lo, hi) for lo, hi in zip(pts, pts[1:])}
@@ -435,19 +434,19 @@ def strip_cells_for_coordinate(x: GoldenNum, expected_long: int
     for mid, (lo, hi) in cells.items():
         if mid in seen:
             continue
-        p = mid
+        p, cycle = mid, 0
         while True:
             seen.add(p)
             p, _sym = spec.step(p)
+            cycle += 1
             if p not in cells:
                 raise ArithmeticError(f"the exchange at {x} sends a cell "
                                       f"midpoint to {p}, off the midpoints")
             if p == mid:
                 break
+        cap = 2 * cycle
         res = trace_surface(PlanePoint(mid, ZERO), direction, max_crossings=cap)
-        if not res.closed:
-            raise TraceBudgetExceeded(direction, cap, res.crossings)
-        strips.append((lo, hi, res))
+        strips.append((lo, hi, closed_within(res, cap)))
     if len(strips) != 2:
         raise ArithmeticError(f"found {len(strips)} strip(s) at {x}, not two")
     return sorted(strips, key=lambda c: (len(c[2].word), c[2].length_squared))
@@ -456,9 +455,11 @@ def strip_cells_for_coordinate(x: GoldenNum, expected_long: int
 def periodic_orbits_for_coordinate(x: GoldenNum, expected_long: int
                                    ) -> tuple[TraceResult, TraceResult]:
     """Trace one orbit from each of the two parallel strips of a periodic
-    direction; returns (short, long).  x is the boundary coordinate and
-    expected_long the exact long period."""
-    cells = strip_cells_for_coordinate(x, expected_long)
+    direction; returns (short, long).  x is the boundary coordinate.
+    expected_long is never read: each strip's trace is capped by its own
+    section cycle.  It stays only because the benchmark's workloads pass it
+    by keyword."""
+    cells = strip_cells_for_coordinate(x)
     return cells[0][2], cells[1][2]
 
 

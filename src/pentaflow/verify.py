@@ -117,14 +117,11 @@ def _suite_reduction(depth: int) -> list[dict]:
 def _suite_oracle(idx: DirectionIndex) -> dict:
     from .orbits import orbit_of_index, roman_of_arabic
     from .periods import period_of_index
-    from .tracer import TraceBudgetExceeded, periodic_orbits_for_coordinate
+    from .tracer import strip_cells_for_coordinate
 
     x = coordinate_of_index(idx).value
+    (_, _, s_tr), (_, _, l_tr) = strip_cells_for_coordinate(x)
     pp = period_of_index(idx)
-    try:
-        s_tr, l_tr = periodic_orbits_for_coordinate(x, expected_long=pp.long)
-    except TraceBudgetExceeded as e:
-        return {"ok": False, "error": str(e)}
     ws = orbit_of_index(idx, "short")
     wl = orbit_of_index(idx, "long")
     return {"ok": (
@@ -148,12 +145,8 @@ def _suite_displacement(idx: DirectionIndex) -> dict:
 @_each_direction
 def _suite_billiard(idx: DirectionIndex) -> dict:
     from .analysis import billiard_report
-    from .tracer import TraceBudgetExceeded
 
-    try:
-        rep = billiard_report(idx)
-    except TraceBudgetExceeded as e:
-        return {"ok": False, "error": str(e)}
+    rep = billiard_report(idx)
     return {"ok": rep.passed, "multiplier": rep.multiplier}
 
 

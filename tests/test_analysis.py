@@ -99,12 +99,14 @@ def test_billiard_report_examples():
 
 
 def test_billiard_below_its_exact_cap_fails_loudly(monkeypatch):
-    # at the corner the billiard needs 5 strip periods; with a multiplier
-    # of 1 the routine stops after the strip's 2 crossings and says so
+    # at the corner the billiard needs 5 strip periods; the cap does not
+    # come from the multiplier, so with the multiplier patched to 1 the
+    # billiard still closes after 10 reflections, and the lengths fail
     monkeypatch.setattr(analysis, "billiard_multiplier", lambda v: 1)
-    with pytest.raises(tracer.TraceBudgetExceeded) as e:
-        billiard_report(DirectionIndex())
-    assert e.value.cap == e.value.crossings == 2
+    rep = billiard_report(DirectionIndex())
+    assert rep.multiplier == 1
+    assert rep.billiard_short.crossings == rep.billiard_long.crossings == 10
+    assert not rep.lengths_exact and not rep.passed
 
 
 def test_concat_children_period_bookkeeping():

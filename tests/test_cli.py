@@ -1,11 +1,12 @@
 import json
+import os
 import xml.dom.minidom
 from pathlib import Path
 
 import pytest
 
 from pentaflow import analysis, orbits, periods, tracer
-from pentaflow.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main
+from pentaflow.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main, unwritable
 from pentaflow.directions import DirectionIndex, coordinate_of_index
 from pentaflow.golden import GoldenNum
 
@@ -132,45 +133,40 @@ def test_a_failed_conjecture_fails_the_run(monkeypatch, capsys):
 
 @pytest.mark.parametrize("suite", ["orbits-vs-oracle", "billiard"])
 def test_verify_oracle_budget_row(suite, tmp_path, monkeypatch, capsys):
-    # a trace that misses its period fails its own row, with the error, and
-    # the other directions are still checked and the ledger written
-    strips = tracer.strip_cells_for_coordinate
-    stuck = coordinate_of_index(DirectionIndex((2,))).value
-
-    def too_small_at_2(x, expected_long):
-        return strips(x, 1 if x == stuck else expected_long)
-
-    # both suites search the strips, the billiard through its own import
-    monkeypatch.setattr(tracer, "strip_cells_for_coordinate", too_small_at_2)
-    monkeypatch.setattr(analysis, "strip_cells_for_coordinate", too_small_at_2)
-    with pytest.raises(tracer.TraceBudgetExceeded) as e:
-        too_small_at_2(stuck, 4)
+    # a wrong period (the oracle suite) or multiplier (the billiard) at
+    # index 2 fails its own row: no trace is capped by it, so the other
+    # directions are still checked and the ledger written
+    two = DirectionIndex((2,))
+    if suite == "orbits-vs-oracle":
+        period = periods.period_of_index
+        monkeypatch.setattr(periods, "period_of_index", lambda idx: (
+            periods.PeriodPair(2, 5) if idx == two else period(idx)))
+        want = {"case": "2", "ok": False}
+    else:
+        mult, at_two = orbits.billiard_multiplier, set(orbits.vectors_of_index(two))
+        monkeypatch.setattr(analysis, "billiard_multiplier",
+                            lambda v: 5 if v in at_two else mult(v))
+        want = {"case": "2", "ok": False, "multiplier": 5}
     out = tmp_path / "ledger.json"
     code, stdout = run(capsys, "verify", "--depth", "1", "--suite", suite,
                        "--json-out", str(out))
     assert code == EXIT_VERIFY
     assert stdout == f"suite {suite}: 4 checked, 1 failures\n"
     rows = json.loads(out.read_text())[suite]["rows"]
-    assert {r["case"]: r for r in rows}["2"] == {"case": "2", "ok": False,
-                                                 "error": str(e.value)}
-    assert str(e.value).endswith("made 2 crossings without closing (cap 2)")
+    assert {r["case"]: r for r in rows}["2"] == want
     assert sum(r["ok"] for r in rows) == 3
 
 
-def test_verify_budget_exhausted(monkeypatch):
-    # a suite records a missed period in its row, so verify has no budget
-    # exit: an error raised out of a suite itself, a budget one included,
-    # propagates
-    from pentaflow import verify
-
-    for error in (tracer.TraceBudgetExceeded("d", 8, 8), RuntimeError("not a budget")):
-        def broken(depth):
-            raise error
-
-        monkeypatch.setitem(verify.SUITES, "table", broken)
-        with pytest.raises(type(error)) as e:
-            main(["verify", "--depth", "1", "--suite", "table"])
-        assert e.value is error
+def test_verify_budget_exhausted(monkeypatch, capsys):
+    # verify has no budget exit: a strip trace still open at its cap means
+    # the tracer contradicts itself, and its ArithmeticError propagates out
+    # of the suite before any line is printed
+    trace = tracer.trace_surface
+    monkeypatch.setattr(tracer, "trace_surface",
+                        lambda start, direction, max_crossings: trace(start, direction, 1))
+    with pytest.raises(ArithmeticError, match=r"made 1 crossings without closing \(cap 2\)$"):
+        main(["verify", "--depth", "1", "--suite", "orbits-vs-oracle"])
+    assert capsys.readouterr().out == ""
 
 
 def test_verify_deterministic_ledger(tmp_path, capsys):
@@ -296,6 +292,30 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.endswith(f"render: cannot write {svg}: "
                                  "No such file or directory\n")
+
+
+def test_unwritable_judges_an_existing_file_by_its_own_mode(tmp_path, monkeypatch, capsys):
+    # os.access is patched, since a superuser may write any file: a
+    # read-only file in a writable directory is refused before any work, a
+    # writable file in a read-only directory is written, and a new file is
+    # judged by its directory
+    (tmp_path / "open").mkdir()
+    (tmp_path / "locked").mkdir()
+    ro, rw = tmp_path / "open" / "ro.json", tmp_path / "locked" / "rw.json"
+    ro.write_text("")
+    rw.write_text("")
+    denied = {str(ro), str(tmp_path / "locked")}
+    monkeypatch.setattr(os, "access", lambda path, mode: str(path) not in denied)
+    assert unwritable(str(ro)) == "Permission denied"
+    assert unwritable(str(rw)) is None
+    assert unwritable(str(tmp_path / "locked" / "new.json")) == "Permission denied"
+    assert unwritable(str(tmp_path / "open" / "new.json")) is None
+    assert main(["render", "2", "--out", str(ro)]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", f"render: cannot write {ro}: Permission denied\n")
+    assert main(["verify", "--depth", "1", "--suite", "table",
+                 "--json-out", str(rw)]) == EXIT_OK
+    assert json.loads(rw.read_text())["table"]["failures"] == 0
+    assert ro.read_text() == ""
 
 
 @pytest.mark.parametrize("argv, name", [

@@ -40,7 +40,6 @@ from pentaflow.tracer import (
     trace_billiard,
     trace_surface,
 )
-from pentaflow.verify import _all_indices
 from reference import (
     DEPTH3_AND_BOTTOM,
     JUMPS,
@@ -161,37 +160,29 @@ def test_budget_exhaustion_reports_open_trace():
 
 
 def test_strip_search_fails_loudly_below_the_exact_period(monkeypatch):
-    # index 2 has periods 2/4; a long period of 1 caps every trace at 2
-    # crossings, so the first cell's orbit cannot close, and the error
-    # carries the crossings the trace made
+    # each strip trace is capped at twice its section cycle, where it
+    # closes; cut one crossing short of that, it cannot close, and the
+    # error names the direction, the cap and the crossings the trace made
     x = coordinate_of_index(DirectionIndex((2,))).value
-    exit_side, calls = tracer._exit_side, []
+    exit_side, trace, calls, caps = tracer._exit_side, tracer.trace_surface, [], []
 
     def counted(pos, direction):
         calls.append(pos)
         return exit_side(pos, direction)
 
+    def cut_short(start, direction, max_crossings):
+        caps.append(max_crossings)
+        return trace(start, direction, max_crossings - 1)
+
     monkeypatch.setattr(tracer, "_exit_side", counted)
-    with pytest.raises(tracer.TraceBudgetExceeded) as e:
-        tracer.strip_cells_for_coordinate(x, expected_long=1)
-    assert e.value.cap == 2 and e.value.crossings == 2
-    assert len(calls) == e.value.cap
-    assert e.value.direction == direction_of_coordinate(x)
-    assert "cap 2" in str(e.value) and str(e.value.direction) in str(e.value)
-
-
-def test_every_period_below_the_exact_one_exhausts_the_strip_trace():
-    # the cells do not depend on the period given, so a too-small one is
-    # met only by the strip trace's cap, which the long strip always reaches
-    cases = 0
-    for idx in (*_all_indices(2), BOTTOM):
-        x = coordinate_of_index(idx).value
-        for expected_long in range(1, period_of_index(idx).long):
-            with pytest.raises(tracer.TraceBudgetExceeded) as e:
-                tracer.strip_cells_for_coordinate(x, expected_long)
-            assert e.value.cap == e.value.crossings == 2 * expected_long, (idx, expected_long)
-            cases += 1
-    assert cases == 89
+    monkeypatch.setattr(tracer, "trace_surface", cut_short)
+    with pytest.raises(ArithmeticError) as e:
+        tracer.strip_cells_for_coordinate(x)
+    # index 2 has periods 2/4: the first strip met is the long one
+    assert caps == [8]
+    assert len(calls) == 7
+    assert str(e.value) == (f"trace in direction {direction_of_coordinate(x)} "
+                            "made 7 crossings without closing (cap 8)")
 
 
 def test_exit_side_matches_the_nearest_hit_search(monkeypatch):
@@ -458,14 +449,14 @@ def test_strip_search_raises_on_cells_that_are_not_the_strips(monkeypatch):
     x = coordinate_of_index(DirectionIndex((1,))).value
     monkeypatch.setattr(tracer, "section_cell_points", lambda x: [ZERO, PHI])
     with pytest.raises(ArithmeticError, match="off the midpoints"):
-        tracer.strip_cells_for_coordinate(x, expected_long=3)
+        tracer.strip_cells_for_coordinate(x)
     # the top corner's two fixed cells, one cut in two: three cycles
     x = coordinate_of_index(DirectionIndex()).value
     lo, mid, hi = cells_of(x)
     cut = [lo, (lo + mid) / g(2), mid, hi]
     monkeypatch.setattr(tracer, "section_cell_points", lambda x: cut)
     with pytest.raises(ArithmeticError, match="found 3 strip"):
-        tracer.strip_cells_for_coordinate(x, expected_long=1)
+        tracer.strip_cells_for_coordinate(x)
 
 
 def test_iet_matches_surface_words():
@@ -566,7 +557,7 @@ def test_billiard_corner_needs_five_traversals():
     # the base short orbit has invariant 2 mod 5, so the billiard orbit is
     # five times the surface orbit
     x = coordinate_of_index(DirectionIndex()).value
-    cells = tracer.strip_cells_for_coordinate(x, expected_long=1)
+    cells = tracer.strip_cells_for_coordinate(x)
     lo, hi, s_tr = cells[0]
     p = lo + (hi - lo) * g(Fraction(5, 13))
     res = trace_billiard(section_point(p), direction_of_coordinate(x), 200)
@@ -649,13 +640,17 @@ def test_display_forms_build_no_pentanum(monkeypatch, tmp_path, capsys):
         "y": [[[0, 1], [0, 1]], [[2, 1], [3, 1]]],
         "decimal": ["0.30901699437494742410", "4.0287400534704069747"],
     }
-    with pytest.raises(tracer.TraceBudgetExceeded) as err:
-        tracer.strip_cells_for_coordinate(x, 1)
-    assert str(err.value) == ("trace in direction (-4 + 5/2*phi, (1)*s) made 2 "
-                              "crossings without closing (cap 2)")
     for argv in (("2",), ("2", "--billiard")):
         assert main(["render", *argv, "--out", str(tmp_path / "o.svg")]) == 0
     capsys.readouterr()
+    # a strip trace cut short of its cap: index 1 has periods 2/3
+    trace = tracer.trace_surface
+    monkeypatch.setattr(tracer, "trace_surface",
+                        lambda start, direction, max_crossings: trace(start, direction, 2))
+    with pytest.raises(ArithmeticError) as err:
+        tracer.strip_cells_for_coordinate(x)
+    assert str(err.value) == ("trace in direction (-4 + 5/2*phi, (1)*s) made 2 "
+                              "crossings without closing (cap 6)")
 
 
 def test_tracer_computes_nothing_in_q_phi_s(monkeypatch):
