@@ -102,21 +102,32 @@ class BilliardReport(NamedTuple):
         return self.lengths_exact and self.ratio_is_phi_squared
 
 
+#: the most strip periods a billiard runs before it closes: the order of the
+#: strip's holonomy in D5, whose elements have order 1, 2 or 5
+BILLIARD_PERIODS = 5
+
+
 def strip_billiard(strip: TraceResult, start: PlanePoint) -> tuple[int, TraceResult]:
     """The billiard multiplier of a closed surface strip and the pentagon
     billiard from start in its direction.  By the Katok-Zemlyakov unfolding
-    the billiard closes when the strip's holonomy in D5 does, whose elements
-    have order 1, 2 or 5: within five strip periods, its cap.  One still
-    open there raises ArithmeticError.  The multiplier is the formula's, so
-    a wrong one fails the length check, not the cap."""
-    cap = 5 * strip.crossings
+    the billiard closes when the strip's holonomy in D5 does: within
+    `BILLIARD_PERIODS` strip periods, its cap.  One still open there raises
+    ArithmeticError.  The multiplier is the formula's, so a wrong one fails
+    the length check, not the cap."""
+    cap = BILLIARD_PERIODS * strip.crossings
     res = trace_billiard(start, strip.direction, max_reflections=cap)
     return billiard_multiplier(vector_of(strip.word)), closed_within(res, cap)
 
 
 def billiard_report(idx: DirectionIndex) -> BilliardReport:
     """Trace both strips on the surface and the matching pentagon billiards,
-    checking the exact length multiple and the golden ratio of lengths.
+    checking the exact length multiple and the golden ratio of lengths."""
+    return billiard_report_of_strips(
+        idx, strip_cells_for_coordinate(coordinate_of_index(idx).value))
+
+
+def billiard_report_of_strips(idx: DirectionIndex, cells) -> BilliardReport:
+    """`billiard_report` of idx from its strip search's cells and traces.
 
     Each billiard starts 5/13 of the way across its strip's cell, so that
     it closes after exactly the multiplier times the strip's crossings.  An
@@ -126,8 +137,6 @@ def billiard_report(idx: DirectionIndex) -> BilliardReport:
     are parallel to a side.  In the sector only the two corner directions
     are, and there the axis crosses each cell at its midpoint, so a start
     off the midpoint closes at the full count."""
-    x = coordinate_of_index(idx).value
-    cells = strip_cells_for_coordinate(x)
     (_, _, s_tr), (_, _, l_tr) = cells
     (mult_s, b_s), (mult_l, b_l) = (
         strip_billiard(tr, PlanePoint(lo + (hi - lo) * GoldenNum.of("5/13"), ZERO))

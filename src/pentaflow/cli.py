@@ -2,7 +2,8 @@
 verification (`pentaflow.verify`) and SVG rendering (`pentaflow.render`).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 (`render`
-only) renormalization of `--u` ran out of depth.
+only) renormalization of `--u` ran out of depth, 141 the reader closed
+stdout (as for a writer stopped by SIGPIPE).
 """
 
 import argparse
@@ -16,6 +17,7 @@ EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_PIPE = 141
 
 #: the verification suites; `verify` runs and prints them sorted by name,
 #: whatever this order; `verify.SUITES` is keyed by this list, so the parser
@@ -164,7 +166,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout, during the command or at the flush of
+        # its last buffered lines: point stdout at devnull so that the
+        # interpreter's own flush at exit does not raise again, and exit as
+        # a shell reports a writer stopped by SIGPIPE
+        import os
+
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -92,15 +92,17 @@ def cmd_render(args) -> int:
         print(f"render: index {idx} has periods {pp.short}/{pp.long}, above the "
               f"limit of {MAX_PERIOD}", file=sys.stderr)
         return EXIT_USAGE
-    billiard = (f" and a billiard of at most {10 * pp.short} reflections"
-                if args.billiard else "")
+    billiard = ""
+    if args.billiard:
+        from .analysis import BILLIARD_PERIODS, strip_billiard
+
+        billiard = (f" and a billiard of at most {BILLIARD_PERIODS * 2 * pp.short}"
+                    " reflections")
     print(f"render: index {idx}, periods {pp.short}/{pp.long}: tracing strips "
           f"of {2 * pp.short} and {2 * pp.long} crossings{billiard}",
           file=sys.stderr)
     (_, _, s_tr), (_, _, l_tr) = tracer.strip_cells_for_coordinate(x)
     if args.billiard:
-        from .analysis import strip_billiard
-
         _mult, res = strip_billiard(s_tr, s_tr.start)
 
     lines = []

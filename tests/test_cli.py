@@ -1,12 +1,22 @@
 import json
 import os
+import subprocess
+import sys
 import xml.dom.minidom
 from pathlib import Path
 
 import pytest
 
 from pentaflow import analysis, orbits, periods, tracer
-from pentaflow.cli import EXIT_BUDGET, EXIT_OK, EXIT_USAGE, EXIT_VERIFY, main, unwritable
+from pentaflow.cli import (
+    EXIT_BUDGET,
+    EXIT_OK,
+    EXIT_PIPE,
+    EXIT_USAGE,
+    EXIT_VERIFY,
+    main,
+    unwritable,
+)
 from pentaflow.directions import DirectionIndex, coordinate_of_index
 from pentaflow.golden import GoldenNum
 
@@ -82,6 +92,24 @@ def test_orbit_outputs(capsys):
 
     code, out = run(capsys, "orbit", "--long")
     assert code == EXIT_OK and out.strip() == "4 3"
+
+
+def test_a_closed_stdout_exits_as_sigpipe():
+    # the reader takes 10 bytes of a 2.3 MB word and closes the pipe: the
+    # writer exits 141, as a shell reports a writer stopped by SIGPIPE,
+    # with no traceback
+    src = str(Path(__file__).parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH", "")])))
+    proc = subprocess.Popen([sys.executable, "-m", "pentaflow.cli", "orbit",
+                             "121212121212", "--long"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(10)) == 10
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_PIPE
+    assert err == b""
 
 
 def test_verify_table(capsys):
@@ -169,6 +197,34 @@ def test_verify_budget_exhausted(monkeypatch, capsys):
     assert capsys.readouterr().out == ""
 
 
+def test_verify_searches_each_directions_strips_once(tmp_path, monkeypatch, capsys):
+    # orbits-vs-oracle and billiard read the same strip search of each of
+    # the 16 directions to depth 2, and give the rows each gives alone;
+    # analysis binds the search at import, so both names are counted
+    count = 0
+    search = tracer.strip_cells_for_coordinate
+
+    def counted(x):
+        nonlocal count
+        count += 1
+        return search(x)
+
+    monkeypatch.setattr(tracer, "strip_cells_for_coordinate", counted)
+    monkeypatch.setattr(analysis, "strip_cells_for_coordinate", counted)
+    suites = ("billiard", "orbits-vs-oracle")
+    ledgers = {}
+    for run_of in (suites, *((n,) for n in suites)):
+        out = tmp_path / f"{'+'.join(run_of)}.json"
+        count = 0
+        code, stdout = run(capsys, "verify", "--depth", "2",
+                           *(a for n in run_of for a in ("--suite", n)),
+                           "--json-out", str(out))
+        assert code == EXIT_OK and count == 16
+        assert stdout == "".join(f"suite {n}: 16 checked, 0 failures\n" for n in run_of)
+        ledgers[run_of] = json.loads(out.read_text())
+    assert ledgers[suites] == {n: ledgers[(n,)][n] for n in suites}
+
+
 def test_verify_deterministic_ledger(tmp_path, capsys):
     outs = []
     for name in ("a", "b"):
@@ -213,8 +269,12 @@ def test_render_surface_and_billiard(tmp_path, capsys):
     assert len(doc.getElementsByTagName("polygon")) == 2
 
     out2 = tmp_path / "billiard.svg"
-    code, _ = run(capsys, "render", "2", "--billiard", "--out", str(out2))
-    assert code == EXIT_OK
+    assert main(["render", "2", "--billiard", "--out", str(out2)]) == EXIT_OK
+    # the billiard's cap is five periods of the short strip, as
+    # analysis.strip_billiard caps it
+    assert capsys.readouterr().err == (
+        "render: index 2, periods 2/4: tracing strips of 4 and 8 crossings "
+        "and a billiard of at most 20 reflections\n")
     doc = xml.dom.minidom.parse(str(out2))
     assert len(doc.getElementsByTagName("polygon")) == 1
 
