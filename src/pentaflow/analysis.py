@@ -157,14 +157,15 @@ def billiard_report_of_strips(idx: DirectionIndex, cells) -> BilliardReport:
 
 
 def _arc_for_endpoints(left: DirectionIndex, right: DirectionIndex) -> tuple[int, ...]:
+    """The arc from left to right: left's digits and z zeros.  For z >= 1
+    the lower endpoint is z digits deeper than left, for z = 0 no deeper,
+    so only one z can fit."""
     if left.bottom:
         raise ValueError("left endpoint cannot be the bottom corner")
-    prefix = left.digits
-    for _ in range(right.generation + 2):
-        if arc_right_vertex(prefix) == right:
-            return prefix
-        prefix = prefix + (0,)
-    raise ValueError(f"{left} and {right} are not joined by a pentagon side")
+    prefix = left.digits + (0,) * max(0, right.generation - left.generation)
+    if arc_right_vertex(prefix) != right:
+        raise ValueError(f"{left} and {right} are not joined by a pentagon side")
+    return prefix
 
 
 def _roman_bytes(idx: DirectionIndex, kind: str) -> bytes:
@@ -292,7 +293,7 @@ def _find_splitting(S, L, shorts, longs, side) -> SplittingWitness | None:
     rotation of S, then (a', b')), each condition tested once on the pieces
     it reads."""
     shorts2 = [w + w for w in shorts]
-    longs2 = [w + w for w in longs]
+    l0l0, *longs2 = [w + w for w in longs]
     n_l, n_s, n_0 = len(L), len(S), len(longs[0])
 
     # (a', b'): rotations of L cut at |short_0| that tile the short chain
@@ -304,21 +305,24 @@ def _find_splitting(S, L, shorts, longs, side) -> SplittingWitness | None:
 
     # (a, b): the cuts with 0 <= |d| <= |S|.  Each b' has n_l - cut
     # symbols, so a and b' agree on min(|a|, |b'|) symbols when b' begins
-    # with a[:n_l - cut].  That test, and a occurring in long_0 long_0 as
-    # d + a tiles long_0, only fail more as a grows: the first failure ends
-    # the cuts.
+    # with a[:n_l - cut].  long_0 = d a solves for d: the n_0 - |a| symbols
+    # before each occurrence of a in long_0 long_0.  Both tests only fail
+    # more as a grows, so a missing fit or an empty set of ds ends the cuts.
     for rot_l in rotations(L):
         for cut_a in range(max(0, n_0 - n_s), min(n_l, n_0) + 1):
             a, b = rot_l[:cut_a], rot_l[cut_a:]
             head = a[:n_l - cut]
             fit = next(((ap, bp) for ap, bp in ab_primes if bp.startswith(head)), None)
-            if fit is None or a not in longs2[0]:
+            if fit is None:
+                break
+            ds = {l0l0[q + cut_a:q + n_0] for q in range(n_0) if l0l0.startswith(a, q)}
+            if not ds:
                 break
             cut_c = n_s + cut_a - n_0
             for rot_s in rotations(S):
                 c, d = rot_s[:cut_c], rot_s[cut_c:]
-                if all(_is_rotation(d + (c + d) * i + (a + b) * i + a, ww)
-                       for i, ww in enumerate(longs2)):
+                if d in ds and all(_is_rotation(d + (c + d) * i + (a + b) * i + a, ww)
+                                   for i, ww in enumerate(longs2, start=1)):
                     return SplittingWitness(side, *map(tuple, (c, d, a, b, *fit)), len(head))
     return None
 

@@ -41,11 +41,13 @@ def _parse_index(args):
 def unwritable(path: str) -> str | None:
     """Why `open(path, "w")` would fail, or None, found without creating the
     file, so that `verify` and `render` refuse the path before their work:
-    a directory at the path, a file there that is not writable, or for a
-    new file a parent directory that is missing or not writable."""
+    an empty or directory path, a file there that is not writable, or for
+    a new file a parent directory that is missing or not writable."""
     import errno
     import os
 
+    if not path:
+        return os.strerror(errno.ENOENT)
     if os.path.isdir(path):
         return os.strerror(errno.EISDIR)
     if os.path.exists(path):

@@ -160,21 +160,22 @@ def reduce_word(w: CyclicWord) -> CyclicWord:
 
 
 def roman_of_arabic(w: CyclicWord) -> CyclicWord:
-    """Parse an Arabic word into its unique Roman pair form."""
+    """Parse an Arabic word into its unique Roman pair form.  Every pair
+    of ROMAN_OF_PAIR begins with 2 or 4 and ends with 1, 3 or 5, so the
+    pairs are cut after the first symbol when it is odd and before it when
+    it is even; the other cut never parses."""
     if w.roman:
         return w
     if len(w) % 2:
         raise WordError("odd length cannot parse into pairs")
     s = w.symbols
-    n = len(s)
-    last_bad = 0
-    for offset in (0, 1):
-        rot = s[offset:] + s[:offset]
-        roman = [ROMAN_OF_PAIR.get(pair) for pair in zip(rot[::2], rot[1::2])]
-        if None not in roman:
-            return CyclicWord(bytes(roman), roman=True)
-        last_bad = (offset + 2 * roman.index(None)) % n
-    raise WordError(f"no rotation parses into the four pairs (near position {last_bad})")
+    offset = s[0] % 2
+    rot = s[offset:] + s[:offset]
+    roman = [ROMAN_OF_PAIR.get(pair) for pair in zip(rot[::2], rot[1::2])]
+    if None in roman:
+        bad = (offset + 2 * roman.index(None)) % len(s)
+        raise WordError(f"no rotation parses into the four pairs (near position {bad})")
+    return CyclicWord(bytes(roman), roman=True)
 
 
 # ---------------------------------------------------------------------------

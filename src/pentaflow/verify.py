@@ -182,7 +182,7 @@ def cmd_verify(args) -> int:
             print(f"verify: unknown suite {n}", file=sys.stderr)
             return EXIT_USAGE
     names = sorted(set(names))
-    if args.json_out and (reason := unwritable(args.json_out)):
+    if args.json_out is not None and (reason := unwritable(args.json_out)):
         print(f"verify: cannot write ledger {args.json_out}: {reason}", file=sys.stderr)
         return EXIT_USAGE
     walked = {n: [] for n in names if n in PER_DIRECTION}
@@ -198,7 +198,7 @@ def cmd_verify(args) -> int:
         bad = sum(not r["ok"] for r in rows)
         ledger[n] = {"checked": len(rows), "failures": bad, "rows": rows}
         print(f"suite {n}: {len(rows)} checked, {bad} failures")
-    if args.json_out:
+    if args.json_out is not None:
         try:
             with open(args.json_out, "w") as f:
                 json.dump(ledger, f, indent=2, sort_keys=True)

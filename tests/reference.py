@@ -22,6 +22,7 @@ from pentaflow.directions import (
     DepthExceeded,
     DirectionIndex,
     _exponents,
+    arc_right_vertex,
     in_closed_sector,
     mirror_digits,
 )
@@ -479,6 +480,49 @@ def enhance(w: CyclicWord) -> CyclicWord:
         out.append(s)
         out.extend(_chain_path_interior(s, w.symbols[(i + 1) % n]))
     return CyclicWord(tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# the routes that tried every candidate, as they stood at `d75cede`.  They
+# guard `orbits.roman_of_arabic`, which parses at the one cut the parity of
+# the first symbol allows, and `analysis._arc_for_endpoints`, which appends
+# the one count of zeros that can reach the lower endpoint; both loops were
+# retired after `d75cede`.
+
+
+def roman_by_two_cuts(w: CyclicWord) -> CyclicWord:
+    """Parse an Arabic word into its unique Roman pair form.
+
+    Guards `orbits.roman_of_arabic`; retired after `d75cede`."""
+    if w.roman:
+        return w
+    if len(w) % 2:
+        raise WordError("odd length cannot parse into pairs")
+    s = w.symbols
+    n = len(s)
+    last_bad = 0
+    for offset in (0, 1):
+        rot = s[offset:] + s[:offset]
+        roman = [ROMAN_OF_PAIR.get(pair) for pair in zip(rot[::2], rot[1::2])]
+        if None not in roman:
+            return CyclicWord(bytes(roman), roman=True)
+        last_bad = (offset + 2 * roman.index(None)) % n
+    raise WordError(f"no rotation parses into the four pairs (near position {last_bad})")
+
+
+def arc_by_trial(left: DirectionIndex, right: DirectionIndex) -> tuple[int, ...]:
+    """The arc from left to right, trying left's digits with 0, 1, 2, ...
+    zeros appended.
+
+    Guards `analysis._arc_for_endpoints`; retired after `d75cede`."""
+    if left.bottom:
+        raise ValueError("left endpoint cannot be the bottom corner")
+    prefix = left.digits
+    for _ in range(right.generation + 2):
+        if arc_right_vertex(prefix) == right:
+            return prefix
+        prefix = prefix + (0,)
+    raise ValueError(f"{left} and {right} are not joined by a pentagon side")
 
 
 # ---------------------------------------------------------------------------

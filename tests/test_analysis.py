@@ -28,18 +28,21 @@ from pentaflow.golden import GoldenNum, PHI
 from pentaflow.orbits import (
     CyclicWord,
     OrbitVector,
+    _is_rotation,
     orbit_of_index,
     roman_of_arabic,
     vectors_of_index,
 )
 from pentaflow.periods import child_periods, period_of_index
 from pentaflow import analysis, tracer
+from pentaflow.verify import _all_indices
 from reference import (
     DEPTH3,
     DEPTH3_AND_BOTTOM,
     _concat_witness,
     _find_corner_splitting,
     _find_splitting,
+    arc_by_trial,
     g,
 )
 
@@ -220,6 +223,44 @@ def test_concat_witnesses_equal_the_reference_search():
                 _roman(r.child, r.kind), [pieces[name] for name in r.pattern]))
             for r in rep.results)
         assert repr(rep.results) == repr(want), p
+
+
+def test_arc_for_endpoints_equals_the_trial_route():
+    # only one count of zeros can reach the lower endpoint: every arc to
+    # depth 4 gives its own prefix on both routes, and every other ordered
+    # pair of indices to depth 2 is refused by both
+    for p in [(), *index_strings_to_depth(4)]:
+        left, right = arc_left_vertex(p), arc_right_vertex(p)
+        assert analysis._arc_for_endpoints(left, right) == arc_by_trial(left, right) == p
+    arcs = {(arc_left_vertex(p), arc_right_vertex(p)) for p in [(), *index_strings_to_depth(2)]}
+    ends = (*_all_indices(2), BOTTOM)
+    for left, right in ((l, r) for l in ends for r in ends if (l, r) not in arcs):
+        for route in (analysis._arc_for_endpoints, arc_by_trial):
+            with pytest.raises(ValueError):
+                route(left, right)
+
+
+@pytest.mark.parametrize("radius", [1, 2])
+def test_splitting_solves_long_0_instead_of_testing_it(monkeypatch, radius):
+    """long_0 = d a gives d from a, so no rotation test reads long_0:
+    every center to depth 3 and both corners, with _is_rotation wrapped
+    to record its targets."""
+    targets = []
+
+    def recorded(x, ww):
+        targets.append(ww)
+        return _is_rotation(x, ww)
+
+    monkeypatch.setattr(analysis, "_is_rotation", recorded)
+    for beta in DEPTH3_AND_BOTTOM:
+        targets.clear()
+        assert check_conjecture_splitting(beta, radius).passed, beta
+        assert targets, beta
+        for side in ("upper", "lower"):
+            chain = neighbor_chain(beta, side, radius + 1)
+            if chain:
+                long_0 = _roman(chain[0], "long").symbols
+                assert long_0 + long_0 not in targets, (beta, side)
 
 
 @pytest.mark.parametrize("radius", [1, 2])

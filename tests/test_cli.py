@@ -353,6 +353,13 @@ def test_unwritable_output_is_a_usage_error(tmp_path, capsys):
     assert captured.err.endswith(f"render: cannot write {svg}: "
                                  "No such file or directory\n")
 
+    # an empty path names no file: refused before any suite runs or any
+    # strip is traced (render says "tracing strips" first when it traces)
+    assert main(["verify", "--depth", "1", "--suite", "periods", "--json-out", ""]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "verify: cannot write ledger : No such file or directory\n")
+    assert main(["render", "2", "--out", ""]) == EXIT_USAGE
+    assert capsys.readouterr() == ("", "render: cannot write : No such file or directory\n")
+
 
 def test_unwritable_judges_an_existing_file_by_its_own_mode(tmp_path, monkeypatch, capsys):
     # os.access is patched, since a superuser may write any file: a

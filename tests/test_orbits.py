@@ -313,6 +313,27 @@ def test_the_veech_step_is_one_affine_map_per_shift():
             assert cross(p, direction_of_coordinate(x)).is_zero(), (bottom, kind)
 
 
+def test_roman_parse_equals_the_two_cut_route():
+    # the parity of the first symbol picks the one cut that can parse:
+    # every engine word to generation 5 (2,050 words), both kinds, and
+    # every rotation of four words, some beginning with an odd symbol and
+    # some with an even one, parse to the same pairs as by trying both cuts
+    words = [orbit_of_index(idx, kind)
+             for idx in (*_all_indices(5), BOTTOM) for kind in ("short", "long")]
+    for w in (EXAMPLE, W("2 5"), W("4 1 2 3"), orbit_of_index(DirectionIndex((2, 3)), "long")):
+        words.extend(CyclicWord(r) for r in rotations(w.symbols))
+    for w in words:
+        got, want = roman_of_arabic(w), reference.roman_by_two_cuts(w)
+        assert got.roman and got.symbols == want.symbols, w
+    # odd lengths and pairs outside the four, at every rotation, fail on both
+    bad = [W("1 2 3"), W("5"), *(CyclicWord(r) for w in (W("1 5 3 5"), W("4 3 4 4 2 5"))
+                                 for r in rotations(w.symbols))]
+    for w in bad:
+        for parse in (roman_of_arabic, reference.roman_by_two_cuts):
+            with pytest.raises(WordError):
+                parse(w)
+
+
 def test_roman_substitutions_compose_to_the_orbits_to_depth_six():
     # all 8,194 words: every index to generation 6 and the bottom corner,
     # both kinds
