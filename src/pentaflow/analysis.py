@@ -3,7 +3,9 @@
 Displacement vectors and squared lengths are exact; geometric lengths are
 compared through squared norms so no square roots ever enter the field
 arithmetic.  The two concatenation experiments on symbolic orbits search
-exhaustively over rotations and record explicit witnesses.
+exhaustively over rotations and record explicit witnesses; the splitting
+search reads the rotations c d of the short orbit whose d solves
+long_0 = d a off the occurrences of d in the short orbit doubled.
 """
 
 from __future__ import annotations
@@ -288,12 +290,22 @@ def check_conjecture_splitting(beta: DirectionIndex, radius: int) -> ConjectureR
     return ConjectureReport(f"center {beta}", tuple(results), passed)
 
 
+def _occurrences(ww: bytes, x: bytes, lo: int, hi: int):
+    """The offsets lo <= k < hi at which x occurs in ww, in increasing order,
+    overlapping ones included; an empty x occurs at every offset."""
+    k = ww.find(x, lo)
+    while 0 <= k < hi:
+        yield k
+        k = ww.find(x, k + 1)
+
+
 def _find_splitting(S, L, shorts, longs, side) -> SplittingWitness | None:
     """The first splitting in nested-loop order (rotation of L, cut of a,
     rotation of S, then (a', b')), each condition tested once on the pieces
     it reads."""
     shorts2 = [w + w for w in shorts]
     l0l0, *longs2 = [w + w for w in longs]
+    ss = S + S
     n_l, n_s, n_0 = len(L), len(S), len(longs[0])
 
     # (a', b'): rotations of L cut at |short_0| that tile the short chain
@@ -306,8 +318,11 @@ def _find_splitting(S, L, shorts, longs, side) -> SplittingWitness | None:
     # (a, b): the cuts with 0 <= |d| <= |S|.  Each b' has n_l - cut
     # symbols, so a and b' agree on min(|a|, |b'|) symbols when b' begins
     # with a[:n_l - cut].  long_0 = d a solves for d: the n_0 - |a| symbols
-    # before each occurrence of a in long_0 long_0.  Both tests only fail
+    # after each occurrence of a in long_0 long_0.  Both tests only fail
     # more as a grows, so a missing fit or an empty set of ds ends the cuts.
+    # The rotation c d of S at offset r is the one whose d occurs in S S at
+    # r + |c|, so the rotations with d in the set are read off those
+    # occurrences, in increasing r.
     for rot_l in rotations(L):
         for cut_a in range(max(0, n_0 - n_s), min(n_l, n_0) + 1):
             a, b = rot_l[:cut_a], rot_l[cut_a:]
@@ -315,14 +330,14 @@ def _find_splitting(S, L, shorts, longs, side) -> SplittingWitness | None:
             fit = next(((ap, bp) for ap, bp in ab_primes if bp.startswith(head)), None)
             if fit is None:
                 break
-            ds = {l0l0[q + cut_a:q + n_0] for q in range(n_0) if l0l0.startswith(a, q)}
+            ds = {l0l0[q + cut_a:q + n_0] for q in _occurrences(l0l0, a, 0, n_0)}
             if not ds:
                 break
             cut_c = n_s + cut_a - n_0
-            for rot_s in rotations(S):
-                c, d = rot_s[:cut_c], rot_s[cut_c:]
-                if d in ds and all(_is_rotation(d + (c + d) * i + (a + b) * i + a, ww)
-                                   for i, ww in enumerate(longs2, start=1)):
+            for k in sorted(k for d in ds for k in _occurrences(ss, d, cut_c, cut_c + n_s)):
+                c, d = ss[k - cut_c:k], ss[k:k + n_0 - cut_a]
+                if all(_is_rotation(d + (c + d) * i + (a + b) * i + a, ww)
+                       for i, ww in enumerate(longs2, start=1)):
                     return SplittingWitness(side, *map(tuple, (c, d, a, b, *fit)), len(head))
     return None
 

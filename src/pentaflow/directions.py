@@ -176,6 +176,8 @@ def index_of_coordinate(x: ProjectivePoint | GoldenNum,
     long same-digit runs.  The depth budget, counted in digits, bounds the
     run time of those: `render --u 1/100000` stops at 2,000 digits.
     """
+    if max_depth < 0:
+        raise ValueError("max_depth must be nonnegative")
     if isinstance(x, GoldenNum):
         x = ProjectivePoint(x)
     if not in_closed_sector(x):

@@ -115,16 +115,27 @@ def _suite_reduction(depth: int) -> list[dict]:
 
 
 def _suite_oracle(idx: DirectionIndex, strips) -> dict:
-    from .orbits import orbit_of_index
+    """The tracer's strips against the engine: the same words and periods,
+    equal moduli (a periodic direction's parabolic element twists both
+    strips at once), and each flight-time displacement the one the orbit
+    vector gives."""
+    from .analysis import displacement
+    from .orbits import orbit_of_index, vectors_of_index
     from .periods import period_of_index
+    from .tracer import PlanePoint
 
-    (_, _, s_tr), (_, _, l_tr) = strips()
+    (s_lo, s_hi, s_tr), (l_lo, l_hi, l_tr) = strips()
     pp = period_of_index(idx)
     ws = orbit_of_index(idx, "short")
     wl = orbit_of_index(idx, "long")
+    sv, lv = vectors_of_index(idx)
+    c_s, c_l = s_hi - s_lo, l_hi - l_lo
     return {"ok": (
         s_tr.word == ws and l_tr.word == wl
         and len(ws) == 2 * pp.short and len(wl) == 2 * pp.long
+        and c_s * c_s * l_tr.length_squared == c_l * c_l * s_tr.length_squared
+        and PlanePoint(*s_tr.displacement) == displacement(sv)
+        and PlanePoint(*l_tr.displacement) == displacement(lv)
     )}
 
 

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,7 @@ from reference import (
     _find_corner_splitting,
     _find_splitting,
     arc_by_trial,
+    find_splitting_by_filter,
     g,
 )
 
@@ -281,6 +283,72 @@ def test_splitting_witnesses_equal_the_reference_search(radius):
                              search(S, L, shorts, longs, side)))
         assert repr(rep.results) == repr(tuple(want)), beta
         assert rep.passed == (bool(want) and all(w is not None for _, _, w in want))
+
+
+@pytest.mark.parametrize("radius", [1, 2])
+def test_splitting_witnesses_equal_the_filter_route(radius):
+    """Every center to depth 4 and both corners: the same witnesses, piece
+    for piece, as the route that built every rotation of the short word and
+    kept those whose d solves long_0 = d a."""
+    for beta in (*_all_indices(4), BOTTOM):
+        rep = check_conjecture_splitting(beta, radius)
+        S, L = _roman(beta, "short").symbols, _roman(beta, "long").symbols
+        corner = beta.bottom or not beta.digits
+        want = []
+        for side in ("upper", "lower"):
+            chain = neighbor_chain(beta, side, radius + 1)
+            if not chain:
+                continue
+            shorts = [_roman(g, "short") for g in chain]
+            longs = [_roman(g, "long") for g in chain]
+            if corner:
+                w = _find_corner_splitting(tuple(S), tuple(L), shorts, longs, side)
+            else:
+                w = find_splitting_by_filter(S, L, [x.symbols for x in shorts],
+                                             [x.symbols for x in longs], side)
+            want.append((side, tuple(str(g) for g in chain), w))
+        assert rep.results == tuple(want), beta
+        assert rep.passed, beta
+
+
+def test_splitting_visits_the_rotations_in_the_filter_routes_order():
+    """Chains tiled by seeded random pieces over two letters, where several
+    rotations of S often tile one cut of L (and a and b' need not share
+    their beginning, so some have no splitting): the first in increasing
+    rotation is the filter route's, and none is missed."""
+    rng = random.Random(31)
+
+    def word(n):
+        return bytes(rng.choice(b"\x01\x02") for _ in range(n))
+
+    found = 0
+    for _ in range(600):
+        a, b, c, d = (word(rng.randint(0, 3)) for _ in range(4))
+        S, L = c + d, a + b
+        if not S or not L:
+            continue
+        k, j = rng.randrange(len(L)), rng.randint(1, len(L))
+        ap, bp = (L[k:] + L[:k])[:j], (L[k:] + L[:k])[j:]
+        shorts = [ap + (bp + ap) * i for i in range(3)]
+        longs = [d + (c + d) * i + (a + b) * i + a for i in range(3)]
+        want = find_splitting_by_filter(S, L, shorts, longs, "upper")
+        assert analysis._find_splitting(S, L, shorts, longs, "upper") == want, (S, L, ap, bp)
+        found += want is not None
+    assert found > 200, found
+
+
+def test_occurrences_in_a_doubled_word():
+    # an empty needle occurs at every offset: the cuts with |a| = 0 or |d| = 0
+    assert list(analysis._occurrences(b"\x01\x02\x03" * 2, b"", 1, 4)) == [1, 2, 3]
+    # overlapping occurrences are all found
+    assert list(analysis._occurrences(b"\x01" * 4, b"\x01\x01", 0, 4)) == [0, 1, 2]
+    # an occurrence at or past hi is not yielded, nor one before lo
+    ww = b"\x02\x01\x03\x02\x01\x03"
+    assert list(analysis._occurrences(ww, b"\x01\x03", 0, 6)) == [1, 4]
+    assert list(analysis._occurrences(ww, b"\x01\x03", 0, 4)) == [1]
+    assert list(analysis._occurrences(ww, b"\x01\x03", 2, 4)) == []
+    assert list(analysis._occurrences(ww, b"\x01\x03", 2, 5)) == [4]
+    assert list(analysis._occurrences(ww, b"", 3, 3)) == []
 
 
 @pytest.mark.parametrize("depth, radius", [(4, 1), (3, 2)])

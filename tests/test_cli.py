@@ -185,6 +185,33 @@ def test_verify_oracle_budget_row(suite, tmp_path, monkeypatch, capsys):
     assert sum(r["ok"] for r in rows) == 3
 
 
+@pytest.mark.parametrize("fault", ["cell", "displacement"])
+def test_verify_oracle_row_checks_the_geometry(fault, tmp_path, monkeypatch, capsys):
+    # at index 2, a short strip's cell narrowed to half its width (unequal
+    # moduli), or the engine's long displacement off by one symbol's
+    # vector, fails that row alone; the words and periods still agree
+    two = DirectionIndex((2,))
+    if fault == "cell":
+        search, x2 = tracer.strip_cells_for_coordinate, coordinate_of_index(two).value
+
+        def narrowed(x):
+            (lo, hi, s_tr), long = search(x)
+            return [(lo, (lo + hi) / GoldenNum.of(2) if x == x2 else hi, s_tr), long]
+        monkeypatch.setattr(tracer, "strip_cells_for_coordinate", narrowed)
+    else:
+        exact, (_, long_two) = analysis.displacement, orbits.vectors_of_index(two)
+        one = exact(orbits.OrbitVector(1, 0, 0, 0))
+        monkeypatch.setattr(analysis, "displacement", lambda v: (
+            exact(v) + one if v == long_two else exact(v)))
+    out = tmp_path / "ledger.json"
+    code, stdout = run(capsys, "verify", "--depth", "1", "--suite", "orbits-vs-oracle",
+                       "--json-out", str(out))
+    assert code == EXIT_VERIFY
+    assert stdout == "suite orbits-vs-oracle: 4 checked, 1 failures\n"
+    rows = json.loads(out.read_text())["orbits-vs-oracle"]["rows"]
+    assert [r for r in rows if not r["ok"]] == [{"case": "2", "ok": False}]
+
+
 def test_verify_budget_exhausted(monkeypatch, capsys):
     # verify has no budget exit: a strip trace still open at its cap means
     # the tracer contradicts itself, and its ArithmeticError propagates out

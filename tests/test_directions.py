@@ -180,6 +180,17 @@ def test_depth_budget_message_shows_the_ends_of_a_long_prefix():
     assert str(DepthExceeded((3,))).endswith("prefix (3) of 1 digit")
 
 
+def test_index_of_coordinate_rejects_a_negative_depth(monkeypatch):
+    # refused before any step: not a DepthExceeded with an empty prefix,
+    # nor () at the top endpoint, nor BOTTOM at the other corner
+    points = (coordinate_of_index(DirectionIndex((1, 2))).value, ALPHA_COORD, BOTTOM_COORD)
+    monkeypatch.setattr(directions, "_RENORM_MAPS", None)
+    for x in points:
+        with pytest.raises(ValueError, match="max_depth must be nonnegative"):
+            index_of_coordinate(x, max_depth=-1)
+    assert index_of_coordinate(ALPHA_COORD, max_depth=0) == DirectionIndex()
+
+
 def test_linear_fold_matches_the_mirroring_fold():
     rng = random.Random(20111104)
     assert directions._fold_digits([]) == ()

@@ -18,9 +18,10 @@ from pentaflow.orbits import (
     orbit_of_index,
     roman_of_arabic,
     vector_of,
+    vectors_of_index,
 )
 from pentaflow.periods import period_of_index
-from pentaflow import analysis, tracer
+from pentaflow import analysis, tracer, verify
 from pentaflow.tracer import (
     PENTAGON_LOWER,
     PENTAGON_UPPER,
@@ -542,6 +543,22 @@ def test_trace_displacements_decompose_in_the_diagonal_basis():
         want = direction_of_vector(PHI * g(v.c) + g(v.e), PHI * g(v.f) + g(v.d))
         dx, dy = s_tr.displacement
         assert dx == want.x and dy == want.y
+
+
+def test_strips_have_equal_moduli_and_the_engines_displacements():
+    """Every index to depth 3 and BOTTOM: with c = hi - lo each strip's
+    section cell, c_s^2 |long|^2 == c_l^2 |short|^2, so the moduli are
+    equal (the direction's parabolic element twists both strips at once);
+    each strip's flight-time displacement is the one the engine's orbit
+    vector gives; and `verify`'s oracle row, which states both, passes."""
+    for idx in DEPTH3_AND_BOTTOM:
+        cells = tracer.strip_cells_for_coordinate(coordinate_of_index(idx).value)
+        (s_lo, s_hi, s_tr), (l_lo, l_hi, l_tr) = cells
+        c_s, c_l = s_hi - s_lo, l_hi - l_lo
+        assert c_s * c_s * l_tr.length_squared == c_l * c_l * s_tr.length_squared, idx
+        for tr, v in zip((s_tr, l_tr), vectors_of_index(idx)):
+            assert PlanePoint(*tr.displacement) == analysis.displacement(v), idx
+        assert verify._suite_oracle(idx, lambda: cells) == {"ok": True}, idx
 
 
 def test_billiard_vertical_closes_in_one_period():
