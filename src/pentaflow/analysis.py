@@ -109,16 +109,14 @@ class BilliardReport(NamedTuple):
 BILLIARD_PERIODS = 5
 
 
-def strip_billiard(strip: TraceResult, start: PlanePoint) -> tuple[int, TraceResult]:
-    """The billiard multiplier of a closed surface strip and the pentagon
-    billiard from start in its direction.  By the Katok-Zemlyakov unfolding
-    the billiard closes when the strip's holonomy in D5 does: within
-    `BILLIARD_PERIODS` strip periods, its cap.  One still open there raises
-    ArithmeticError.  The multiplier is the formula's, so a wrong one fails
-    the length check, not the cap."""
+def strip_billiard(strip: TraceResult, start: PlanePoint) -> TraceResult:
+    """The closed pentagon billiard from start in a closed surface strip's
+    direction.  By the Katok-Zemlyakov unfolding it closes when the strip's
+    holonomy in D5 does: within `BILLIARD_PERIODS` strip periods, its cap.
+    One still open there raises ArithmeticError."""
     cap = BILLIARD_PERIODS * strip.crossings
-    res = trace_billiard(start, strip.direction, max_reflections=cap)
-    return billiard_multiplier(vector_of(strip.word)), closed_within(res, cap)
+    return closed_within(
+        trace_billiard(start, strip.direction, max_reflections=cap), cap)
 
 
 def billiard_report(idx: DirectionIndex) -> BilliardReport:
@@ -138,11 +136,14 @@ def billiard_report_of_strips(idx: DirectionIndex, cells) -> BilliardReport:
     reflection of D5; it fixes only the directions along its axis, which
     are parallel to a side.  In the sector only the two corner directions
     are, and there the axis crosses each cell at its midpoint, so a start
-    off the midpoint closes at the full count."""
+    off the midpoint closes at the full count.  The multipliers are the
+    formula's, read off the strips' words, so a wrong one fails the length
+    check, not the billiard's cap."""
     (_, _, s_tr), (_, _, l_tr) = cells
-    (mult_s, b_s), (mult_l, b_l) = (
+    b_s, b_l = (
         strip_billiard(tr, PlanePoint(lo + (hi - lo) * GoldenNum.of("5/13"), ZERO))
         for lo, hi, tr in cells)
+    mult_s, mult_l = (billiard_multiplier(vector_of(tr.word)) for tr in (s_tr, l_tr))
 
     msq = GoldenNum.of(mult_s * mult_s)
     lengths_exact = (

@@ -44,15 +44,10 @@ def _svg_header(xmin, ymin, xmax, ymax) -> list[str]:
     ]
 
 
-def _svg_polygon(points, color, width=0.01) -> str:
+def _svg_points(tag, points, colour, width) -> str:
+    """An SVG polygon or polyline through the chart points, unfilled."""
     pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in map(_xy, points))
-    return (f'<polygon points="{pts}" fill="none" stroke="{color}" '
-            f'stroke-width="{width}"/>')
-
-
-def _svg_polyline(points, color, width=0.012) -> str:
-    pts = " ".join(f"{x:.15g},{y:.15g}" for x, y in points)
-    return (f'<polyline points="{pts}" fill="none" stroke="{color}" '
+    return (f'<{tag} points="{pts}" fill="none" stroke="{colour}" '
             f'stroke-width="{width}"/>')
 
 
@@ -102,26 +97,20 @@ def cmd_render(args) -> int:
           f"of {2 * pp.short} and {2 * pp.long} crossings{billiard}",
           file=sys.stderr)
     (_, _, s_tr), (_, _, l_tr) = tracer.strip_cells_for_coordinate(x)
+    outlines = [tracer.PENTAGON_UPPER]
     if args.billiard:
-        _mult, res = strip_billiard(s_tr, s_tr.start)
-
-    lines = []
-    if args.billiard:
-        lines.append(_svg_polygon(tracer.PENTAGON_UPPER, "#333333"))
-        pts = [res.start] + [b for _a, b in res.path]
-        lines.append(_svg_polyline([_xy(p) for p in pts], "#c02020"))
-        verts = list(tracer.PENTAGON_UPPER)
+        res = strip_billiard(s_tr, s_tr.start)
+        paths = [([res.start, *(b for _a, b in res.path)], "#c02020")]
     else:
-        lines.append(_svg_polygon(tracer.PENTAGON_UPPER, "#333333"))
-        lines.append(_svg_polygon(tracer.PENTAGON_LOWER, "#333333"))
-        for res, color in ((s_tr, "#c02020"), (l_tr, "#2040c0")):
-            for a, b in res.path:
-                lines.append(_svg_polyline([_xy(a), _xy(b)], color))
-        verts = list(tracer.PENTAGON_UPPER) + list(tracer.PENTAGON_LOWER)
+        outlines.append(tracer.PENTAGON_LOWER)
+        paths = [(piece, colour)
+                 for tr, colour in ((s_tr, "#c02020"), (l_tr, "#2040c0"))
+                 for piece in tr.path]
 
-    xs, ys = zip(*map(_xy, verts))
+    xs, ys = zip(*(_xy(p) for outline in outlines for p in outline))
     out = _svg_header(min(xs), min(ys), max(xs), max(ys))
-    out.extend(lines)
+    out += [_svg_points("polygon", o, "#333333", 0.01) for o in outlines]
+    out += [_svg_points("polyline", pts, colour, 0.012) for pts, colour in paths]
     out.append("</g></svg>")
     try:
         with open(args.out, "w") as f:

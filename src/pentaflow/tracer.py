@@ -194,8 +194,8 @@ class TraceResult(NamedTuple):
     """Outcome of an exact trace.
 
     word is cyclic when the orbit closed, otherwise the crossing prefix.
-    displacement is the unfolded end minus start, as chart components
-    (dx, dy) with the plane vector (dx, dy * sin 36).  Pairing jumps and
+    displacement is the unfolded end minus start, a chart vector (dx, dy)
+    for the plane vector (dx, dy * sin 36).  Pairing jumps and
     reflections keep the speed, so it is the direction times the flight
     time, to the last crossing or back to the start; for a closed orbit its
     squared norm is the exact squared length.  path holds the pieces (a, b)
@@ -206,7 +206,7 @@ class TraceResult(NamedTuple):
 
     word: CyclicWord | tuple[int, ...]
     closed: bool
-    displacement: tuple[GoldenNum, GoldenNum]
+    displacement: PlanePoint
     crossings: int
     start: PlanePoint
     direction: PlanePoint
@@ -214,22 +214,21 @@ class TraceResult(NamedTuple):
 
     @property
     def length_squared(self) -> GoldenNum:
-        d = PlanePoint(*self.displacement)
-        return dot(d, d)
+        return dot(self.displacement, self.displacement)
 
     def to_json(self) -> dict:
         # the true components dx + 0*s and 0 + dy*s, each as [p, q]
-        dx, dy = self.displacement
+        d = self.displacement
         word = self.word.symbols if self.closed else self.word
         out = {
             "word": list(word),
             "closed": self.closed,
             "crossings": self.crossings,
             "displacement": {
-                "x": [dx.to_json(), ZERO.to_json()],
-                "y": [ZERO.to_json(), dy.to_json()],
-                "decimal": [str(decimal_of(dx, ZERO, 20)),
-                            str(decimal_of(ZERO, dy, 20))],
+                "x": [d.x.to_json(), ZERO.to_json()],
+                "y": [ZERO.to_json(), d.y.to_json()],
+                "decimal": [str(decimal_of(d.x, ZERO, 20)),
+                            str(decimal_of(ZERO, d.y, 20))],
             },
         }
         if self.closed:
@@ -240,9 +239,8 @@ class TraceResult(NamedTuple):
 def _result(labels: list[int], closed: bool, flight: GoldenNum,
             start: PlanePoint, direction: PlanePoint,
             path: list) -> TraceResult:
-    disp = direction.scale(flight)
     word = CyclicWord(labels) if closed else tuple(labels)
-    return TraceResult(word, closed, (disp.x, disp.y), len(labels),
+    return TraceResult(word, closed, direction.scale(flight), len(labels),
                        start, direction, tuple(path))
 
 
@@ -337,7 +335,10 @@ class IETSpec(NamedTuple):
     def step(self, p: GoldenNum, side: str | None = None) -> tuple[GoldenNum, int]:
         """Image of p and the Roman symbol read.  side 'R' reads p + eps and
         'L' reads p - eps, so a division point has both one-sided images;
-        None reads p itself, which must not be a division point."""
+        None reads p itself, which must not be a division point.  Any other
+        side raises ValueError."""
+        if side not in (None, "L", "R"):
+            raise ValueError(f"side must be None, 'L' or 'R', not {side!r}")
         if side is None and p in self.division_points:
             raise SingularOrbit(f"orbit hit division point {p}")
         if not (ZERO < p <= PHI if side == "L" else ZERO <= p < PHI):

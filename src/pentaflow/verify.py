@@ -122,7 +122,6 @@ def _suite_oracle(idx: DirectionIndex, strips) -> dict:
     from .analysis import displacement
     from .orbits import orbit_of_index, vectors_of_index
     from .periods import period_of_index
-    from .tracer import PlanePoint
 
     (s_lo, s_hi, s_tr), (l_lo, l_hi, l_tr) = strips()
     pp = period_of_index(idx)
@@ -134,8 +133,8 @@ def _suite_oracle(idx: DirectionIndex, strips) -> dict:
         s_tr.word == ws and l_tr.word == wl
         and len(ws) == 2 * pp.short and len(wl) == 2 * pp.long
         and c_s * c_s * l_tr.length_squared == c_l * c_l * s_tr.length_squared
-        and PlanePoint(*s_tr.displacement) == displacement(sv)
-        and PlanePoint(*l_tr.displacement) == displacement(lv)
+        and s_tr.displacement == displacement(sv)
+        and l_tr.displacement == displacement(lv)
     )}
 
 

@@ -79,6 +79,17 @@ def test_verify_periods_loads_neither_the_tracer_nor_the_renderer():
         "pentaflow.orbits", "pentaflow.periods", "pentaflow.verify"]
 
 
+def test_verify_displacement_loads_the_tracer_but_not_the_renderer():
+    # the length identity reads the chart's diagonals, so `analysis`, and
+    # the tracer it imports at module level, load with this suite
+    assert _package_modules_after("from pentaflow import cli\n"
+                                  "cli.main(['verify', '--depth', '2', "
+                                  "'--suite', 'displacement'])") == [
+        "pentaflow", "pentaflow.analysis", "pentaflow.cli", "pentaflow.directions",
+        "pentaflow.golden", "pentaflow.orbits", "pentaflow.periods", "pentaflow.tracer",
+        "pentaflow.verify"]
+
+
 def test_each_suite_the_parser_names_is_a_verify_suite(capsys):
     from pentaflow import cli, verify
 

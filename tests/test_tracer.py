@@ -142,10 +142,8 @@ def test_boundary_strip_words_and_displacements():
     assert short.word == CyclicWord.parse("2 5")
     assert long.word == CyclicWord.parse("4 3")
     # displacements are one diagonal and phi diagonals
-    dx, dy = short.displacement
-    assert dx == U_VEC.x and dy == U_VEC.y
-    lx, ly = long.displacement
-    assert lx == U_VEC.x * PHI and ly == U_VEC.y * PHI
+    assert short.displacement == U_VEC
+    assert long.displacement == U_VEC.scale(PHI)
     assert short.length_squared == PHI * PHI
     assert long.length_squared == PHI * PHI * PHI * PHI
 
@@ -157,7 +155,7 @@ def test_budget_exhaustion_reports_open_trace():
     assert not res.closed
     assert isinstance(res.word, tuple) and len(res.word) == 3
     assert len(res.path) == 3
-    assert PlanePoint(*res.displacement) == unfolded_by_translations(res)
+    assert res.displacement == unfolded_by_translations(res)
 
 
 def test_strip_search_fails_loudly_below_the_exact_period(monkeypatch):
@@ -372,6 +370,16 @@ def test_signed_exchange_matches_the_mirror_view():
                 assert spec.step(p, side) == mirrored_step(x, p, side)
 
 
+def test_exchange_step_rejects_an_unknown_side():
+    # read as 'R', a side 'l' would give symbol II at the division point p2
+    # of u = 0, where 'L' reads III, and skip the division-point check
+    spec = iet_build(ZERO)
+    assert spec.step(spec.p2, "L")[1] == 3 and spec.step(spec.p2, "R")[1] == 2
+    for side in ("l", "r", "", "left", 0):
+        with pytest.raises(ValueError, match=repr(side)):
+            spec.step(spec.p2, side)
+
+
 def test_negative_coordinates_have_the_mirrored_exchange():
     # the one closed form gives, at every negative coordinate to depth 6,
     # the IETSpec the retired branch built from -u through p -> phi - p
@@ -541,8 +549,7 @@ def test_trace_displacements_decompose_in_the_diagonal_basis():
         s_tr, _ = periodic_orbits_for_coordinate(x, expected_long=pp.long)
         v = vector_of(s_tr.word)
         want = direction_of_vector(PHI * g(v.c) + g(v.e), PHI * g(v.f) + g(v.d))
-        dx, dy = s_tr.displacement
-        assert dx == want.x and dy == want.y
+        assert s_tr.displacement == want
 
 
 def test_strips_have_equal_moduli_and_the_engines_displacements():
@@ -557,7 +564,7 @@ def test_strips_have_equal_moduli_and_the_engines_displacements():
         c_s, c_l = s_hi - s_lo, l_hi - l_lo
         assert c_s * c_s * l_tr.length_squared == c_l * c_l * s_tr.length_squared, idx
         for tr, v in zip((s_tr, l_tr), vectors_of_index(idx)):
-            assert PlanePoint(*tr.displacement) == analysis.displacement(v), idx
+            assert tr.displacement == analysis.displacement(v), idx
         assert verify._suite_oracle(idx, lambda: cells) == {"ok": True}, idx
 
 
@@ -591,8 +598,8 @@ def test_billiard_budget_and_guards():
     # an open trace's displacement is the unfolded end of its path, the
     # last reflection point, not that point as folded in the pentagon
     assert len(res.path) == 2
-    assert PlanePoint(*res.displacement) == unfolded_by_reflections(res)
-    assert PlanePoint(*res.displacement) != res.path[-1][1] - res.start
+    assert res.displacement == unfolded_by_reflections(res)
+    assert res.displacement != res.path[-1][1] - res.start
     with pytest.raises(ValueError):
         trace_billiard(PlanePoint(g(50), ZERO),
                        direction_of_coordinate(x), 10)
@@ -609,9 +616,9 @@ def test_flight_time_displacement_matches_the_unfolding_routes():
         seen.add(idx)
         rep = analysis.billiard_report(idx)
         for res in (rep.surface_short, rep.surface_long):
-            assert PlanePoint(*res.displacement) == unfolded_by_translations(res)
+            assert res.displacement == unfolded_by_translations(res)
         for res in (rep.billiard_short, rep.billiard_long):
-            assert PlanePoint(*res.displacement) == unfolded_by_reflections(res)
+            assert res.displacement == unfolded_by_reflections(res)
             assert len(res.path) == res.crossings + 1
             assert res.path[0][0] == res.start == res.path[-1][1]
     assert len(seen) == 17
@@ -623,8 +630,10 @@ def test_trace_json_report():
     data = json.loads(json.dumps(s_tr.to_json()))
     assert data["closed"] and data["word"]
     # each coordinate is the pair [p, q] meaning p + q*s
-    p, q = (GoldenNum.from_json(half) for half in data["displacement"]["x"])
-    assert (p, q) == (s_tr.displacement[0], ZERO)
+    (dx, zero_x), (zero_y, dy) = (
+        [GoldenNum.from_json(half) for half in data["displacement"][c]] for c in "xy")
+    assert zero_x == zero_y == ZERO
+    assert PlanePoint(dx, dy) == s_tr.displacement
     assert GoldenNum.from_json(data["length_squared"]) == s_tr.length_squared
 
 
