@@ -4,8 +4,8 @@ Displacement vectors and squared lengths are exact; geometric lengths are
 compared through squared norms so no square roots ever enter the field
 arithmetic.  The two concatenation experiments on symbolic orbits search
 exhaustively over rotations and record explicit witnesses; the splitting
-search reads the rotations c d of the short orbit whose d solves
-long_0 = d a off the occurrences of d in the short orbit doubled.
+search solves long_0 = d a for d and reads c and d off the rotations of
+long_1 = d c d a b a that begin with a b a.
 """
 
 from __future__ import annotations
@@ -291,10 +291,10 @@ def check_conjecture_splitting(beta: DirectionIndex, radius: int) -> ConjectureR
     return ConjectureReport(f"center {beta}", tuple(results), passed)
 
 
-def _occurrences(ww: bytes, x: bytes, lo: int, hi: int):
-    """The offsets lo <= k < hi at which x occurs in ww, in increasing order,
+def _occurrences(ww: bytes, x: bytes, hi: int):
+    """The offsets k < hi at which x occurs in ww, in increasing order,
     overlapping ones included; an empty x occurs at every offset."""
-    k = ww.find(x, lo)
+    k = ww.find(x)
     while 0 <= k < hi:
         yield k
         k = ww.find(x, k + 1)
@@ -302,18 +302,19 @@ def _occurrences(ww: bytes, x: bytes, lo: int, hi: int):
 
 def _find_splitting(S, L, shorts, longs, side) -> SplittingWitness | None:
     """The first splitting in nested-loop order (rotation of L, cut of a,
-    rotation of S, then (a', b')), each condition tested once on the pieces
-    it reads."""
+    rotation of S, then (a', b')): d solves long_0, c and d are read off
+    long_1, and only the chain's i >= 2 words are tested."""
     shorts2 = [w + w for w in shorts]
-    l0l0, *longs2 = [w + w for w in longs]
+    l0l0, l1l1, *longs2 = [w + w for w in longs]
     ss = S + S
-    n_l, n_s, n_0 = len(L), len(S), len(longs[0])
+    n_l, n_s, n_0, n_1 = len(L), len(S), len(longs[0]), len(longs[1])
 
-    # (a', b'): rotations of L cut at |short_0| that tile the short chain
+    # (a', b'): rotations of L cut at |short_0| that tile the short chain;
+    # long_1 = d c d a b a has |S| + |L| + |long_0| symbols
     cut = len(shorts[0])
     ab_primes = [(ap, bp) for ap, bp in ((rot[:cut], rot[cut:]) for rot in rotations(L))
                  if all(_is_rotation(ap + (bp + ap) * i, ww) for i, ww in enumerate(shorts2))]
-    if not ab_primes:
+    if not ab_primes or n_1 != n_s + n_l + n_0:
         return None
 
     # (a, b): the cuts with 0 <= |d| <= |S|.  Each b' has n_l - cut
@@ -321,9 +322,10 @@ def _find_splitting(S, L, shorts, longs, side) -> SplittingWitness | None:
     # with a[:n_l - cut].  long_0 = d a solves for d: the n_0 - |a| symbols
     # after each occurrence of a in long_0 long_0.  Both tests only fail
     # more as a grows, so a missing fit or an empty set of ds ends the cuts.
-    # The rotation c d of S at offset r is the one whose d occurs in S S at
-    # r + |c|, so the rotations with d in the set are read off those
-    # occurrences, in increasing r.
+    # The rotation of long_1 that begins with rot_l a = a b a is rot_l a d c d,
+    # so each occurrence of rot_l a in long_1 long_1 gives a tail d c d; one
+    # whose two ds agree and whose d is in the set names the rotation c d of
+    # S at r = ss.find(c d), if there is one.  They are visited in increasing r.
     for rot_l in rotations(L):
         for cut_a in range(max(0, n_0 - n_s), min(n_l, n_0) + 1):
             a, b = rot_l[:cut_a], rot_l[cut_a:]
@@ -331,14 +333,16 @@ def _find_splitting(S, L, shorts, longs, side) -> SplittingWitness | None:
             fit = next(((ap, bp) for ap, bp in ab_primes if bp.startswith(head)), None)
             if fit is None:
                 break
-            ds = {l0l0[q + cut_a:q + n_0] for q in _occurrences(l0l0, a, 0, n_0)}
+            ds = {l0l0[q + cut_a:q + n_0] for q in _occurrences(l0l0, a, n_0)}
             if not ds:
                 break
-            cut_c = n_s + cut_a - n_0
-            for k in sorted(k for d in ds for k in _occurrences(ss, d, cut_c, cut_c + n_s)):
-                c, d = ss[k - cut_c:k], ss[k:k + n_0 - cut_a]
-                if all(_is_rotation(d + (c + d) * i + (a + b) * i + a, ww)
-                       for i, ww in enumerate(longs2, start=1)):
+            n_d = n_0 - cut_a
+            tails = (l1l1[p + n_l + cut_a:p + n_1] for p in _occurrences(l1l1, rot_l + a, n_1))
+            cds = {t[n_d:] for t in tails if t[:n_d] in ds and t.endswith(t[:n_d])}
+            for r, cd in sorted((ss.find(cd), cd) for cd in cds):
+                c, d = cd[:n_s - n_d], cd[n_s - n_d:]
+                if r >= 0 and all(_is_rotation(d + (c + d) * i + (a + b) * i + a, ww)
+                                  for i, ww in enumerate(longs2, start=2)):
                     return SplittingWitness(side, *map(tuple, (c, d, a, b, *fit)), len(head))
     return None
 

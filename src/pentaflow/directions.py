@@ -55,10 +55,13 @@ class DirectionIndex(FrozenValue):
 
     __slots__ = ("digits", "bottom")
 
-    def __init__(self, digits: tuple[int, ...] = (), bottom: bool = False):
+    def __init__(self, digits: Iterable[int] = (), bottom: bool = False):
+        digits = tuple(digits)
         if bottom and digits:
             raise ValueError("BOTTOM carries no digits")
         for d in digits:
+            if isinstance(d, bool) or not isinstance(d, int):
+                raise ValueError(f"digit is not an int: {d!r}")
             if not 0 <= d <= 3:
                 raise ValueError(f"digit out of range: {d}")
         if digits and digits[-1] == 0:
@@ -72,7 +75,7 @@ class DirectionIndex(FrozenValue):
         ds = list(digits)
         while ds and ds[-1] == 0:
             ds.pop()
-        return DirectionIndex(tuple(ds))
+        return DirectionIndex(ds)
 
     @staticmethod
     def parse(text: str) -> "DirectionIndex":
@@ -238,7 +241,7 @@ def arc_right_vertex(prefix: tuple[int, ...]) -> DirectionIndex:
     if not ds:
         return BOTTOM
     ds[-1] += 1
-    return DirectionIndex(tuple(ds))
+    return DirectionIndex(ds)
 
 
 class IdealPentagon(FrozenValue):

@@ -172,6 +172,8 @@ def decimal_of(p: GoldenNum, q: GoldenNum, digits: int) -> decimal.Decimal:
     """p + q*s with s = sin 36 degrees, computed with 15 guard digits and
     rounded half even to `digits` significant digits (zero to `digits`
     places): the one place the field meets decimals."""
+    if digits < 1:
+        raise ValueError(f"digits must be at least 1, not {digits}")
     D = decimal.Decimal
     with decimal.localcontext() as ctx:
         ctx.prec = digits + 15

@@ -485,9 +485,9 @@ def enhance(w: CyclicWord) -> CyclicWord:
 
 # ---------------------------------------------------------------------------
 # the splitting search that filtered every rotation of the short word, as it
-# stood at `3b4803a`.  It guards `analysis._find_splitting`, which reads the
-# rotations whose d is a solution of long_0 = d a off the occurrences of
-# each d in the doubled short word; the filter was retired after `d6e372c`.
+# stood at `3b4803a`.  It guards `analysis._find_splitting`, which solves
+# long_0 = d a for d and reads c and d off long_1 = d c d a b a; the filter
+# was retired after `d6e372c`.
 
 
 def find_splitting_by_filter(S, L, shorts, longs, side) -> SplittingWitness | None:

@@ -266,6 +266,31 @@ def test_splitting_solves_long_0_instead_of_testing_it(monkeypatch, radius):
 
 
 @pytest.mark.parametrize("radius", [1, 2])
+def test_splitting_reads_c_and_d_off_long_1(monkeypatch, radius):
+    """long_1 = d c d a b a gives c and d from a b a, so no rotation test
+    reads long_1 at a generic center, and long_2 is still tested: every
+    center to depth 3 and both corners, with _is_rotation wrapped to record
+    its targets.  A corner's search tiles long_1 = l0 L S by rotation tests,
+    so there only the verdict is checked."""
+    targets = []
+
+    def recorded(x, ww):
+        targets.append(ww)
+        return _is_rotation(x, ww)
+
+    monkeypatch.setattr(analysis, "_is_rotation", recorded)
+    for beta in DEPTH3_AND_BOTTOM:
+        targets.clear()
+        assert check_conjecture_splitting(beta, radius).passed, beta
+        if beta.bottom or not beta.digits:
+            continue
+        for side in ("upper", "lower"):
+            longs = [_roman(g, "long").symbols for g in neighbor_chain(beta, side, radius + 1)]
+            assert longs[1] + longs[1] not in targets, (beta, side)
+            assert radius < 2 or longs[2] + longs[2] in targets, (beta, side)
+
+
+@pytest.mark.parametrize("radius", [1, 2])
 def test_splitting_witnesses_equal_the_reference_search(radius):
     """Every center to depth 3 and both corners: the same chains and the
     same witnesses, piece for piece."""
@@ -311,44 +336,85 @@ def test_splitting_witnesses_equal_the_filter_route(radius):
         assert rep.passed, beta
 
 
-def test_splitting_visits_the_rotations_in_the_filter_routes_order():
-    """Chains tiled by seeded random pieces over two letters, where several
-    rotations of S often tile one cut of L (and a and b' need not share
-    their beginning, so some have no splitting): the first in increasing
-    rotation is the filter route's, and none is missed."""
-    rng = random.Random(31)
+def _random_chains(rng, n):
+    """n tries at a chain tiled by seeded random pieces over two letters,
+    where several rotations of S often tile one cut of L (and a and b' need
+    not share their beginning, so some have no splitting): (S, L, shorts,
+    longs) for each try with S and L nonempty."""
+    def word(k):
+        return bytes(rng.choice(b"\x01\x02") for _ in range(k))
 
-    def word(n):
-        return bytes(rng.choice(b"\x01\x02") for _ in range(n))
-
-    found = 0
-    for _ in range(600):
+    for _ in range(n):
         a, b, c, d = (word(rng.randint(0, 3)) for _ in range(4))
         S, L = c + d, a + b
-        if not S or not L:
-            continue
-        k, j = rng.randrange(len(L)), rng.randint(1, len(L))
-        ap, bp = (L[k:] + L[:k])[:j], (L[k:] + L[:k])[j:]
-        shorts = [ap + (bp + ap) * i for i in range(3)]
-        longs = [d + (c + d) * i + (a + b) * i + a for i in range(3)]
+        if S and L:
+            k, j = rng.randrange(len(L)), rng.randint(1, len(L))
+            ap, bp = (L[k:] + L[:k])[:j], (L[k:] + L[:k])[j:]
+            yield (S, L, [ap + (bp + ap) * i for i in range(3)],
+                   [d + (c + d) * i + (a + b) * i + a for i in range(3)])
+
+
+def test_splitting_visits_the_rotations_in_the_filter_routes_order():
+    """Random chains: the first splitting in increasing rotation is the
+    filter route's, and none is missed."""
+    found = several = 0
+    for S, L, shorts, longs in _random_chains(random.Random(31), 600):
         want = find_splitting_by_filter(S, L, shorts, longs, "upper")
-        assert analysis._find_splitting(S, L, shorts, longs, "upper") == want, (S, L, ap, bp)
+        assert analysis._find_splitting(S, L, shorts, longs, "upper") == want, (S, L, shorts)
         found += want is not None
+        if want is not None:
+            # the witness's a b a occurs more than once in long_1 long_1
+            aba = bytes(want.a + want.b + want.a)
+            l1l1 = longs[1] + longs[1]
+            several += len(list(analysis._occurrences(l1l1, aba, len(longs[1])))) > 1
     assert found > 200, found
+    assert several > 150, several
+
+
+def test_splitting_rejects_the_chains_the_filter_route_rejects():
+    """Random chains with one of S, long_0 and long_1 altered by one
+    symbol, at radius 1 and 2: a candidate read off long_1 must still have
+    two equal ds, solve long_0, be a rotation of S and have the length
+    long_1 = d c d a b a gives it, so the two routes agree.  Dropping any
+    of these four conditions fails here."""
+    rng = random.Random(33)
+
+    def altered(w):
+        # one symbol inserted, flipped, or swapped with the next
+        k, kind = rng.randrange(len(w) + 1), rng.randrange(3)
+        if kind == 0 or k == len(w):
+            return w[:k] + rng.choice((b"\x01", b"\x02")) + w[k:]
+        if kind == 1 or k == len(w) - 1:
+            return w[:k] + bytes([3 - w[k]]) + w[k + 1:]
+        return w[:k] + w[k + 1:k + 2] + w[k:k + 1] + w[k + 2:]
+
+    tried = 0
+    for S, L, shorts, longs in _random_chains(rng, 1500):
+        which = rng.randrange(3)
+        if which == 0:
+            S = altered(S)
+        else:
+            longs[which - 1] = altered(longs[which - 1])
+        for n in (2, 3):
+            want = find_splitting_by_filter(S, L, shorts[:n], longs[:n], "upper")
+            got = analysis._find_splitting(S, L, shorts[:n], longs[:n], "upper")
+            assert got == want, (S, L, longs[:n])
+        tried += 1
+    assert tried > 1000, tried
 
 
 def test_occurrences_in_a_doubled_word():
     # an empty needle occurs at every offset: the cuts with |a| = 0 or |d| = 0
-    assert list(analysis._occurrences(b"\x01\x02\x03" * 2, b"", 1, 4)) == [1, 2, 3]
+    assert list(analysis._occurrences(b"\x01\x02\x03" * 2, b"", 4)) == [0, 1, 2, 3]
     # overlapping occurrences are all found
-    assert list(analysis._occurrences(b"\x01" * 4, b"\x01\x01", 0, 4)) == [0, 1, 2]
-    # an occurrence at or past hi is not yielded, nor one before lo
+    assert list(analysis._occurrences(b"\x01" * 4, b"\x01\x01", 4)) == [0, 1, 2]
+    # an occurrence at or past hi is not yielded
     ww = b"\x02\x01\x03\x02\x01\x03"
-    assert list(analysis._occurrences(ww, b"\x01\x03", 0, 6)) == [1, 4]
-    assert list(analysis._occurrences(ww, b"\x01\x03", 0, 4)) == [1]
-    assert list(analysis._occurrences(ww, b"\x01\x03", 2, 4)) == []
-    assert list(analysis._occurrences(ww, b"\x01\x03", 2, 5)) == [4]
-    assert list(analysis._occurrences(ww, b"", 3, 3)) == []
+    assert list(analysis._occurrences(ww, b"\x01\x03", 6)) == [1, 4]
+    assert list(analysis._occurrences(ww, b"\x01\x03", 5)) == [1, 4]
+    assert list(analysis._occurrences(ww, b"\x01\x03", 4)) == [1]
+    assert list(analysis._occurrences(ww, b"\x01\x03", 1)) == []
+    assert list(analysis._occurrences(ww, b"", 0)) == []
 
 
 @pytest.mark.parametrize("depth, radius", [(4, 1), (3, 2)])

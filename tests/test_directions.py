@@ -52,6 +52,19 @@ def test_index_validation():
         DirectionIndex.parse("0x")
 
 
+def test_index_digits_are_a_tuple_of_ints():
+    # a list is stored as the tuple it holds, so the index hashes and its
+    # coordinate is the tuple's
+    idx = DirectionIndex([1, 2])
+    assert idx.digits == (1, 2) and type(idx.digits) is tuple
+    assert idx == DirectionIndex((1, 2)) and hash(idx) == hash(DirectionIndex((1, 2)))
+    assert coordinate_of_index(idx) == coordinate_of_index(DirectionIndex((1, 2)))
+    # a float or bool digit is refused where it is given, by name
+    for digits, shown in [((1, 2.0), "2.0"), ((True, 2), "True"), (("1",), "'1'")]:
+        with pytest.raises(ValueError, match=f"digit is not an int: {shown}"):
+            DirectionIndex(digits)
+
+
 def test_generation0_coordinates():
     vals = [str(p) for p in GENERATION0_COORDS]
     assert GENERATION0_COORDS[0].value == g(1, Fraction(-1, 2))

@@ -99,6 +99,13 @@ def test_decimal_rendering():
     assert str(decimal_of(ZERO, ONE, 8)).startswith("0.5877852")  # sin 36
 
 
+def test_decimal_of_rejects_fewer_than_one_digit():
+    for digits in (0, -3):
+        with pytest.raises(ValueError, match="digits must be at least 1"):
+            decimal_of(ONE, ZERO, digits)
+    assert str(decimal_of(ONE, ZERO, 1)) == "1"
+
+
 def test_decimal_of_matches_the_retired_methods():
     # every coordinate to depth 6 as (x, 0), then seeded random (x, 0) and
     # (0, y); the digits and the exponent must agree, so the decimals are
