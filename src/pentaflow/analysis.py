@@ -2,10 +2,10 @@
 
 Displacement vectors and squared lengths are exact; geometric lengths are
 compared through squared norms so no square roots ever enter the field
-arithmetic.  The two concatenation experiments on symbolic orbits search
-exhaustively over rotations and record explicit witnesses; the splitting
-search solves long_0 = d a for d and reads c and d off the rotations of
-long_1 = d c d a b a that begin with a b a.
+arithmetic.  Both concatenation experiments record explicit witnesses:
+the arc search tries rotations, the splitting search reads a' b' off L L
+where b' begins with a's head, solves long_0 = d a for d and reads c and
+d off the rotations of long_1 = d c d a b a that begin with a b a.
 """
 
 from __future__ import annotations
@@ -302,26 +302,28 @@ def _occurrences(ww: bytes, x: bytes, hi: int):
 
 def _find_splitting(S, L, shorts, longs, side) -> SplittingWitness | None:
     """The first splitting in nested-loop order (rotation of L, cut of a,
-    rotation of S, then (a', b')): d solves long_0, c and d are read off
-    long_1, and only the chain's i >= 2 words are tested."""
+    rotation of S, then (a', b')): a' b' is read off L L, d solves long_0,
+    c and d are read off long_1, and only the i >= 2 long words are tested."""
     shorts2 = [w + w for w in shorts]
     l0l0, l1l1, *longs2 = [w + w for w in longs]
     ss = S + S
     n_l, n_s, n_0, n_1 = len(L), len(S), len(longs[0]), len(longs[1])
 
-    # (a', b'): rotations of L cut at |short_0| that tile the short chain;
-    # long_1 = d c d a b a has |S| + |L| + |long_0| symbols
+    # a' b' is the rotation of L at k, cut at |short_0|, so b' sits at k in
+    # lb = (L L)[cut:]; long_1 = d c d a b a has |S| + |L| + |long_0| symbols
     cut = len(shorts[0])
-    ab_primes = [(ap, bp) for ap, bp in ((rot[:cut], rot[cut:]) for rot in rotations(L))
-                 if all(_is_rotation(ap + (bp + ap) * i, ww) for i, ww in enumerate(shorts2))]
-    if not ab_primes or n_1 != n_s + n_l + n_0:
+    if cut > n_l or n_1 != n_s + n_l + n_0:
         return None
+    ll = L + L
+    lb = ll[cut:]
 
     # (a, b): the cuts with 0 <= |d| <= |S|.  Each b' has n_l - cut
     # symbols, so a and b' agree on min(|a|, |b'|) symbols when b' begins
-    # with a[:n_l - cut].  long_0 = d a solves for d: the n_0 - |a| symbols
-    # after each occurrence of a in long_0 long_0.  Both tests only fail
-    # more as a grows, so a missing fit or an empty set of ds ends the cuts.
+    # with head = a[:n_l - cut]: the fit is the first occurrence k < |L| of
+    # head in lb whose (a', b') tiles the short chain.  long_0 = d a solves
+    # for d: the n_0 - |a| symbols after each occurrence of a in long_0
+    # long_0.  Each test only fails more as a grows, so a b a missing from
+    # long_1 long_1, a missing fit or an empty set of ds ends the cuts.
     # The rotation of long_1 that begins with rot_l a = a b a is rot_l a d c d,
     # so each occurrence of rot_l a in long_1 long_1 gives a tail d c d; one
     # whose two ds agree and whose d is in the set names the rotation c d of
@@ -329,8 +331,12 @@ def _find_splitting(S, L, shorts, longs, side) -> SplittingWitness | None:
     for rot_l in rotations(L):
         for cut_a in range(max(0, n_0 - n_s), min(n_l, n_0) + 1):
             a, b = rot_l[:cut_a], rot_l[cut_a:]
+            if rot_l + a not in l1l1:
+                break
             head = a[:n_l - cut]
-            fit = next(((ap, bp) for ap, bp in ab_primes if bp.startswith(head)), None)
+            fits = ((ll[k:k + cut], lb[k:k + n_l - cut]) for k in _occurrences(lb, head, n_l))
+            fit = next(((ap, bp) for ap, bp in fits if all(
+                _is_rotation(ap + (bp + ap) * i, ww) for i, ww in enumerate(shorts2))), None)
             if fit is None:
                 break
             ds = {l0l0[q + cut_a:q + n_0] for q in _occurrences(l0l0, a, n_0)}

@@ -319,6 +319,8 @@ def neighbor_chain(beta: DirectionIndex, side: str, n: int) -> list[DirectionInd
     corner has no neighbors on its outer side."""
     if side not in ("upper", "lower"):
         raise ValueError(f"side must be 'upper' or 'lower', not {side!r}")
+    if n < 0:
+        raise ValueError("n must be nonnegative")
     if side == "upper":
         if not beta.bottom and not beta.digits:
             return []

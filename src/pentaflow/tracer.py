@@ -261,6 +261,8 @@ def _walk(start: PlanePoint, direction: PlanePoint, cap: int,
     let turn(side, hit, d) give the next position and direction, and close
     when the direction is back to the start's and the ray passes through
     the start, also at the last crossing allowed.  Cone-point hits raise."""
+    if cap < 0:
+        raise ValueError(f"cap must be nonnegative, not {cap}")
     if direction.is_zero():
         raise ValueError("direction must be nonzero")
     if not _inside(start):
@@ -376,6 +378,8 @@ def iet_build(u: GoldenNum) -> IETSpec:
 def iet_orbit(spec: IETSpec, x0: GoldenNum,
               max_steps: int) -> tuple[CyclicWord | tuple[int, ...], bool]:
     """Iterate the exchange from x0, recording interval symbols."""
+    if max_steps < 0:
+        raise ValueError(f"max_steps must be nonnegative, not {max_steps}")
     if x0.sign() < 0 or (x0 - PHI).sign() >= 0:
         raise ValueError("starting point outside [0, phi)")
     word: list[int] = []

@@ -290,6 +290,38 @@ def test_splitting_reads_c_and_d_off_long_1(monkeypatch, radius):
             assert radius < 2 or longs[2] + longs[2] in targets, (beta, side)
 
 
+def test_splitting_reads_a_prime_b_prime_off_l_l(monkeypatch):
+    """(a', b') is read off the occurrences of a's head in L L, so the
+    short chain is tested only on the rotations of L whose b' begins with
+    it, not on every rotation of L: every generic center to depth 3 at
+    radius 1, where every rotation test is a short one, with _is_rotation
+    wrapped to count them."""
+    tests = 0
+
+    def counted(x, ww):
+        nonlocal tests
+        tests += 1
+        return _is_rotation(x, ww)
+
+    monkeypatch.setattr(analysis, "_is_rotation", counted)
+    searched = 0
+    for beta in (b for b in DEPTH3 if b.digits):
+        rep = check_conjecture_splitting(beta, 1)
+        assert rep.passed and len(rep.results) == 2, beta
+        searched += len(rep.results) * len(_roman(beta, "long"))
+    assert 0 < tests < searched, (tests, searched)
+
+
+def test_splitting_refuses_a_short_0_longer_than_l():
+    """A cut past the end of L leaves no (a', b'): without the length
+    guard the slices of L L would name a' = I II I here."""
+    I, II = b"\x01", b"\x02"
+    S, L = I, I + II
+    shorts, longs = [I + II + I, (I + II + I) * 2], [I, I + I + I + II]
+    assert find_splitting_by_filter(S, L, shorts, longs, "upper") is None
+    assert analysis._find_splitting(S, L, shorts, longs, "upper") is None
+
+
 @pytest.mark.parametrize("radius", [1, 2])
 def test_splitting_witnesses_equal_the_reference_search(radius):
     """Every center to depth 3 and both corners: the same chains and the
@@ -372,11 +404,12 @@ def test_splitting_visits_the_rotations_in_the_filter_routes_order():
 
 
 def test_splitting_rejects_the_chains_the_filter_route_rejects():
-    """Random chains with one of S, long_0 and long_1 altered by one
-    symbol, at radius 1 and 2: a candidate read off long_1 must still have
-    two equal ds, solve long_0, be a rotation of S and have the length
-    long_1 = d c d a b a gives it, so the two routes agree.  Dropping any
-    of these four conditions fails here."""
+    """Random chains with one of S, L, short_0, short_1, long_0 and long_1
+    altered by one symbol, at radius 1 and 2: a candidate read off long_1
+    must still have two equal ds, solve long_0, be a rotation of S and
+    have the length long_1 = d c d a b a gives it, and a fit read off L L
+    must tile short_0 as well as short_1, so the two routes agree.  Dropping
+    any of these conditions fails here."""
     rng = random.Random(33)
 
     def altered(w):
@@ -388,19 +421,25 @@ def test_splitting_rejects_the_chains_the_filter_route_rejects():
             return w[:k] + bytes([3 - w[k]]) + w[k + 1:]
         return w[:k] + w[k + 1:k + 2] + w[k:k + 1] + w[k + 2:]
 
-    tried = 0
-    for S, L, shorts, longs in _random_chains(rng, 1500):
-        which = rng.randrange(3)
+    tried = past_l = 0
+    for S, L, shorts, longs in _random_chains(rng, 3000):
+        which = rng.randrange(6)
         if which == 0:
             S = altered(S)
+        elif which == 1:
+            L = altered(L)
+        elif which < 4:
+            shorts[which - 2] = altered(shorts[which - 2])
         else:
-            longs[which - 1] = altered(longs[which - 1])
+            longs[which - 4] = altered(longs[which - 4])
         for n in (2, 3):
             want = find_splitting_by_filter(S, L, shorts[:n], longs[:n], "upper")
             got = analysis._find_splitting(S, L, shorts[:n], longs[:n], "upper")
-            assert got == want, (S, L, longs[:n])
+            assert got == want, (S, L, shorts[:n], longs[:n])
         tried += 1
-    assert tried > 1000, tried
+        past_l += len(shorts[0]) > len(L)
+    assert tried > 2000, tried
+    assert past_l > 50, past_l
 
 
 def test_occurrences_in_a_doubled_word():

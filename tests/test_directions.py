@@ -296,6 +296,15 @@ def test_neighbor_chain_rejects_an_unknown_side():
             neighbor_chain(DirectionIndex((1,)), side, 2)
 
 
+def test_neighbor_chain_rejects_a_negative_length():
+    # as neighbor_family does a negative radius, not a silent empty chain
+    for beta in (DirectionIndex((1, 2)), DirectionIndex(), BOTTOM):
+        for side in ("upper", "lower"):
+            with pytest.raises(ValueError, match="n must be nonnegative"):
+                neighbor_chain(beta, side, -3)
+            assert neighbor_chain(beta, side, 0) == []
+
+
 def test_arc_endpoints():
     assert arc_left_vertex((0, 0)) == DirectionIndex()
     assert arc_right_vertex((3, 3)) == BOTTOM

@@ -314,6 +314,21 @@ def test_iet_budget():
     assert not closed and w == (4, 1, 1)
 
 
+def test_negative_caps_are_refused():
+    # not an open, empty trace: a negative cap is refused before any step
+    x = coordinate_of_index(DirectionIndex((1,))).value
+    start, direction = section_point(g(Fraction(1, 7))), direction_of_coordinate(x)
+    for trace in (trace_surface, trace_billiard):
+        with pytest.raises(ValueError, match="cap must be nonnegative, not -5"):
+            trace(start, direction, -5)
+        assert trace(start, direction, 0).word == ()
+    with pytest.raises(ValueError, match="cap must be nonnegative, not -5"):
+        trace_surface(PlanePoint(g(Fraction(1, 2)), ZERO), PlanePoint(ZERO, g(1)), -5)
+    with pytest.raises(ValueError, match="max_steps must be nonnegative, not -1"):
+        iet_orbit(iet_build(g(0)), g(Fraction(1, 3)), -1)
+    assert iet_orbit(iet_build(g(0)), g(Fraction(1, 3)), 0) == ((), False)
+
+
 def test_iet_bijection_on_sampled_parameters():
     limit = g(1, Fraction(-1, 2))
     for k in range(-20, 21):
