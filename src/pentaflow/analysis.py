@@ -4,8 +4,9 @@ Displacement vectors and squared lengths are exact; geometric lengths are
 compared through squared norms so no square roots ever enter the field
 arithmetic.  Both concatenation experiments record explicit witnesses:
 the arc search tries rotations, the splitting search reads a' b' off L L
-where b' begins with a's head, solves long_0 = d a for d and reads c and
-d off the rotations of long_1 = d c d a b a that begin with a b a.
+where b' begins with a's head, keeping it while a's head grows and b'
+still begins with it, solves long_0 = d a for d and reads c and d off the
+rotations of long_1 = d c d a b a that begin with a b a, found in one walk.
 """
 
 from __future__ import annotations
@@ -317,33 +318,38 @@ def _find_splitting(S, L, shorts, longs, side) -> SplittingWitness | None:
     ll = L + L
     lb = ll[cut:]
 
-    # (a, b): the cuts with 0 <= |d| <= |S|.  Each b' has n_l - cut
+    # (a, b): the cuts with 0 <= |d| <= |S|.  The rotation of long_1 that
+    # begins with rot_l a = a b a is rot_l a d c d, so each occurrence of
+    # rot_l a in long_1 long_1 gives a tail d c d.  Each b' has n_l - cut
     # symbols, so a and b' agree on min(|a|, |b'|) symbols when b' begins
     # with head = a[:n_l - cut]: the fit is the first occurrence k < |L| of
-    # head in lb whose (a', b') tiles the short chain.  long_0 = d a solves
-    # for d: the n_0 - |a| symbols after each occurrence of a in long_0
-    # long_0.  Each test only fails more as a grows, so a b a missing from
-    # long_1 long_1, a missing fit or an empty set of ds ends the cuts.
-    # The rotation of long_1 that begins with rot_l a = a b a is rot_l a d c d,
-    # so each occurrence of rot_l a in long_1 long_1 gives a tail d c d; one
-    # whose two ds agree and whose d is in the set names the rotation c d of
-    # S at r = ss.find(c d), if there is one.  They are visited in increasing r.
+    # head in lb whose (a', b') tiles the short chain.  Within one rotation
+    # of L the head only grows, and every earlier occurrence of the longer
+    # head is one of the shorter, which failed the short chain, so the fit
+    # is kept while its b' begins with the head and searched again when not.
+    # long_0 = d a solves for d: the n_0 - |a| symbols after each occurrence
+    # of a in long_0 long_0.  Each test only fails more as a grows, so no
+    # tail, a missing fit or an empty set of ds ends the cuts.  A tail whose
+    # two ds agree and whose d is in the set names the rotation c d of S at
+    # r = ss.find(c d), if there is one.  They are visited in increasing r.
     for rot_l in rotations(L):
+        fit = None
         for cut_a in range(max(0, n_0 - n_s), min(n_l, n_0) + 1):
             a, b = rot_l[:cut_a], rot_l[cut_a:]
-            if rot_l + a not in l1l1:
+            tails = [l1l1[p + n_l + cut_a:p + n_1] for p in _occurrences(l1l1, rot_l + a, n_1)]
+            if not tails:
                 break
             head = a[:n_l - cut]
-            fits = ((ll[k:k + cut], lb[k:k + n_l - cut]) for k in _occurrences(lb, head, n_l))
-            fit = next(((ap, bp) for ap, bp in fits if all(
-                _is_rotation(ap + (bp + ap) * i, ww) for i, ww in enumerate(shorts2))), None)
-            if fit is None:
-                break
+            if fit is None or not fit[1].startswith(head):
+                fits = ((ll[k:k + cut], lb[k:k + n_l - cut]) for k in _occurrences(lb, head, n_l))
+                fit = next(((ap, bp) for ap, bp in fits if all(
+                    _is_rotation(ap + (bp + ap) * i, ww) for i, ww in enumerate(shorts2))), None)
+                if fit is None:
+                    break
             ds = {l0l0[q + cut_a:q + n_0] for q in _occurrences(l0l0, a, n_0)}
             if not ds:
                 break
             n_d = n_0 - cut_a
-            tails = (l1l1[p + n_l + cut_a:p + n_1] for p in _occurrences(l1l1, rot_l + a, n_1))
             cds = {t[n_d:] for t in tails if t[:n_d] in ds and t.endswith(t[:n_d])}
             for r, cd in sorted((ss.find(cd), cd) for cd in cds):
                 c, d = cd[:n_s - n_d], cd[n_s - n_d:]

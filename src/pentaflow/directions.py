@@ -280,6 +280,8 @@ def pentagons_to_depth(d: int) -> list[IdealPentagon]:
 
 def indices_at_generation(g: int) -> list[DirectionIndex]:
     """All valid indices with exactly g digits."""
+    if g < 0:
+        raise ValueError("generation must be nonnegative")
     if g == 0:
         return [DirectionIndex()]
     return [DirectionIndex((*prefix, j))
@@ -292,6 +294,8 @@ def index_strings_to_depth(d: int) -> list[tuple[int, ...]]:
     Strings with trailing zeros alias shallower vertices; normalize with
     DirectionIndex.from_digits.
     """
+    if d < 0:
+        raise ValueError("depth must be nonnegative")
     out: list[tuple[int, ...]] = []
     level: list[tuple[int, ...]] = [()]
     for _ in range(d):

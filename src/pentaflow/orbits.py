@@ -31,6 +31,8 @@ _ROMAN_ALPHABET = _ALPHABET[:4]
 
 #: Arabic pair -> Roman symbol (the downward edges of the chain)
 ROMAN_OF_PAIR = {(4, 3): 1, (4, 1): 2, (2, 5): 3, (2, 3): 4}
+#: ROMAN_OF_PAIR by the code 8x + y of each pair (x, y); 0 at every other code
+_ROMAN_OF_CODE = bytes(ROMAN_OF_PAIR.get(divmod(k, 8), 0) for k in range(256))
 
 Kind = Literal["short", "long"]
 
@@ -163,7 +165,10 @@ def roman_of_arabic(w: CyclicWord) -> CyclicWord:
     """Parse an Arabic word into its unique Roman pair form.  Every pair
     of ROMAN_OF_PAIR begins with 2 or 4 and ends with 1, 3 or 5, so the
     pairs are cut after the first symbol when it is odd and before it when
-    it is even; the other cut never parses."""
+    it is even; the other cut never parses.  The pairs are looked up by
+    their codes in one table pass: the codes come from the even and odd
+    symbols read as base-256 numbers, and no byte of 8x + y carries, since
+    every symbol is at most 5."""
     if w.roman:
         return w
     if len(w) % 2:
@@ -171,11 +176,12 @@ def roman_of_arabic(w: CyclicWord) -> CyclicWord:
     s = w.symbols
     offset = s[0] % 2
     rot = s[offset:] + s[:offset]
-    roman = [ROMAN_OF_PAIR.get(pair) for pair in zip(rot[::2], rot[1::2])]
-    if None in roman:
-        bad = (offset + 2 * roman.index(None)) % len(s)
+    code = int.from_bytes(rot[::2], "big") * 8 + int.from_bytes(rot[1::2], "big")
+    roman = code.to_bytes(len(s) // 2, "big").translate(_ROMAN_OF_CODE)
+    if 0 in roman:
+        bad = (offset + 2 * roman.index(0)) % len(s)
         raise WordError(f"no rotation parses into the four pairs (near position {bad})")
-    return CyclicWord(bytes(roman), roman=True)
+    return CyclicWord(roman, roman=True)
 
 
 # ---------------------------------------------------------------------------

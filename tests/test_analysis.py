@@ -293,9 +293,11 @@ def test_splitting_reads_c_and_d_off_long_1(monkeypatch, radius):
 def test_splitting_reads_a_prime_b_prime_off_l_l(monkeypatch):
     """(a', b') is read off the occurrences of a's head in L L, so the
     short chain is tested only on the rotations of L whose b' begins with
-    it, not on every rotation of L: every generic center to depth 3 at
-    radius 1, where every rotation test is a short one, with _is_rotation
-    wrapped to count them."""
+    it, not on every rotation of L, and the fit is kept across the cuts of
+    one rotation of L while its b' still begins with the grown head: every
+    generic center to depth 3 at radius 1, where every rotation test is a
+    short one, with _is_rotation wrapped to count them.  Searching the fit
+    again at every cut made 1,339 tests here; keeping it makes 914."""
     tests = 0
 
     def counted(x, ww):
@@ -310,6 +312,7 @@ def test_splitting_reads_a_prime_b_prime_off_l_l(monkeypatch):
         assert rep.passed and len(rep.results) == 2, beta
         searched += len(rep.results) * len(_roman(beta, "long"))
     assert 0 < tests < searched, (tests, searched)
+    assert tests < 1339, tests
 
 
 def test_splitting_refuses_a_short_0_longer_than_l():
@@ -405,11 +408,13 @@ def test_splitting_visits_the_rotations_in_the_filter_routes_order():
 
 def test_splitting_rejects_the_chains_the_filter_route_rejects():
     """Random chains with one of S, L, short_0, short_1, long_0 and long_1
-    altered by one symbol, at radius 1 and 2: a candidate read off long_1
-    must still have two equal ds, solve long_0, be a rotation of S and
-    have the length long_1 = d c d a b a gives it, and a fit read off L L
-    must tile short_0 as well as short_1, so the two routes agree.  Dropping
-    any of these conditions fails here."""
+    altered by one symbol, or with the short chain a'^(i+1) for an a' that
+    is a slice of L L longer than L, as in the pinned case S = I, L = I II,
+    at radius 1 and 2: a candidate read off long_1 must still have two
+    equal ds, solve long_0, be a rotation of S and have the length
+    long_1 = d c d a b a gives it, and a fit read off L L must tile short_0
+    as well as short_1 and be cut at no more than |L|, so the two routes
+    agree.  Dropping any of these conditions fails here."""
     rng = random.Random(33)
 
     def altered(w):
@@ -421,17 +426,21 @@ def test_splitting_rejects_the_chains_the_filter_route_rejects():
             return w[:k] + bytes([3 - w[k]]) + w[k + 1:]
         return w[:k] + w[k + 1:k + 2] + w[k:k + 1] + w[k + 2:]
 
-    tried = past_l = 0
+    tried = past_l = sliced = 0
     for S, L, shorts, longs in _random_chains(rng, 3000):
-        which = rng.randrange(6)
+        which = rng.randrange(7)
         if which == 0:
             S = altered(S)
         elif which == 1:
             L = altered(L)
         elif which < 4:
             shorts[which - 2] = altered(shorts[which - 2])
-        else:
+        elif which < 6:
             longs[which - 4] = altered(longs[which - 4])
+        elif len(L) > 1:
+            k, j = rng.randrange(len(L)), rng.randint(len(L) + 1, 2 * len(L) - 1)
+            shorts = [(L + L)[k:k + j] * (i + 1) for i in range(3)]
+            sliced += 1
         for n in (2, 3):
             want = find_splitting_by_filter(S, L, shorts[:n], longs[:n], "upper")
             got = analysis._find_splitting(S, L, shorts[:n], longs[:n], "upper")
@@ -440,6 +449,7 @@ def test_splitting_rejects_the_chains_the_filter_route_rejects():
         past_l += len(shorts[0]) > len(L)
     assert tried > 2000, tried
     assert past_l > 50, past_l
+    assert sliced > 250, sliced
 
 
 def test_occurrences_in_a_doubled_word():

@@ -262,6 +262,20 @@ def test_counts():
     assert seen == want
 
 
+def test_enumerations_reject_a_negative_depth():
+    # depth 0 holds only the empty string and generation 0 the top corner,
+    # but a negative depth or generation is an error, as in pentagons_to_depth
+    assert index_strings_to_depth(0) == []
+    assert indices_at_generation(0) == [DirectionIndex()]
+    for n in (-1, -3):
+        with pytest.raises(ValueError, match="^depth must be nonnegative$"):
+            index_strings_to_depth(n)
+        with pytest.raises(ValueError, match="^generation must be nonnegative$"):
+            indices_at_generation(n)
+        with pytest.raises(ValueError, match="^depth must be nonnegative$"):
+            pentagons_to_depth(n)
+
+
 def test_neighbor_family_center():
     fam = neighbor_family(DirectionIndex((1,)), radius=3)
     names = {i: str(v) for i, v, _ in fam.members}

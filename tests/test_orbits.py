@@ -332,6 +332,14 @@ def test_roman_parse_equals_the_two_cut_route():
         for parse in (roman_of_arabic, reference.roman_by_two_cuts):
             with pytest.raises(WordError):
                 parse(w)
+    # the package's message names the first bad pair at the cut it parses,
+    # as the symbol position in w where that pair begins
+    near = [None, None, 1, 1, 1, 1, 2, 1, 0, 0, 4, 3]
+    for w, k in zip(bad, near, strict=True):
+        with pytest.raises(WordError) as err:
+            roman_of_arabic(w)
+        assert str(err.value) == ("odd length cannot parse into pairs" if k is None else
+                                  f"no rotation parses into the four pairs (near position {k})")
 
 
 def test_roman_substitutions_compose_to_the_orbits_to_depth_six():
