@@ -79,18 +79,17 @@ class DirectionIndex(FrozenValue):
 
     @staticmethod
     def parse(text: str) -> "DirectionIndex":
-        """Read a digit string; every non-space character is one digit, so
-        '01 2', '0 1 2' and '012' are the same index."""
+        """Read a digit string; every non-space character is one digit 0-9,
+        so '01 2', '0 1 2' and '012' are the same index."""
         text = text.strip().lower()
         if text in ("", "alpha", "()"):
             return DirectionIndex()
         if text == "bottom":
             return BOTTOM
-        try:
-            digits = [int(c) for c in text if not c.isspace()]
-        except ValueError:
-            raise ValueError(f"not a digit string: {text!r}") from None
-        return DirectionIndex.from_digits(digits)
+        digits = [c for c in text if not c.isspace()]
+        if not all("0" <= c <= "9" for c in digits):
+            raise ValueError(f"not a digit string: {text!r}")
+        return DirectionIndex.from_digits([int(c) for c in digits])
 
     @property
     def generation(self) -> int:

@@ -28,6 +28,8 @@ CHAIN_ORDER = (1, 4, 3, 2, 5)
 _CHAIN_POS = {s: i for i, s in enumerate(CHAIN_ORDER)}
 _ALPHABET = bytes((1, 2, 3, 4, 5))
 _ROMAN_ALPHABET = _ALPHABET[:4]
+#: the printed name of each symbol, indexed by the symbol: Arabic, then Roman
+_NAMES = (tuple(map(str, range(6))), ("", *ROMAN_NAMES.values()))
 
 #: Arabic pair -> Roman symbol (the downward edges of the chain)
 ROMAN_OF_PAIR = {(4, 3): 1, (4, 1): 2, (2, 5): 3, (2, 3): 4}
@@ -91,9 +93,8 @@ class CyclicWord(FrozenValue):
         return hash((self.roman, *map(self.symbols.count, _ALPHABET)))
 
     def __str__(self) -> str:
-        if self.roman:
-            return " ".join(ROMAN_NAMES[s] for s in self.symbols)
-        return " ".join(str(s) for s in self.symbols)
+        names = _NAMES[self.roman]
+        return " ".join([names[s] for s in self.symbols])
 
 
 def _is_rotation(x: bytes, ww: bytes) -> bool:

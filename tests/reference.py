@@ -44,7 +44,6 @@ from pentaflow.orbits import (
     Kind,
     WordError,
     _chain_path_interior,
-    _is_rotation,
     roman_of_arabic,
     rotations,
 )
@@ -484,53 +483,6 @@ def enhance(w: CyclicWord) -> CyclicWord:
 
 
 # ---------------------------------------------------------------------------
-# the splitting search that filtered every rotation of the short word, as it
-# stood at `3b4803a`.  It guards `analysis._find_splitting`, which solves
-# long_0 = d a for d and reads c and d off long_1 = d c d a b a; the filter
-# was retired after `d6e372c`.
-
-
-def find_splitting_by_filter(S, L, shorts, longs, side) -> SplittingWitness | None:
-    """The first splitting in nested-loop order (rotation of L, cut of a,
-    rotation of S, then (a', b')), each condition tested once on the pieces
-    it reads.
-
-    Guards `analysis._find_splitting`; retired after `d6e372c`."""
-    shorts2 = [w + w for w in shorts]
-    l0l0, *longs2 = [w + w for w in longs]
-    n_l, n_s, n_0 = len(L), len(S), len(longs[0])
-
-    # (a', b'): rotations of L cut at |short_0| that tile the short chain
-    cut = len(shorts[0])
-    ab_primes = [(ap, bp) for ap, bp in ((rot[:cut], rot[cut:]) for rot in rotations(L))
-                 if all(_is_rotation(ap + (bp + ap) * i, ww) for i, ww in enumerate(shorts2))]
-    if not ab_primes:
-        return None
-
-    # (a, b): the cuts with 0 <= |d| <= |S|.  Each b' has n_l - cut
-    # symbols, so a and b' agree on min(|a|, |b'|) symbols when b' begins
-    # with a[:n_l - cut].  long_0 = d a solves for d: the n_0 - |a| symbols
-    # before each occurrence of a in long_0 long_0.  Both tests only fail
-    # more as a grows, so a missing fit or an empty set of ds ends the cuts.
-    for rot_l in rotations(L):
-        for cut_a in range(max(0, n_0 - n_s), min(n_l, n_0) + 1):
-            a, b = rot_l[:cut_a], rot_l[cut_a:]
-            head = a[:n_l - cut]
-            fit = next(((ap, bp) for ap, bp in ab_primes if bp.startswith(head)), None)
-            if fit is None:
-                break
-            ds = {l0l0[q + cut_a:q + n_0] for q in range(n_0) if l0l0.startswith(a, q)}
-            if not ds:
-                break
-            cut_c = n_s + cut_a - n_0
-            for rot_s in rotations(S):
-                c, d = rot_s[:cut_c], rot_s[cut_c:]
-                if d in ds and all(_is_rotation(d + (c + d) * i + (a + b) * i + a, ww)
-                                   for i, ww in enumerate(longs2, start=1)):
-                    return SplittingWitness(side, *map(tuple, (c, d, a, b, *fit)), len(head))
-    return None
-
-
 # the routes that tried every candidate, as they stood at `d75cede`.  They
 # guard `orbits.roman_of_arabic`, which parses at the one cut the parity of
 # the first symbol allows, and `analysis._arc_for_endpoints`, which appends
@@ -671,13 +623,16 @@ def period_by_matrices(idx: DirectionIndex) -> PeriodPair:
 
 
 # ---------------------------------------------------------------------------
-# the concatenation searches as they stood before the doubled-word rotation
-# test, over tuples: each candidate is compared with the chain words by
-# `least_rotation`, not by the package's `CyclicWord ==`, which shares the
-# substring test since `least_rotation` was retired after `cbf8adc`.  They guard
-# `analysis.check_conjecture_concat` and `analysis.check_conjecture_splitting`,
-# whose searches test a rotation as a substring of the doubled Roman word
-# since `cd9cfce`.
+# the concatenation and splitting searches as they stood before the
+# doubled-word rotation test, over tuples: each candidate is compared with the
+# chain words by `least_rotation`, not by the package's `CyclicWord ==`, which
+# shares the substring test since `least_rotation` was retired after
+# `cbf8adc`.  They guard `analysis.check_conjecture_concat` and
+# `analysis.check_conjecture_splitting`, whose searches test a rotation as a
+# substring of the doubled Roman word since `cd9cfce`.  `_find_splitting`, the
+# literal least-rotation search, is the one reference for
+# `analysis._find_splitting`, which solves long_0 = d a and long_1 = d c d a b a
+# and reads (a', b') off L L.
 
 
 def _concat_witness(target: CyclicWord, pieces: list[tuple[int, ...]]):
@@ -708,14 +663,17 @@ def _concat_witness(target: CyclicWord, pieces: list[tuple[int, ...]]):
     return None
 
 
-def _keys(words: list[CyclicWord]) -> list[tuple[int, ...]]:
-    return [least_rotation(w.symbols) for w in words]
+def _keys(words) -> list[tuple[int, ...]]:
+    """The least rotation of each word, a CyclicWord or its symbols as bytes
+    (a random chain's long_0 may be empty, which no CyclicWord is)."""
+    return [least_rotation(getattr(w, "symbols", w)) for w in words]
 
 
 def _find_splitting(S, L, shorts, longs, side) -> SplittingWitness | None:
     """The chain splitting around a generic center.
 
     Guards `analysis._find_splitting`; retired at `cd9cfce`."""
+    S, L = tuple(S), tuple(L)
     shorts, longs = _keys(shorts), _keys(longs)
     s0 = shorts[0]
     l0 = longs[0]

@@ -1,5 +1,7 @@
+import functools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -44,7 +46,6 @@ from reference import (
     _find_corner_splitting,
     _find_splitting,
     arc_by_trial,
-    find_splitting_by_filter,
     g,
 )
 
@@ -242,22 +243,34 @@ def test_arc_for_endpoints_equals_the_trial_route():
                 route(left, right)
 
 
-@pytest.mark.parametrize("radius", [1, 2])
-def test_splitting_solves_long_0_instead_of_testing_it(monkeypatch, radius):
-    """long_0 = d a gives d from a, so no rotation test reads long_0:
-    every center to depth 3 and both corners, with _is_rotation wrapped
-    to record its targets."""
+@functools.cache
+def _rotation_tests(radius):
+    """One pass over every center to depth 3 and both corners at radius,
+    with _is_rotation wrapped to record its targets: (beta, report, targets)
+    for each center."""
     targets = []
 
     def recorded(x, ww):
         targets.append(ww)
         return _is_rotation(x, ww)
 
-    monkeypatch.setattr(analysis, "_is_rotation", recorded)
-    for beta in DEPTH3_AND_BOTTOM:
-        targets.clear()
-        assert check_conjecture_splitting(beta, radius).passed, beta
-        assert targets, beta
+    runs = []
+    with mock.patch.object(analysis, "_is_rotation", recorded):
+        for beta in DEPTH3_AND_BOTTOM:
+            targets = []
+            runs.append((beta, check_conjecture_splitting(beta, radius), targets))
+    return runs
+
+
+def _generic(beta):
+    return not beta.bottom and beta.digits
+
+
+@pytest.mark.parametrize("radius", [1, 2])
+def test_splitting_solves_long_0_instead_of_testing_it(radius):
+    """long_0 = d a gives d from a, so no rotation test reads long_0."""
+    for beta, rep, targets in _rotation_tests(radius):
+        assert rep.passed and targets, beta
         for side in ("upper", "lower"):
             chain = neighbor_chain(beta, side, radius + 1)
             if chain:
@@ -266,23 +279,14 @@ def test_splitting_solves_long_0_instead_of_testing_it(monkeypatch, radius):
 
 
 @pytest.mark.parametrize("radius", [1, 2])
-def test_splitting_reads_c_and_d_off_long_1(monkeypatch, radius):
+def test_splitting_reads_c_and_d_off_long_1(radius):
     """long_1 = d c d a b a gives c and d from a b a, so no rotation test
-    reads long_1 at a generic center, and long_2 is still tested: every
-    center to depth 3 and both corners, with _is_rotation wrapped to record
-    its targets.  A corner's search tiles long_1 = l0 L S by rotation tests,
-    so there only the verdict is checked."""
-    targets = []
-
-    def recorded(x, ww):
-        targets.append(ww)
-        return _is_rotation(x, ww)
-
-    monkeypatch.setattr(analysis, "_is_rotation", recorded)
-    for beta in DEPTH3_AND_BOTTOM:
-        targets.clear()
-        assert check_conjecture_splitting(beta, radius).passed, beta
-        if beta.bottom or not beta.digits:
+    reads long_1 at a generic center, and long_2 is still tested.  A
+    corner's search tiles long_1 = l0 L S by rotation tests, so there only
+    the verdict is checked."""
+    for beta, rep, targets in _rotation_tests(radius):
+        assert rep.passed, beta
+        if not _generic(beta):
             continue
         for side in ("upper", "lower"):
             longs = [_roman(g, "long").symbols for g in neighbor_chain(beta, side, radius + 1)]
@@ -290,27 +294,20 @@ def test_splitting_reads_c_and_d_off_long_1(monkeypatch, radius):
             assert radius < 2 or longs[2] + longs[2] in targets, (beta, side)
 
 
-def test_splitting_reads_a_prime_b_prime_off_l_l(monkeypatch):
+def test_splitting_reads_a_prime_b_prime_off_l_l():
     """(a', b') is read off the occurrences of a's head in L L, so the
     short chain is tested only on the rotations of L whose b' begins with
     it, not on every rotation of L, and the fit is kept across the cuts of
     one rotation of L while its b' still begins with the grown head: every
     generic center to depth 3 at radius 1, where every rotation test is a
-    short one, with _is_rotation wrapped to count them.  Searching the fit
-    again at every cut made 1,339 tests here; keeping it makes 914."""
-    tests = 0
-
-    def counted(x, ww):
-        nonlocal tests
-        tests += 1
-        return _is_rotation(x, ww)
-
-    monkeypatch.setattr(analysis, "_is_rotation", counted)
-    searched = 0
-    for beta in (b for b in DEPTH3 if b.digits):
-        rep = check_conjecture_splitting(beta, 1)
-        assert rep.passed and len(rep.results) == 2, beta
-        searched += len(rep.results) * len(_roman(beta, "long"))
+    short one.  Searching the fit again at every cut made 1,339 tests here;
+    keeping it makes 914."""
+    tests = searched = 0
+    for beta, rep, targets in _rotation_tests(1):
+        if _generic(beta):
+            assert rep.passed and len(rep.results) == 2, beta
+            tests += len(targets)
+            searched += len(rep.results) * len(_roman(beta, "long"))
     assert 0 < tests < searched, (tests, searched)
     assert tests < 1339, tests
 
@@ -321,7 +318,7 @@ def test_splitting_refuses_a_short_0_longer_than_l():
     I, II = b"\x01", b"\x02"
     S, L = I, I + II
     shorts, longs = [I + II + I, (I + II + I) * 2], [I, I + I + I + II]
-    assert find_splitting_by_filter(S, L, shorts, longs, "upper") is None
+    assert _find_splitting(S, L, shorts, longs, "upper") is None
     assert analysis._find_splitting(S, L, shorts, longs, "upper") is None
 
 
@@ -345,32 +342,6 @@ def test_splitting_witnesses_equal_the_reference_search(radius):
         assert rep.passed == (bool(want) and all(w is not None for _, _, w in want))
 
 
-@pytest.mark.parametrize("radius", [1, 2])
-def test_splitting_witnesses_equal_the_filter_route(radius):
-    """Every center to depth 4 and both corners: the same witnesses, piece
-    for piece, as the route that built every rotation of the short word and
-    kept those whose d solves long_0 = d a."""
-    for beta in (*_all_indices(4), BOTTOM):
-        rep = check_conjecture_splitting(beta, radius)
-        S, L = _roman(beta, "short").symbols, _roman(beta, "long").symbols
-        corner = beta.bottom or not beta.digits
-        want = []
-        for side in ("upper", "lower"):
-            chain = neighbor_chain(beta, side, radius + 1)
-            if not chain:
-                continue
-            shorts = [_roman(g, "short") for g in chain]
-            longs = [_roman(g, "long") for g in chain]
-            if corner:
-                w = _find_corner_splitting(tuple(S), tuple(L), shorts, longs, side)
-            else:
-                w = find_splitting_by_filter(S, L, [x.symbols for x in shorts],
-                                             [x.symbols for x in longs], side)
-            want.append((side, tuple(str(g) for g in chain), w))
-        assert rep.results == tuple(want), beta
-        assert rep.passed, beta
-
-
 def _random_chains(rng, n):
     """n tries at a chain tiled by seeded random pieces over two letters,
     where several rotations of S often tile one cut of L (and a and b' need
@@ -391,10 +362,11 @@ def _random_chains(rng, n):
 
 def test_splitting_visits_the_rotations_in_the_filter_routes_order():
     """Random chains: the first splitting in increasing rotation is the
-    filter route's, and none is missed."""
+    reference's, and none is missed.  (The name is that of the filter
+    route, the reference this test read before the literal search.)"""
     found = several = 0
     for S, L, shorts, longs in _random_chains(random.Random(31), 600):
-        want = find_splitting_by_filter(S, L, shorts, longs, "upper")
+        want = _find_splitting(S, L, shorts, longs, "upper")
         assert analysis._find_splitting(S, L, shorts, longs, "upper") == want, (S, L, shorts)
         found += want is not None
         if want is not None:
@@ -413,8 +385,9 @@ def test_splitting_rejects_the_chains_the_filter_route_rejects():
     at radius 1 and 2: a candidate read off long_1 must still have two
     equal ds, solve long_0, be a rotation of S and have the length
     long_1 = d c d a b a gives it, and a fit read off L L must tile short_0
-    as well as short_1 and be cut at no more than |L|, so the two routes
-    agree.  Dropping any of these conditions fails here."""
+    as well as short_1 and be cut at no more than |L|, so the package's
+    witness is the reference's.  Dropping any of these conditions fails
+    here."""
     rng = random.Random(33)
 
     def altered(w):
@@ -442,7 +415,7 @@ def test_splitting_rejects_the_chains_the_filter_route_rejects():
             shorts = [(L + L)[k:k + j] * (i + 1) for i in range(3)]
             sliced += 1
         for n in (2, 3):
-            want = find_splitting_by_filter(S, L, shorts[:n], longs[:n], "upper")
+            want = _find_splitting(S, L, shorts[:n], longs[:n], "upper")
             got = analysis._find_splitting(S, L, shorts[:n], longs[:n], "upper")
             assert got == want, (S, L, shorts[:n], longs[:n])
         tried += 1

@@ -72,7 +72,9 @@ def test_direction_folds_the_vectors_once(monkeypatch, capsys):
 
 
 def test_direction_usage_error(capsys):
-    for digits in ("9", "5"):
+    # int() reads an Arabic-Indic and a fullwidth three as 3; an index's
+    # digits are 0-9 alone
+    for digits in ("9", "5", "\u0663", "\uff13", "1\u0663"):
         with pytest.raises(SystemExit) as e:
             main(["direction", digits])
         assert e.value.code == EXIT_USAGE

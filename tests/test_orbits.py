@@ -235,6 +235,21 @@ def test_vectors_of_index_at_depth_16_build_no_word(monkeypatch):
     assert (sv.period, lv.period) == (pp.short, pp.long) == (26_721_756, 43_236_712)
 
 
+def test_printing_a_word_makes_no_str_per_symbol():
+    """str() reads the symbols' names from one table per alphabet: printing
+    the depth-9 long word of 121212121, Arabic or Roman, peaks below ten
+    bytes per character (one str per Arabic symbol peaked at 30)."""
+    w = orbit_of_index(DirectionIndex.parse("121212121"), "long")
+    for word in (w, roman_of_arabic(w)):
+        tracemalloc.start()
+        try:
+            text = str(word)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * len(text), (word.roman, peak, len(text))
+
+
 @pytest.mark.parametrize("digits", [500, 1200])
 def test_deep_orbits_stay_under_the_recursion_limit(digits):
     # from a cold cache, one level of recursion per digit reached Python's
