@@ -105,9 +105,11 @@ def cmd_orbit(args) -> int:
     if args.roman:
         w = roman_of_arabic(w)
     if args.json:
-        print(json.dumps({"index": str(idx), "kind": kind,
-                          "alphabet": "roman" if args.roman else "arabic",
-                          "word": list(w.symbols)}))
+        # json.dumps's head, then the symbols as str() writes them: no list of ints
+        head = json.dumps({"index": str(idx), "kind": kind,
+                           "alphabet": "roman" if args.roman else "arabic", "word": []})
+        body = w.symbols[:-1].decode("latin-1").translate({s: f"{s}, " for s in range(1, 6)})
+        print(head[:-2], body, w.symbols[-1], "]}", sep="")
     else:
         print(w)
     return EXIT_OK

@@ -20,16 +20,17 @@ from typing import Iterable, Literal
 from .directions import DirectionIndex, _exponents, mirror_digits
 from .golden import FrozenValue
 
-ROMAN_NAMES = {1: "I", 2: "II", 3: "III", 4: "IV"}
-ROMAN_VALUES = {v: k for k, v in ROMAN_NAMES.items()}
-
 #: the chain graph as a line; adjacent entries are its edges
 CHAIN_ORDER = (1, 4, 3, 2, 5)
 _CHAIN_POS = {s: i for i, s in enumerate(CHAIN_ORDER)}
 _ALPHABET = bytes((1, 2, 3, 4, 5))
 _ROMAN_ALPHABET = _ALPHABET[:4]
-#: the printed name of each symbol, indexed by the symbol: Arabic, then Roman
-_NAMES = (tuple(map(str, range(6))), ("", *ROMAN_NAMES.values()))
+#: the symbol of each printed name in lower case, the tokens parse reads:
+#: Arabic, then Roman
+_SYMBOL_OF = ({str(s): s for s in _ALPHABET}, {"i": 1, "ii": 2, "iii": 3, "iv": 4})
+#: per alphabet, str.translate's table from each symbol, as a latin-1
+#: character, to its printed name and a space
+_PRINTED = tuple({s: name.upper() + " " for name, s in names.items()} for names in _SYMBOL_OF)
 
 #: Arabic pair -> Roman symbol (the downward edges of the chain)
 ROMAN_OF_PAIR = {(4, 3): 1, (4, 1): 2, (2, 5): 3, (2, 3): 4}
@@ -72,14 +73,11 @@ class CyclicWord(FrozenValue):
         parts = text.split()
         if not parts:
             raise WordError("empty word")
-        roman = parts[0].upper() in ROMAN_VALUES
-        symbols = []
-        for p in parts:
-            try:
-                symbols.append(ROMAN_VALUES[p.upper()] if roman else int(p))
-            except (KeyError, ValueError):
-                raise WordError(f"{p!r} is not a symbol of the word {text!r}") from None
-        return CyclicWord(symbols, roman=roman)
+        roman = parts[0].lower() in _SYMBOL_OF[True]
+        symbols = [_SYMBOL_OF[roman].get(p.lower()) for p in parts]
+        if None in symbols:
+            raise WordError(f"{parts[symbols.index(None)]!r} is not a symbol of the word {text!r}")
+        return CyclicWord(bytes(symbols), roman=roman)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -93,8 +91,7 @@ class CyclicWord(FrozenValue):
         return hash((self.roman, *map(self.symbols.count, _ALPHABET)))
 
     def __str__(self) -> str:
-        names = _NAMES[self.roman]
-        return " ".join([names[s] for s in self.symbols])
+        return self.symbols.decode("latin-1").translate(_PRINTED[self.roman])[:-1]
 
 
 def _is_rotation(x: bytes, ww: bytes) -> bool:

@@ -90,26 +90,10 @@ def outcome(fn, *args):
 
 
 # ---------------------------------------------------------------------------
-# the field's decimals, the two methods as they stood at `6712432`.  They
-# guard `golden.decimal_of`, the one decimal routine since the next commit,
-# which `direction`, `render` and the tracer's display forms call.
-
-
-def golden_to_decimal(self, digits: int = 30) -> decimal.Decimal:
-    """Decimal approximation, computed with guard digits and rounded."""
-    with decimal.localcontext() as ctx:
-        ctx.prec = digits + 15
-        root5 = decimal.Decimal(5).sqrt()
-        val = (
-            decimal.Decimal(self.a.numerator) / self.a.denominator
-            + (decimal.Decimal(self.b.numerator) / self.b.denominator)
-            * (1 + root5)
-            / 2
-        )
-        return +decimal.Decimal(val.quantize(
-            decimal.Decimal(1).scaleb(val.adjusted() - digits + 1)
-            if val != 0 else decimal.Decimal(1).scaleb(-digits)
-        ))
+# the field's decimals, `PentaNum`'s method as it stood at `6712432`.  It
+# guards `golden.decimal_of`, the one decimal routine since the next commit,
+# which `direction`, `render` and the tracer's display forms call; a
+# `GoldenNum` x is the `PentaNum` (x, 0).
 
 
 def penta_to_decimal(self, digits: int = 30) -> decimal.Decimal:
@@ -279,17 +263,6 @@ def reference_step(spec, p: GoldenNum, side: str | None = None):
         if inside and not (hi - lo).is_zero():
             return p + spec.translations[k], k
     raise SingularOrbit(f"no branch of the exchange at {p}")
-
-
-def mirrored_step(x: GoldenNum, p: GoldenNum, side: str | None):
-    """The old route for x < 0: the exchange of -x seen through the mirror
-    p -> phi - p, which swaps the Roman symbols and the one-sided reads.
-
-    Guards `iet_build` on a negative coordinate, which builds the mirrored
-    exchange as an ordinary `IETSpec`; retired at `9725adc`."""
-    swapped = {"L": "R", "R": "L", None: None}[side]
-    img, sym = iet_build(-x).step(PHI - p, swapped)
-    return PHI - img, 5 - sym
 
 
 def mirrored_spec(x: GoldenNum) -> IETSpec:

@@ -157,20 +157,6 @@ def test_index_of_coordinate_examples():
         index_of_coordinate(INFINITY)
 
 
-def test_round_trip_to_generation_four():
-    for s in index_strings_to_depth(4):
-        idx = DirectionIndex.from_digits(s)
-        assert index_of_coordinate(coordinate_of_index(idx)) == idx
-
-
-def test_termination_on_bounded_height_samples():
-    # 100 pseudo-random field points; runs toward shallow vertices make the
-    # expansions long, so the depth budget is generous (seed 2026 needs 1085)
-    for x in _seed_2026_samples(100):
-        idx = index_of_coordinate(x, max_depth=5000)
-        assert coordinate_of_index(idx).value == x
-
-
 def test_depth_budget_reports_prefix():
     x = coordinate_of_index(DirectionIndex((1, 2, 3, 1)))
     with pytest.raises(DepthExceeded) as e:

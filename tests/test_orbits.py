@@ -1,4 +1,5 @@
 import random
+import re
 import tracemalloc
 
 import pytest
@@ -97,11 +98,16 @@ def test_equality_and_hash_follow_the_least_rotation():
 
 @pytest.mark.parametrize("text, bad", [
     ("I 2", "2"), ("I V", "V"), ("ii III x", "x"), ("1 V", "V"), ("2 5 3.0", "3.0"),
+    ("+4", "+4"), ("\u0664", "\u0664"), ("\uff14", "\uff14"), ("4_0", "4_0"),
+    ("2 6", "6"), ("I \u0131v", "\u0131v"),
 ])
 def test_parse_names_the_bad_token(text, bad):
     # a word's first token fixes its alphabet; a token outside it is a
-    # WordError that names it, whichever alphabet it came from
-    with pytest.raises(WordError, match=f"'{bad}'"):
+    # WordError that names it, whichever alphabet it came from.  Only the
+    # names str() prints are read, not what int() reads as 4 (+4, an
+    # Arabic-Indic or a fullwidth 4) or 40 (4_0), nor \u0131v, whose
+    # dotless i upper() reads as I
+    with pytest.raises(WordError, match=re.escape(f"'{bad}' is not a symbol")):
         CyclicWord.parse(text)
 
 
@@ -173,18 +179,6 @@ def test_published_word_sits_at_the_mirror_index():
 def test_vector_examples():
     assert vector_of(EXAMPLE) == OrbitVector(1, 2, 0, 1)
     assert vector_of(CyclicWord.parse("III")) == OrbitVector(0, 0, 1, 0)
-    published = [
-        ((0, 0, 1, 0), (1, 0, 0, 0)),
-        ((1, 1, 0, 0), (1, 0, 1, 1)),
-        ((1, 0, 0, 1), (1, 1, 1, 1)),
-        ((0, 0, 1, 1), (1, 1, 0, 1)),
-        ((0, 1, 0, 0), (0, 0, 0, 1)),
-    ]
-    idxs = [DirectionIndex(), DirectionIndex((1,)), DirectionIndex((2,)),
-            DirectionIndex((3,)), BOTTOM]
-    for idx, (ws, wl) in zip(idxs, published):
-        sv, lv = vectors_of_index(idx)
-        assert sv.as_tuple() == ws and lv.as_tuple() == wl
 
 
 def test_vectors_of_index_agree_with_word_vectors():
@@ -267,15 +261,6 @@ def test_apply_L():
     assert apply_L(4, OrbitVector(0, 0, 1, 0)) == OrbitVector(0, 1, 0, 0)
     with pytest.raises(ValueError):
         apply_L(5, OrbitVector(0, 0, 0, 0))
-
-
-def test_L_reproduces_period_recursion():
-    # the generation step multiplies vectors by L and the word lengths by
-    # the same rule the period pairs follow
-    for idx in DEPTH3:
-        sv, lv = vectors_of_index(idx)
-        pp = period_of_index(idx)
-        assert sv.period == pp.short and lv.period == pp.long
 
 
 def test_check_M_holds_at_every_depth():
@@ -378,14 +363,6 @@ def test_M_relation():
     assert check_M(OrbitVector(0, 0, 1, 0), OrbitVector(1, 0, 0, 0))
     assert check_M(OrbitVector(1, 1, 0, 0), OrbitVector(1, 0, 1, 1))
     assert not check_M(OrbitVector(1, 0, 0, 0), OrbitVector(1, 0, 0, 0))
-    for s in index_strings_to_depth(4):
-        idx = DirectionIndex.from_digits(s)
-        assert check_M(*(vector_of(orbit_of_index(idx, k)) for k in ("short", "long")))
-
-
-def test_M_squared_is_M_plus_identity():
-    for e in BASIS:
-        assert apply_M(apply_M(e)) == apply_M(e) + e
 
 
 def test_quintuple_relation():

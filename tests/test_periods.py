@@ -15,36 +15,6 @@ from pentaflow.verify import _all_indices, _period_via_tree
 from reference import period_by_matrices
 
 
-PUBLISHED_TABLE = {
-    (): (1, 1),
-    (0, 1): (3, 5),
-    (0, 2): (4, 7),
-    (0, 3): (4, 6),
-    (1,): (2, 3),
-    (1, 1): (5, 9),
-    (1, 2): (7, 11),
-    (1, 3): (6, 9),
-    (2,): (2, 4),
-}
-
-
-def test_published_table():
-    for digits, want in PUBLISHED_TABLE.items():
-        assert period_of_index(DirectionIndex(digits)).as_tuple() == want
-    assert period_of_index(BOTTOM).as_tuple() == (1, 1)
-
-
-def test_deep_period_three_routes_agree():
-    # the published text prints 6334 for this long period; the orbit
-    # vectors, the arc recursion and the digit-matrix product all yield 6364
-    # (and 6364/3932 approaches the golden ratio as it must)
-    digits = (1, 2, 3, 1, 2, 3, 1, 2, 3)
-    got = period_of_index(DirectionIndex(digits))
-    assert got.as_tuple() == (3932, 6364)
-    assert _period_via_tree(digits) == got
-    assert period_by_matrices(DirectionIndex(digits)) == got
-
-
 def test_periods_agree_by_matrix_tree_and_word_length_at_random_depth():
     # seeded indices at depth 10-14: the digit-matrix product (the retired
     # route), the arc recursion and the lengths of the engine's words (two
@@ -73,16 +43,12 @@ def test_child_periods_swap_symmetry():
     assert child_periods(a, b) == tuple(reversed(child_periods(b, a)))
 
 
-def test_matrix_equals_tree_to_generation_four():
-    for idx in _all_indices(4):
-        assert period_by_matrices(idx) == _period_via_tree(idx.digits) == period_of_index(idx)
-
-
 def test_matrix_reference_equals_period_of_index_to_depth_six():
-    # the retired Z[phi] digit-matrix product against the orbit vectors'
-    # symbol counts, on all 4,096 directions to depth 6 and the bottom corner
+    # the retired Z[phi] digit-matrix product and the arc recursion against
+    # the orbit vectors' symbol counts, on all 4,096 directions to depth 6
+    # and the bottom corner
     for idx in [*_all_indices(6), BOTTOM]:
-        assert period_by_matrices(idx) == period_of_index(idx), idx
+        assert period_by_matrices(idx) == _period_via_tree(idx.digits) == period_of_index(idx), idx
 
 
 def test_periods_use_no_field_arithmetic(monkeypatch):

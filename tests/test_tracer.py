@@ -48,7 +48,6 @@ from reference import (
     cells_from_division_points,
     g,
     mirrored_spec,
-    mirrored_step,
     outcome,
     reference_exit_side,
     reference_step,
@@ -366,25 +365,6 @@ def test_exchange_step_matches_the_interval_scan():
                             == outcome(reference_step, spec, p, side)), (idx, u, p, side)
 
 
-def test_signed_exchange_matches_the_mirror_view():
-    rng = random.Random(20111018)
-    limit = g(1, Fraction(-1, 2))
-    for _ in range(40):
-        x = -limit * g(Fraction(rng.randint(0, 60), 60))
-        spec = iet_build(x)
-        points = [p for p in spec.division_points if ZERO < p < PHI]
-        while len(points) < 8:
-            p = g(Fraction(rng.randint(-999, 999), 1000),
-                  Fraction(rng.randint(0, 999), 1000))
-            if ZERO < p < PHI:
-                points.append(p)
-        for p in points:
-            for side in ("L", "R", None):
-                if side is None and p in spec.division_points:
-                    continue
-                assert spec.step(p, side) == mirrored_step(x, p, side)
-
-
 def test_exchange_step_rejects_an_unknown_side():
     # read as 'R', a side 'l' would give symbol II at the division point p2
     # of u = 0, where 'L' reads III, and skip the division-point check
@@ -501,27 +481,6 @@ def test_iet_matches_surface_words():
         assert got == {roman_of_arabic(s_tr.word), roman_of_arabic(l_tr.word)}
 
 
-def test_section_map_agrees_with_geometric_returns():
-    # the formula map is an independent route; cross it against real traces
-    for digs in [(), (1,), (2,), (3,), (0, 3)]:
-        x = coordinate_of_index(DirectionIndex(digs)).value
-        pp = period_of_index(DirectionIndex(digs))
-        spec = iet_build(x)
-        p = g(Fraction(3, 11))
-        word = []
-        q = p
-        for _ in range(pp.long):
-            q, sym = spec.step(q)
-            word.append(sym)
-            if q == p:
-                break
-        assert q == p  # closes, matching complete periodicity
-        res = trace_surface(section_point(p), direction_of_coordinate(x),
-                            max_crossings=2 * pp.long)
-        assert res.closed
-        assert roman_of_arabic(res.word) == CyclicWord(word, roman=True)
-
-
 def test_section_map_agrees_with_traced_prefix_at_random_parameters():
     # away from tree vertices: K returns of the formula map against the
     # first 2K crossings of the 2-D flow, read as Roman pairs
@@ -542,29 +501,6 @@ def test_section_map_agrees_with_traced_prefix_at_random_parameters():
         assert not res.closed and len(res.word) == 2 * K
         pairs = zip(res.word[::2], res.word[1::2])
         assert [ROMAN_OF_PAIR[pair] for pair in pairs] == word
-
-
-def test_surface_words_match_engine_to_generation_two():
-    for s in index_strings_to_depth(2):
-        idx = DirectionIndex.from_digits(s)
-        x = coordinate_of_index(idx).value
-        pp = period_of_index(idx)
-        s_tr, l_tr = periodic_orbits_for_coordinate(x, expected_long=pp.long)
-        assert s_tr.word == orbit_of_index(idx, "short")
-        assert l_tr.word == orbit_of_index(idx, "long")
-        assert len(s_tr.word) == 2 * pp.short
-        assert len(l_tr.word) == 2 * pp.long
-
-
-def test_trace_displacements_decompose_in_the_diagonal_basis():
-    for digs in [(1,), (2,), (0, 3), (3, 1)]:
-        idx = DirectionIndex(digs)
-        x = coordinate_of_index(idx).value
-        pp = period_of_index(idx)
-        s_tr, _ = periodic_orbits_for_coordinate(x, expected_long=pp.long)
-        v = vector_of(s_tr.word)
-        want = direction_of_vector(PHI * g(v.c) + g(v.e), PHI * g(v.f) + g(v.d))
-        assert s_tr.displacement == want
 
 
 def test_strips_have_equal_moduli_and_the_engines_displacements():
@@ -665,7 +601,8 @@ def test_trace_json_matches_pinned_file():
 
 def test_display_forms_build_no_pentanum(monkeypatch, tmp_path, capsys):
     # messages, trace JSON and SVGs are written from the chart's Q[phi]
-    # coordinates through golden.decimal_of, never through Q[phi][s]
+    # coordinates through golden.decimal_of, never through Q[phi][s]; the
+    # strip search and a billiard report build no PentaNum either
     def forbidden(*args):
         raise AssertionError("a PentaNum was built")
 
@@ -684,6 +621,7 @@ def test_display_forms_build_no_pentanum(monkeypatch, tmp_path, capsys):
     for argv in (("2",), ("2", "--billiard")):
         assert main(["render", *argv, "--out", str(tmp_path / "o.svg")]) == 0
     capsys.readouterr()
+    assert analysis.billiard_report(idx).passed
     # a strip trace cut short of its cap: index 1 has periods 2/3
     trace = tracer.trace_surface
     monkeypatch.setattr(tracer, "trace_surface",
@@ -692,18 +630,3 @@ def test_display_forms_build_no_pentanum(monkeypatch, tmp_path, capsys):
         tracer.strip_cells_for_coordinate(x)
     assert str(err.value) == ("trace in direction (-4 + 5/2*phi, (1)*s) made 2 "
                               "crossings without closing (cap 6)")
-
-
-def test_tracer_computes_nothing_in_q_phi_s(monkeypatch):
-    # the chart keeps every coordinate in Q[phi], so neither the strip
-    # search nor a billiard report multiplies, inverts or signs a PentaNum
-    def forbidden(*args):
-        raise AssertionError("PentaNum arithmetic in the tracer")
-
-    for name in ("__mul__", "inverse", "sign"):
-        monkeypatch.setattr(PentaNum, name, forbidden)
-    idx = DirectionIndex((1, 2, 1))
-    x = coordinate_of_index(idx).value
-    short, long = periodic_orbits_for_coordinate(x, period_of_index(idx).long)
-    assert (short.crossings, long.crossings) == (34, 54)
-    assert analysis.billiard_report(DirectionIndex((1,))).passed
