@@ -335,20 +335,20 @@ class IETSpec(NamedTuple):
         }
 
     def step(self, p: GoldenNum, side: str | None = None) -> tuple[GoldenNum, int]:
-        """Image of p and the Roman symbol read.  side 'R' reads p + eps and
-        'L' reads p - eps, so a division point has both one-sided images;
-        None reads p itself, which must not be a division point.  Any other
-        side raises ValueError."""
-        if side not in (None, "L", "R"):
-            raise ValueError(f"side must be None, 'L' or 'R', not {side!r}")
+        """Image of p and the Roman symbol read.  side 'R' reads p + eps, so
+        a division point has its image from the right; None reads p itself,
+        which must not be a division point.  Any other side raises
+        ValueError."""
+        if side not in (None, "R"):
+            raise ValueError(f"side must be None or 'R', not {side!r}")
         if side is None and p in self.division_points:
             raise SingularOrbit(f"orbit hit division point {p}")
-        if not (ZERO < p <= PHI if side == "L" else ZERO <= p < PHI):
+        if not ZERO <= p < PHI:
             raise SingularOrbit(f"no branch of the exchange at {p}")
         # p lies in interval 4 less the number of division points at or
-        # below it (strictly below for 'L'); they are ordered, so the ends
-        # of an empty interval are counted together and it is never read
-        k = 4 - sum(d < p if side == "L" else d <= p for d in self.division_points)
+        # below it; they are ordered, so the ends of an empty interval are
+        # counted together and it is never read
+        k = 4 - sum(d <= p for d in self.division_points)
         return p + self.translations[k], k
 
 
@@ -392,68 +392,64 @@ def iet_orbit(spec: IETSpec, x0: GoldenNum,
     return tuple(word), False
 
 
-def section_cell_points(x: GoldenNum) -> list[GoldenNum]:
-    """The points cutting the diagonal into cells: the division points, the
-    two ends and their one-sided images, where the leaves from the cone
-    points cross the diagonal.  Each leaf is followed until it is back at a
-    seed, as it always is: every sector point of Q[phi] is a periodic
-    direction, whose leaves are saddle connections bounding the strips.  So
-    the cells are the strips' crossings, short plus long, and the exchange
-    permutes them."""
+def _strips(x: GoldenNum) -> list[tuple[list[GoldenNum], GoldenNum]]:
+    """Each parallel strip of a periodic direction as the left ends of its
+    section cells, in walk order from its lowest one, and their width.
+
+    A strip's cells are one cycle of the exchange: the walk from the lowest
+    left end, reading 'R', is back there after one step per cell.  The width
+    is the least distance from a left end to the right end of its interval.
+    The first strip starts at 0, the second at the least right end of a
+    first-strip cell that is neither a left end nor phi.  Anything but two
+    strips covering the diagonal raises ArithmeticError."""
     spec = iet_build(x)
-    cuts = (ZERO, PHI, *spec.division_points)
-    pts = set(cuts)
-    # the limits from outside the diagonal, (0, 'L') and (phi, 'R'), are no
-    # leaves; the seeds go in list order, so every process steps alike
-    frontier = list(dict.fromkeys((p, side) for p in cuts for side in "LR"
-                                  if (p, side) not in ((ZERO, "L"), (PHI, "R"))))
-    seeds = set(frontier)
-    while frontier:
-        frontier = [(spec.step(v, side)[0], side) for v, side in frontier]
-        pts.update(v for v, _side in frontier)
-        # a leaf back at a seed goes on as that seed's leaf, already followed
-        frontier = [leaf for leaf in frontier if leaf not in seeds]
-    return sorted(pts)
+    right_end = {1: PHI, 2: spec.p3, 3: spec.p2, 4: spec.p1}
+
+    def walk(p: GoldenNum) -> tuple[list[GoldenNum], GoldenNum]:
+        lefts, w = [], PHI
+        while not lefts or p != lefts[0]:
+            lefts.append(p)
+            p, k = spec.step(p, "R")
+            w = min(w, right_end[k] - lefts[-1])
+        return lefts, w
+
+    strips = [walk(ZERO)]
+    lefts, w = strips[0]
+    ends = {*lefts, PHI}
+    rights = [lo + w for lo in lefts if lo + w not in ends]
+    if rights:
+        strips.append(walk(min(rights)))
+    covered = sum((GoldenNum.of(len(lefts)) * w for lefts, w in strips), ZERO)
+    if len(strips) != 2 or covered != PHI:
+        raise ArithmeticError(f"the exchange at {x} has {len(strips)} strip(s) "
+                              f"covering {covered}, not two covering phi")
+    return strips
+
+
+def section_cell_points(x: GoldenNum) -> list[GoldenNum]:
+    """The points cutting the diagonal into cells: the left ends of both
+    strips' cells, plus phi.  The cells are the strips' crossings, short
+    plus long, and the exchange permutes them."""
+    return sorted([*(p for lefts, _w in _strips(x) for p in lefts), PHI])
 
 
 def strip_cells_for_coordinate(x: GoldenNum
                                ) -> list[tuple[GoldenNum, GoldenNum, TraceResult]]:
     """One section cell per parallel strip of a periodic direction.
 
-    The exchange permutes the cells of section_cell_points, and each cycle
-    of their midpoints is one strip.  Each cycle is followed in 1-D until it
-    is back at its first midpoint, within the number of cells since the
-    exchange is injective, and its strip traced once in 2-D from there,
-    capped at twice the cycle's length: that length is the strip's period,
-    and its surface word crosses two sides per period.  A midpoint sent off
-    the midpoints, other than two cycles, or a trace still open at its cap
-    means the tracer contradicts itself and raises ArithmeticError.  Returns
-    (lo, hi, trace-from-midpoint) twice, short then long by combinatorial
-    length, breaking ties by geometric length."""
+    Each strip is walked once in 1-D (_strips) and traced once in 2-D from
+    the midpoint of its lowest cell, capped at twice its number of cells:
+    that number is the strip's period, and its surface word crosses two
+    sides per period.  A trace still open at its cap means the tracer
+    contradicts itself and raises ArithmeticError.  Returns (lo, hi,
+    trace-from-midpoint) twice, short then long by combinatorial length,
+    breaking ties by geometric length."""
     direction = direction_of_coordinate(x)
-    spec = iet_build(x)
-    pts = section_cell_points(x)
-    cells = {(lo + hi) * HALF: (lo, hi) for lo, hi in zip(pts, pts[1:])}
-    seen: set[GoldenNum] = set()
     strips = []
-    for mid, (lo, hi) in cells.items():
-        if mid in seen:
-            continue
-        p, cycle = mid, 0
-        while True:
-            seen.add(p)
-            p, _sym = spec.step(p)
-            cycle += 1
-            if p not in cells:
-                raise ArithmeticError(f"the exchange at {x} sends a cell "
-                                      f"midpoint to {p}, off the midpoints")
-            if p == mid:
-                break
-        cap = 2 * cycle
-        res = trace_surface(PlanePoint(mid, ZERO), direction, max_crossings=cap)
-        strips.append((lo, hi, closed_within(res, cap)))
-    if len(strips) != 2:
-        raise ArithmeticError(f"found {len(strips)} strip(s) at {x}, not two")
+    for lefts, w in _strips(x):
+        lo, cap = lefts[0], 2 * len(lefts)
+        res = trace_surface(PlanePoint(lo + w * HALF, ZERO), direction, max_crossings=cap)
+        strips.append((lo, lo + w, closed_within(res, cap)))
     return sorted(strips, key=lambda c: (len(c[2].word), c[2].length_squared))
 
 

@@ -281,13 +281,13 @@ def cells_from_division_points(x: GoldenNum, steps: int) -> list[GoldenNum]:
     """The old cell points: the one-sided images of the division points
     alone, each leaf dropped once it reaches an end of the diagonal.
 
-    Guards `tracer.section_cell_points`, which also follows the leaves from
-    the diagonal's ends; retired at `9725adc`."""
+    Guards `tracer.section_cell_points`, which walks each strip's cells
+    from its lowest one; retired at `9725adc`."""
     spec = iet_build(x)
     pts = {ZERO, PHI, *spec.division_points}
     frontier = [(d, side) for d in spec.division_points for side in ("L", "R")]
     for _ in range(steps):
-        frontier = [(spec.step(v, side)[0], side) for v, side in frontier
+        frontier = [(reference_step(spec, v, side)[0], side) for v, side in frontier
                     if v != ZERO and v != PHI]
         pts.update(v for v, _side in frontier)
     return sorted(pts)

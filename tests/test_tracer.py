@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -360,17 +361,20 @@ def test_exchange_step_matches_the_interval_scan():
             points += [PHI * g(Fraction(rng.randint(1, 999), 1000)) for _ in range(10)]
             assert ZERO in points and PHI in points
             for p in points:
-                for side in ("L", "R", None):
+                for side in ("R", None):
                     assert (outcome(spec.step, p, side)
                             == outcome(reference_step, spec, p, side)), (idx, u, p, side)
+                with pytest.raises(ValueError, match="'L'"):
+                    spec.step(p, "L")
 
 
 def test_exchange_step_rejects_an_unknown_side():
     # read as 'R', a side 'l' would give symbol II at the division point p2
-    # of u = 0, where 'L' reads III, and skip the division-point check
+    # of u = 0 and skip the division-point check; the left-sided reading
+    # 'L' is no side of the step either
     spec = iet_build(ZERO)
-    assert spec.step(spec.p2, "L")[1] == 3 and spec.step(spec.p2, "R")[1] == 2
-    for side in ("l", "r", "", "left", 0):
+    assert spec.step(spec.p2, "R")[1] == 2
+    for side in ("L", "l", "r", "", "left", 0):
         with pytest.raises(ValueError, match=repr(side)):
             spec.step(spec.p2, side)
 
@@ -401,9 +405,9 @@ def test_strip_search_matches_the_trial_search():
 
 
 def test_cells_are_the_strips_crossings():
-    # the leaves from the division points and the diagonal's ends cut the
-    # section into the strips' crossings; the exchange permutes them in
-    # two cycles, of the short and the long period
+    # the left ends of the strips' walks cut the section into the strips'
+    # crossings; the exchange permutes them in two cycles, of the short and
+    # the long period
     for idx in DEPTH3_AND_BOTTOM:
         x = coordinate_of_index(idx).value
         pp = period_of_index(idx)
@@ -427,8 +431,8 @@ def test_cells_are_the_strips_crossings():
 
 
 def test_cell_points_step_alike_under_every_hash_seed():
-    # the seeds are followed in a fixed order, not a set's string-hash
-    # order, so the exchange sees the same steps in every process
+    # the second walk starts at the least of its candidates, not at a set's
+    # string-hash first, so the exchange sees the same steps in every process
     code = ("from pentaflow import directions, tracer\n"
             "calls, step = [], tracer.IETSpec.step\n"
             "def record(spec, p, side=None):\n"
@@ -447,19 +451,37 @@ def test_cell_points_step_alike_under_every_hash_seed():
     assert runs[1:] == runs[:1] * 3
 
 
+def test_strip_search_makes_one_exchange_step_per_cell(monkeypatch):
+    # each strip is walked once from its lowest cell, one step per cell
+    calls, step = [], tracer.IETSpec.step
+
+    def counted(spec, p, side=None):
+        calls.append(p)
+        return step(spec, p, side)
+
+    monkeypatch.setattr(tracer.IETSpec, "step", counted)
+    for idx in DEPTH3_AND_BOTTOM:
+        pp = period_of_index(idx)
+        calls.clear()
+        tracer.strip_cells_for_coordinate(coordinate_of_index(idx).value)
+        assert len(calls) == pp.short + pp.long, idx
+
+
 def test_strip_search_raises_on_cells_that_are_not_the_strips(monkeypatch):
-    cells_of = tracer.section_cell_points
-    # index 1: the whole diagonal as one cell sends its midpoint elsewhere
     x = coordinate_of_index(DirectionIndex((1,))).value
-    monkeypatch.setattr(tracer, "section_cell_points", lambda x: [ZERO, PHI])
-    with pytest.raises(ArithmeticError, match="off the midpoints"):
+    spec = iet_build(x)
+    # one cell of width phi, fixed by interval IV: one strip
+    one = spec._replace(p1=PHI, p2=PHI, p3=PHI, translations={**spec.translations, 4: ZERO})
+    monkeypatch.setattr(tracer, "iet_build", lambda u: one)
+    with pytest.raises(ArithmeticError,
+                       match=rf"the exchange at {re.escape(str(x))} has 1 strip\(s\) "
+                             r"covering phi, not two covering phi"):
         tracer.strip_cells_for_coordinate(x)
-    # the top corner's two fixed cells, one cut in two: three cycles
-    x = coordinate_of_index(DirectionIndex()).value
-    lo, mid, hi = cells_of(x)
-    cut = [lo, (lo + mid) / g(2), mid, hi]
-    monkeypatch.setattr(tracer, "section_cell_points", lambda x: cut)
-    with pytest.raises(ArithmeticError, match="found 3 strip"):
+    # every point fixed: the cells [0, p1) and [p1, p2) end short of phi
+    fixed = spec._replace(translations=dict.fromkeys(spec.translations, ZERO))
+    monkeypatch.setattr(tracer, "iet_build", lambda u: fixed)
+    with pytest.raises(ArithmeticError,
+                       match=rf"has 2 strip\(s\) covering {re.escape(str(spec.p2))},"):
         tracer.strip_cells_for_coordinate(x)
 
 
