@@ -115,17 +115,11 @@ BOTTOM = DirectionIndex(bottom=True)
 
 
 def _exponents(digits: Sequence[int]) -> list[int]:
-    # exponent of the i-th rotation in the generator word, 1-based position
-    k = len(digits)
-    out = []
-    for i, n in enumerate(digits, start=1):
-        if i % 2 == 0:
-            out.append(4 - n)
-        elif i == k:
-            out.append(n)
-        else:
-            out.append(n + 1)
-    return out
+    """The rotation exponents of the generator word, outermost first, one
+    per digit n by its 0-based place: 4 - n at an odd place, n + 1 at an
+    even one, n at a last even one.  _fold_digits is the inverse rule."""
+    return [4 - n if i % 2 else n + (i + 1 < len(digits))
+            for i, n in enumerate(digits)]
 
 
 #: T^-m for m = 0..4, as powers of the adjugate (equal up to a scalar)
@@ -200,16 +194,14 @@ def index_of_coordinate(x: ProjectivePoint | GoldenNum,
 
 
 def _fold_digits(ms: list[int]) -> tuple[int, ...]:
-    """Rebuild the digit string from the peeled rotation exponents: the
-    innermost exponent is a digit verbatim, outer ones shift by one and
-    reflect the tail after them.  Digit i is reflected once per exponent
-    before it, and reflection is an involution, so only the parity of i
-    counts: one pass, no tail rebuilt."""
-    if not ms:
-        return ()
-    digits = [4 - m if i % 2 else m - 1 for i, m in enumerate(ms[:-1])]
-    digits.append(4 - ms[-1] if len(ms) % 2 == 0 else ms[-1])
-    return tuple(digits)
+    """Rebuild the digit string from the peeled rotation exponents, one
+    digit per exponent m by its 0-based place: 4 - m at an odd place, m - 1
+    at an even one, m at a last even one, undoing _exponents.  Unrolled,
+    the innermost exponent is a digit verbatim and each outer one shifts by
+    one and mirrors the tail after it; mirroring is an involution, so only
+    the parity of the place counts."""
+    return tuple(4 - m if i % 2 else m - (i + 1 < len(ms))
+                 for i, m in enumerate(ms))
 
 
 def mirror_digits(digits: tuple[int, ...]) -> tuple[int, ...]:

@@ -177,17 +177,16 @@ def _exit_side(pos: PlanePoint, direction: PlanePoint):
 
 def _time_to(pos: PlanePoint, target: PlanePoint,
              direction: PlanePoint) -> GoldenNum | None:
-    """The time at which the forward ray from pos passes through target, or
-    None when it misses.  Caller guarantees target is interior to the
-    pentagon, so a hit comes before the ray leaves."""
+    """The time at which the ray from pos passes through target, or None
+    when its line misses.  pos lies on the side just crossed and the ray
+    points into the convex pentagon, so a target strictly inside it on that
+    line lies ahead, at t > 0, before the ray leaves."""
     rel = target - pos
     if not cross(rel, direction).is_zero():
         return None
     if not direction.x.is_zero():
-        t = rel.x / direction.x
-    else:
-        t = rel.y / direction.y
-    return t if t.sign() >= 0 else None
+        return rel.x / direction.x
+    return rel.y / direction.y
 
 
 class TraceResult(NamedTuple):
@@ -309,11 +308,11 @@ def trace_surface(start: PlanePoint, direction: PlanePoint,
 
 
 class IETSpec(NamedTuple):
-    """Exchange of four intervals on [0, phi] at the signed coordinate u.
-
-    Intervals are labelled consecutively from the right end: I = [p3, phi),
-    II = [p2, p3), III = [p1, p2), IV = [0, p1).  Reading the exchanged line
-    the same way gives the image order III, I, IV, II, for either sign of u.
+    """Exchange of four intervals on [0, phi] at the signed coordinate u,
+    known by its ordered division points alone: symbol k owns gap 4 - k of
+    0, p1, p2, p3, phi, so I = [p3, phi), II = [p2, p3), III = [p1, p2),
+    IV = [0, p1).  Reading the exchanged line the same way gives the image
+    order III, I, IV, II, for either sign of u.
     """
 
     u: GoldenNum
@@ -326,23 +325,10 @@ class IETSpec(NamedTuple):
     def division_points(self) -> tuple[GoldenNum, GoldenNum, GoldenNum]:
         return (self.p1, self.p2, self.p3)
 
-    def lengths(self) -> dict[int, GoldenNum]:
-        return {
-            1: PHI - self.p3,
-            2: self.p3 - self.p2,
-            3: self.p2 - self.p1,
-            4: self.p1,
-        }
-
-    def step(self, p: GoldenNum, side: str | None = None) -> tuple[GoldenNum, int]:
-        """Image of p and the Roman symbol read.  side 'R' reads p + eps, so
-        a division point has its image from the right; None reads p itself,
-        which must not be a division point.  Any other side raises
-        ValueError."""
-        if side not in (None, "R"):
-            raise ValueError(f"side must be None or 'R', not {side!r}")
-        if side is None and p in self.division_points:
-            raise SingularOrbit(f"orbit hit division point {p}")
+    def step(self, p: GoldenNum) -> tuple[GoldenNum, int]:
+        """Image of p and the Roman symbol read, reading p from the right
+        (p + eps), so a division point has the image of the interval that
+        starts there.  A point outside [0, phi) raises SingularOrbit."""
         if not ZERO <= p < PHI:
             raise SingularOrbit(f"no branch of the exchange at {p}")
         # p lies in interval 4 less the number of division points at or
@@ -377,7 +363,8 @@ def iet_build(u: GoldenNum) -> IETSpec:
 
 def iet_orbit(spec: IETSpec, x0: GoldenNum,
               max_steps: int) -> tuple[CyclicWord | tuple[int, ...], bool]:
-    """Iterate the exchange from x0, recording interval symbols."""
+    """Iterate the exchange from x0, recording interval symbols; an orbit
+    that reaches a division point raises SingularOrbit."""
     if max_steps < 0:
         raise ValueError(f"max_steps must be nonnegative, not {max_steps}")
     if x0.sign() < 0 or (x0 - PHI).sign() >= 0:
@@ -385,6 +372,8 @@ def iet_orbit(spec: IETSpec, x0: GoldenNum,
     word: list[int] = []
     p = x0
     while len(word) < max_steps:
+        if p in spec.division_points:
+            raise SingularOrbit(f"orbit hit division point {p}")
         p, k = spec.step(p)
         word.append(k)
         if p == x0:
@@ -397,20 +386,21 @@ def _strips(x: GoldenNum) -> list[tuple[list[GoldenNum], GoldenNum]]:
     section cells, in walk order from its lowest one, and their width.
 
     A strip's cells are one cycle of the exchange: the walk from the lowest
-    left end, reading 'R', is back there after one step per cell.  The width
-    is the least distance from a left end to the right end of its interval.
+    left end is back there after one step per cell.  The width is the least
+    distance from a left end to the right end of its interval, the division
+    point or phi closing gap 4 - k for symbol k.
     The first strip starts at 0, the second at the least right end of a
     first-strip cell that is neither a left end nor phi.  Anything but two
     strips covering the diagonal raises ArithmeticError."""
     spec = iet_build(x)
-    right_end = {1: PHI, 2: spec.p3, 3: spec.p2, 4: spec.p1}
+    right_ends = (*spec.division_points, PHI)
 
     def walk(p: GoldenNum) -> tuple[list[GoldenNum], GoldenNum]:
         lefts, w = [], PHI
         while not lefts or p != lefts[0]:
             lefts.append(p)
-            p, k = spec.step(p, "R")
-            w = min(w, right_end[k] - lefts[-1])
+            p, k = spec.step(p)
+            w = min(w, right_ends[4 - k] - lefts[-1])
         return lefts, w
 
     strips = [walk(ZERO)]

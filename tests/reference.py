@@ -250,13 +250,12 @@ def reference_exit_side(pos: PlanePoint, direction: PlanePoint):
     return best
 
 
-def reference_step(spec, p: GoldenNum, side: str | None = None):
-    """The old IETSpec.step: scan the four intervals, skipping empty ones.
+def reference_step(spec, p: GoldenNum, side: str):
+    """The old IETSpec.step: scan the four intervals, skipping empty ones,
+    reading p from the right (side 'R') or from the left ('L').
 
     Guards `IETSpec.step`, which counts the division points at or below p;
     retired at `5e090ac`."""
-    if side is None and p in spec.division_points:
-        raise SingularOrbit(f"orbit hit division point {p}")
     bounds = (ZERO, *spec.division_points, PHI)
     for k, lo, hi in zip((4, 3, 2, 1), bounds, bounds[1:]):
         inside = lo < p <= hi if side == "L" else lo <= p < hi

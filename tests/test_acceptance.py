@@ -280,12 +280,15 @@ def test_criterion_11_property_suites():
                 rotated = rotate_alphabet(w, j)
                 assert reduce_word(enhance(rotated)) == rotated
 
-    # the interval exchange is a bijection for 20 sampled parameters
+    # the interval exchange is a bijection for 41 sampled parameters, of
+    # either sign
     from pentaflow.golden import ZERO
 
     limit = GoldenNum.of(1, Fraction(-1, 2))
-    for k in range(1, 21):
-        spec = iet_build(limit * GoldenNum.of(Fraction(k, 21)))
+    for k in range(-20, 21):
+        u = limit * GoldenNum.of(Fraction(k, 21))
+        spec = iet_build(u)
+        assert spec.u == u
         bounds = [ZERO, *spec.division_points, GoldenNum.of(0, 1)]
         images = sorted(
             ((lo + spec.translations[r], hi + spec.translations[r])
