@@ -316,24 +316,17 @@ def neighbor_chain(beta: DirectionIndex, side: str, n: int) -> list[DirectionInd
         raise ValueError(f"side must be 'upper' or 'lower', not {side!r}")
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if side == "upper":
-        if not beta.bottom and not beta.digits:
-            return []
-        # the upper chain runs down the arc above beta through digit 3
-        arc = () if beta.bottom else beta.digits[:-1] + (beta.digits[-1] - 1,)
-        chain = [arc_left_vertex(arc)]
-        while len(chain) < n:
-            arc = arc + (3,)
-            chain.append(DirectionIndex(arc))
-    else:
-        if beta.bottom:
-            return []
-        # the lower chain climbs the arc below beta through digit 0
-        arc = beta.digits
-        chain = [arc_right_vertex(arc)]
-        while len(chain) < n:
-            chain.append(DirectionIndex(arc + (1,)))
-            arc = arc + (0,)
+    if side == "lower":
+        # the reflection x -> -x swaps the sides
+        return [v.mirrored() for v in neighbor_chain(beta.mirrored(), "upper", n)]
+    if not beta.bottom and not beta.digits:
+        return []
+    # the upper chain runs down the arc above beta through digit 3
+    arc = () if beta.bottom else beta.digits[:-1] + (beta.digits[-1] - 1,)
+    chain = [arc_left_vertex(arc)]
+    while len(chain) < n:
+        arc = arc + (3,)
+        chain.append(DirectionIndex(arc))
     return chain[:n]
 
 

@@ -14,7 +14,6 @@ which the conjecture searches in `analysis` use as well.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Literal
 
 from .directions import DirectionIndex, _exponents, mirror_digits
@@ -130,22 +129,32 @@ def _chain_path_interior(a: int, b: int) -> tuple[int, ...]:
     return tuple(CHAIN_ORDER[i] for i in range(ia + step, ib, step)) if ia != ib else ()
 
 
-#: _STEPS[a][b] is a followed by the chain vertices passed on the way to
-#: b, one latin-1 character per symbol; the lists are indexed by symbol, so
-#: entry 0 is unused.  str pieces, because bytes.join holds a buffer view
-#: of about 80 bytes per piece while it joins
-_STEPS = [None] + [[None] + [bytes((a, *_chain_path_interior(a, b))).decode("latin-1")
-                            for b in _ALPHABET]
-                   for a in _ALPHABET]
+def _pair_codes(x: bytes, y: bytes) -> bytes:
+    """The code 8a + b of each pair (a, b) of x and y read in step, one
+    byte per pair, for words of equal length.  The codes come from x and y
+    read as base-256 numbers, and no byte of 8a + b carries, since every
+    symbol is at most 5."""
+    return (int.from_bytes(x, "big") * 8 + int.from_bytes(y, "big")).to_bytes(len(x), "big")
+
+
+#: the code 8a + b of each Arabic pair (a, b) -> a followed by the chain
+#: vertices passed on the way to b, as latin-1 characters
+_PIECES = {8 * a + b: bytes((a, *_chain_path_interior(a, b))).decode("latin-1")
+           for a in _ALPHABET for b in _ALPHABET}
+
+
+def _enhanced(s: bytes) -> bytes:
+    """enhance on the symbols: each cyclic pair's code to its chain piece,
+    in one str.translate."""
+    codes = _pair_codes(s, s[1:] + s[:1])
+    return codes.decode("latin-1").translate(_PIECES).encode("latin-1")
 
 
 def enhance(w: CyclicWord) -> CyclicWord:
     """Insert the chain-graph vertices passed between consecutive symbols."""
     if w.roman:
         raise WordError("enhancement applies to Arabic words")
-    s = w.symbols
-    steps = "".join([_STEPS[a][b] for a, b in zip(s, s[1:] + s[:1])])
-    return CyclicWord(steps.encode("latin-1"))
+    return CyclicWord(_enhanced(w.symbols))
 
 
 def reduce_word(w: CyclicWord) -> CyclicWord:
@@ -164,9 +173,8 @@ def roman_of_arabic(w: CyclicWord) -> CyclicWord:
     of ROMAN_OF_PAIR begins with 2 or 4 and ends with 1, 3 or 5, so the
     pairs are cut after the first symbol when it is odd and before it when
     it is even; the other cut never parses.  The pairs are looked up by
-    their codes in one table pass: the codes come from the even and odd
-    symbols read as base-256 numbers, and no byte of 8x + y carries, since
-    every symbol is at most 5."""
+    their codes (`_pair_codes` of the even and the odd symbols) in one
+    table pass."""
     if w.roman:
         return w
     if len(w) % 2:
@@ -174,8 +182,7 @@ def roman_of_arabic(w: CyclicWord) -> CyclicWord:
     s = w.symbols
     offset = s[0] % 2
     rot = s[offset:] + s[:offset]
-    code = int.from_bytes(rot[::2], "big") * 8 + int.from_bytes(rot[1::2], "big")
-    roman = code.to_bytes(len(s) // 2, "big").translate(_ROMAN_OF_CODE)
+    roman = _pair_codes(rot[::2], rot[1::2]).translate(_ROMAN_OF_CODE)
     if 0 in roman:
         bad = (offset + 2 * roman.index(0)) % len(s)
         raise WordError(f"no rotation parses into the four pairs (near position {bad})")
@@ -194,28 +201,17 @@ BASE_ORBITS = {
 }
 
 
-@lru_cache(maxsize=None)
-def _orbit_cached(exponents: tuple[int, ...], bottom: bool, kind: Kind) -> CyclicWord:
-    """Rotate the orbit of the inner exponents by the outermost one, then
-    enhance it.  The exponents are `directions._exponents`, outermost
-    first, the chain `coordinate_of_index` folds; the inner ones are the
-    parent's.  BOTTOM and () are their own base.  Call it with the parent
-    cached, as `orbit_of_index` does, so that it recurses one level."""
-    if bottom or not exponents:
-        return BASE_ORBITS[(bottom, kind)]
-    return enhance(rotate_alphabet(_orbit_cached(exponents[1:], False, kind),
-                                   exponents[0]))
-
-
 def orbit_of_index(idx: DirectionIndex, kind: Kind) -> CyclicWord:
-    """The Arabic symbolic orbit at a direction index, short or long kind."""
+    """The Arabic symbolic orbit at a direction index, short or long kind.
+
+    Each generation step rotates the parent's alphabet by its shift, then
+    enhances; the shifts are the ones vectors_of_index folds on counts."""
     if kind not in ("short", "long"):
         raise ValueError("kind must be 'short' or 'long'")
-    # innermost first, so that a deep index stays under the recursion limit
-    exps = tuple(_exponents(idx.digits))
-    for i in range(len(exps), -1, -1):
-        word = _orbit_cached(exps[i:], idx.bottom, kind)
-    return word
+    s = BASE_ORBITS[(idx.bottom, kind)].symbols
+    for shift in reversed(_exponents(idx.digits)):
+        s = _enhanced(s.translate(_SHIFTS[shift]))
+    return CyclicWord(s)
 
 
 def reduction_parent(idx: DirectionIndex) -> DirectionIndex:
@@ -305,7 +301,7 @@ def quintuple_relation(a: OrbitVector, A: OrbitVector,
 def vectors_of_index(idx: DirectionIndex) -> tuple[OrbitVector, OrbitVector]:
     """(short, long) orbit vectors without building a word.
 
-    The same recursion as the orbit engine, on counts: the generation step
+    The fold of the orbit engine, on counts: the generation step
     with shift i maps the parent's vector v to apply_L(i, v), and the
     shifts of the whole chain, innermost last, are the rotation exponents
     `directions._exponents` that `coordinate_of_index` folds.  BOTTOM and

@@ -207,7 +207,7 @@ def test_vectors_of_index_at_depth_16_build_no_word(monkeypatch):
     def no_words(w):
         raise AssertionError("vectors_of_index built a word")
 
-    monkeypatch.setattr(orbits, "enhance", no_words)
+    monkeypatch.setattr(orbits, "_enhanced", no_words)
     idx = DirectionIndex.parse("1212121212121212")
     tracemalloc.start()
     try:
@@ -235,11 +235,25 @@ def test_printing_a_word_makes_no_str_per_symbol():
         assert peak < 10 * len(text), (word.roman, peak, len(text))
 
 
+def test_the_engine_keeps_no_word():
+    # a cache of every generation's word kept about 164 KB after this one
+    # (107,138 symbols) was dropped
+    tracemalloc.start()
+    try:
+        w = orbit_of_index(DirectionIndex.parse("2121212121"), "long")
+        assert len(w) == 107_138
+        del w
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept < 1024
+
+
 @pytest.mark.parametrize("digits", [500, 1200])
 def test_deep_orbits_stay_under_the_recursion_limit(digits):
-    # from a cold cache, one level of recursion per digit reached Python's
-    # limit at 497 digits; the long word of 0^499 1 has 2,006 symbols
-    orbits._orbit_cached.cache_clear()
+    # the fold keeps no stack; an engine with one level of recursion per
+    # digit reached Python's limit at 497 digits.  The long word of 0^499 1
+    # has 2,006 symbols
     idx = DirectionIndex.parse("0" * (digits - 1) + "1")
     sv, lv = vectors_of_index(idx)
     long = orbit_of_index(idx, "long")
