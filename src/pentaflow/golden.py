@@ -190,7 +190,7 @@ class PentaNum(FrozenValue):
 
     The package computes in Q[phi] alone.  These members stay because the
     traced benchmark counts and times them (the `penta.*` counters), until
-    those counters become optional (ROADMAP item 5)."""
+    those counters become optional (ROADMAP item 1)."""
 
     __slots__ = ("p", "q")
 

@@ -391,16 +391,23 @@ def _strips(x: GoldenNum) -> list[tuple[list[GoldenNum], GoldenNum]]:
     point or phi closing gap 4 - k for symbol k.
     The first strip starts at 0, the second at the least right end of a
     first-strip cell that is neither a left end nor phi.  Anything but two
-    strips covering the diagonal raises ArithmeticError."""
+    strips covering the diagonal raises ArithmeticError, and so does a walk
+    that meets a point twice before it is back at its start."""
     spec = iet_build(x)
     right_ends = (*spec.division_points, PHI)
 
     def walk(p: GoldenNum) -> tuple[list[GoldenNum], GoldenNum]:
-        lefts, w = [], PHI
-        while not lefts or p != lefts[0]:
+        # each left end's step: a bijection meets no point twice before
+        # it is back at the start
+        lefts, steps, w = [], {}, PHI
+        while p not in steps:
+            steps[p] = len(lefts)
             lefts.append(p)
             p, k = spec.step(p)
             w = min(w, right_ends[4 - k] - lefts[-1])
+        if p != lefts[0]:
+            raise ArithmeticError(f"the exchange at {x} is no bijection: the walk from "
+                                  f"{lefts[0]} meets {p} at steps {steps[p]} and {len(lefts)}")
         return lefts, w
 
     strips = [walk(ZERO)]

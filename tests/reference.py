@@ -58,9 +58,7 @@ from pentaflow.tracer import (
     SaddleConnectionError,
     SingularOrbit,
     cross,
-    direction_of_coordinate,
     iet_build,
-    trace_surface,
 )
 from pentaflow.verify import _all_indices
 
@@ -276,44 +274,6 @@ def mirrored_spec(x: GoldenNum) -> IETSpec:
                    {k: -m.translations[5 - k] for k in (4, 3, 2, 1)})
 
 
-def cells_from_division_points(x: GoldenNum, steps: int) -> list[GoldenNum]:
-    """The old cell points: the one-sided images of the division points
-    alone, each leaf dropped once it reaches an end of the diagonal.
-
-    Guards `tracer.section_cell_points`, which walks each strip's cells
-    from its lowest one; retired at `9725adc`."""
-    spec = iet_build(x)
-    pts = {ZERO, PHI, *spec.division_points}
-    frontier = [(d, side) for d in spec.division_points for side in ("L", "R")]
-    for _ in range(steps):
-        frontier = [(reference_step(spec, v, side)[0], side) for v, side in frontier
-                    if v != ZERO and v != PHI]
-        pts.update(v for v, _side in frontier)
-    return sorted(pts)
-
-
-def strips_by_trial(x: GoldenNum, expected_long: int):
-    """The old strip search: trace from one old cell's midpoint after
-    another, skipping cone hits, until two distinct words appear.
-
-    Guards `tracer.strip_cells_for_coordinate`, which follows each strip's
-    cells under the exchange and traces it once; retired at `9725adc`."""
-    direction = direction_of_coordinate(x)
-    pts = cells_from_division_points(x, expected_long + 2)
-    found = {}
-    for lo, hi in zip(pts, pts[1:]):
-        start = section_point((lo + hi) / g(2))
-        try:
-            res = trace_surface(start, direction, max_crossings=2 * expected_long)
-        except SaddleConnectionError:
-            continue
-        assert res.closed
-        found.setdefault(least_rotation(res.word.symbols), res)
-        if len(found) == 2:
-            break
-    return sorted(found.values(), key=lambda r: (len(r.word), r.length_squared))
-
-
 # ---------------------------------------------------------------------------
 # the directions
 
@@ -388,43 +348,14 @@ def _fold_by_mirroring(ms):
 # operations are translation and step tables.
 
 
-def _least_rotation_start(s: tuple[int, ...]) -> int:
-    """Start of the lexicographically least rotation of s, in O(len(s)).
-
-    Booth, "Lexicographically least circular substrings" (1980): the
-    Knuth-Morris-Pratt failure function of s s, kept relative to the best
-    start k found so far; a mismatch against a smaller symbol moves k.
-    """
-    ss = s + s
-    fail = [-1] * len(ss)
-    k = 0
-    for j in range(1, len(ss)):
-        c = ss[j]
-        i = fail[j - k - 1]
-        while i != -1 and c != ss[k + i + 1]:
-            if c < ss[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if c != ss[k + i + 1]:
-            # here i == -1, so c was compared with ss[k]
-            if c < ss[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return k
-
-
 def least_rotation(s) -> tuple[int, ...]:
     """The least rotation of a symbol sequence, as a tuple: the key that
     two words over one alphabet share exactly when they are rotations of
-    each other.
+    each other.  It is the definition itself, the least of the rotations.
 
-    Guards `CyclicWord`'s equality and hash, which it held until it was
-    retired after `cbf8adc`."""
-    s = tuple(s)
-    k = _least_rotation_start(s)
-    return s[k:] + s[:k]
+    Guards `CyclicWord`'s equality and hash, which it held (by Booth's
+    linear-time search) until it was retired after `cbf8adc`."""
+    return min(rotations(tuple(s)))
 
 
 def rotate_alphabet(w: CyclicWord, j: int) -> CyclicWord:

@@ -12,7 +12,6 @@ from pentaflow.analysis import (
     check_conjecture_concat,
     check_conjecture_splitting,
     displacement,
-    displacement_norm_squared,
     length_report,
     length_squared_formula,
 )
@@ -24,6 +23,7 @@ from pentaflow.directions import (
     index_strings_to_depth,
     indices_at_generation,
     neighbor_chain,
+    neighbor_family,
 )
 from pentaflow.golden import GoldenNum, PHI
 from pentaflow.orbits import (
@@ -34,8 +34,8 @@ from pentaflow.orbits import (
     roman_of_arabic,
     vectors_of_index,
 )
-from pentaflow.periods import child_periods, period_of_index
-from pentaflow import analysis, tracer
+from pentaflow.periods import PeriodPair, child_periods, period_of_index
+from pentaflow import analysis, periods, tracer
 from pentaflow.verify import _all_indices
 from reference import (
     DEPTH3_AND_BOTTOM,
@@ -55,10 +55,6 @@ def test_displacement_examples():
     # the symmetric vector is vertical
     d = displacement(OrbitVector(1, 0, 0, 1))
     assert d.x.is_zero() and d.y.sign() > 0
-
-
-def test_length_identity():
-    assert displacement_norm_squared(OrbitVector(0, 0, 1, 0)) == PHI * PHI
 
 
 def test_billiard_multiplier():
@@ -167,6 +163,36 @@ def test_conjecture_splitting_rejects_a_negative_radius():
     # as neighbor_family does, instead of a silent failed report
     with pytest.raises(ValueError, match="radius must be nonnegative"):
         check_conjecture_splitting(DirectionIndex((1,)), radius=-1)
+
+
+def _family_wrong_at_1(monkeypatch):
+    """The radius-2 family of index 1, its member at position 1 given one
+    long return too many: (ok, first_failure) of the family check."""
+    member = next(v for i, v, _ in neighbor_family(DirectionIndex((1,)), 2).members if i == 1)
+    real = periods.period_of_index
+
+    def wrong(v):
+        p = real(v)
+        return PeriodPair(p.short, p.long + (v == member))
+
+    monkeypatch.setattr(periods, "period_of_index", wrong)
+    rep = periods.arithmetic_family_check(DirectionIndex((1,)), radius=2)
+    return rep.ok, rep.first_failure
+
+
+@pytest.mark.parametrize("answer, want", [
+    # the pieces are one symbol short of the target
+    (lambda mp: analysis._concat_witness(b"\1\2\3", [b"\1", b"\2"]), None),
+    # the lengths fit, but no rotation of 1 2 1 2 is 1 1 then 2 2
+    (lambda mp: analysis._concat_witness(b"\1\2\1\2", [b"\1\1", b"\2\2"]), None),
+    # at a corner, no rotations of 3 and 2 tile the short chain 3, 3 3
+    (lambda mp: analysis._find_corner_splitting(b"\1", b"\2", [b"\3", b"\3\3"],
+                                                [b"\4", b"\4\2\1"], "upper"), None),
+    # the family's step breaks between positions 0 and 1
+    (_family_wrong_at_1, (False, 1)),
+], ids=["concat-lengths", "concat-offsets", "corner-tiling", "family"])
+def test_each_checker_can_say_no(monkeypatch, answer, want):
+    assert answer(monkeypatch) == want
 
 
 def test_length_formula_closed_form():

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,7 +13,7 @@ import pytest
 
 from pentaflow.cli import main
 from pentaflow.directions import BOTTOM, DirectionIndex, coordinate_of_index, index_strings_to_depth
-from pentaflow.golden import GoldenNum, PentaNum, PHI, ZERO
+from pentaflow.golden import HALF, GoldenNum, PentaNum, PHI, ZERO
 from pentaflow.orbits import (
     ROMAN_OF_PAIR,
     CyclicWord,
@@ -46,14 +47,12 @@ from reference import (
     DEPTH3_AND_BOTTOM,
     JUMPS,
     T0,
-    cells_from_division_points,
     g,
     mirrored_spec,
     outcome,
     reference_exit_side,
     reference_step,
     section_point,
-    strips_by_trial,
     unfolded_by_reflections,
     unfolded_by_translations,
 )
@@ -134,18 +133,6 @@ def test_side_labeling_is_the_unique_calibrated_one():
     seq = [SIDE_LABELS[n] for n in names]
     steps = {(seq[(i + 1) % 5] - seq[i]) % 5 for i in range(5)}
     assert steps == {3}
-
-
-def test_boundary_strip_words_and_displacements():
-    x = coordinate_of_index(DirectionIndex()).value
-    short, long = periodic_orbits_for_coordinate(x, expected_long=1)
-    assert short.word == CyclicWord.parse("2 5")
-    assert long.word == CyclicWord.parse("4 3")
-    # displacements are one diagonal and phi diagonals
-    assert short.displacement == U_VEC
-    assert long.displacement == U_VEC.scale(PHI)
-    assert short.length_squared == PHI * PHI
-    assert long.length_squared == PHI * PHI * PHI * PHI
 
 
 def test_budget_exhaustion_reports_open_trace():
@@ -358,20 +345,6 @@ def test_negative_coordinates_have_the_mirrored_exchange():
         assert iet_build(u) == mirrored_spec(u), u
 
 
-def test_strip_search_matches_the_trial_search():
-    for s in [*index_strings_to_depth(2), (1, 2, 1)]:
-        idx = DirectionIndex.from_digits(s)
-        x = coordinate_of_index(idx).value
-        pp = period_of_index(idx)
-        new = periodic_orbits_for_coordinate(x, expected_long=pp.long)
-        old = strips_by_trial(x, pp.long)
-        assert len(old) == 2
-        for a, b in zip(new, old):
-            assert a.word == b.word
-            assert a.crossings == b.crossings
-            assert a.length_squared == b.length_squared
-
-
 def test_cells_are_the_strips_crossings():
     # the left ends of the strips' walks cut the section into the strips'
     # crossings; the exchange permutes them in two cycles, of the short and
@@ -382,7 +355,6 @@ def test_cells_are_the_strips_crossings():
         pts = tracer.section_cell_points(x)
         mids = [(lo + hi) / g(2) for lo, hi in zip(pts, pts[1:])]
         assert len(mids) == pp.short + pp.long, idx
-        assert set(cells_from_division_points(x, pp.long + 2)) <= set(pts)
         spec = iet_build(x)
         image = {m: spec.step(m)[0] for m in mids}
         assert set(image.values()) == set(mids), idx
@@ -453,6 +425,26 @@ def test_strip_search_raises_on_cells_that_are_not_the_strips(monkeypatch):
         tracer.strip_cells_for_coordinate(x)
 
 
+def test_strip_walk_refuses_a_point_met_twice(monkeypatch):
+    # a wrong exchange, symbol II shifted by 1/2 + u phi for 1/2 + u phi^2,
+    # is no bijection: at index 1 the second walk enters a 3-cycle that
+    # misses its start, and is refused at once instead of walking on
+    build = tracer.iet_build
+
+    def wrong(u):
+        spec = build(u)
+        return spec._replace(translations={**spec.translations, 2: HALF + u * PHI})
+
+    monkeypatch.setattr(tracer, "iet_build", wrong)
+    x = coordinate_of_index(DirectionIndex((1,))).value
+    t0 = time.perf_counter()
+    with pytest.raises(ArithmeticError, match=re.escape(
+            f"the exchange at {x} is no bijection: the walk from 4 - 2*phi "
+            "meets 7 - 7/2*phi at steps 1 and 4")):
+        tracer.strip_cells_for_coordinate(x)
+    assert time.perf_counter() - t0 < 1
+
+
 def test_iet_matches_surface_words():
     # the signed exchange against 2-D traces: each cell's 1-D orbit reads
     # the Roman word of one of the two traced strips, for either sign of x
@@ -495,40 +487,21 @@ def test_section_map_agrees_with_traced_prefix_at_random_parameters():
 
 def test_strips_have_equal_moduli_and_the_engines_displacements():
     """Every index to depth 3 and BOTTOM: with c = hi - lo each strip's
-    section cell, c_s^2 |long|^2 == c_l^2 |short|^2, so the moduli are
+    lowest section cell, c_s^2 |long|^2 == c_l^2 |short|^2, so the moduli are
     equal (the direction's parabolic element twists both strips at once);
     each strip's flight-time displacement is the one the engine's orbit
     vector gives; and `verify`'s oracle row, which states both, passes."""
     for idx in DEPTH3_AND_BOTTOM:
-        cells = tracer.strip_cells_for_coordinate(coordinate_of_index(idx).value)
+        x = coordinate_of_index(idx).value
+        cells = tracer.strip_cells_for_coordinate(x)
         (s_lo, s_hi, s_tr), (l_lo, l_hi, l_tr) = cells
+        pts = tracer.section_cell_points(x)
+        assert {(s_lo, s_hi), (l_lo, l_hi)} <= set(zip(pts, pts[1:])), idx
         c_s, c_l = s_hi - s_lo, l_hi - l_lo
         assert c_s * c_s * l_tr.length_squared == c_l * c_l * s_tr.length_squared, idx
         for tr, v in zip((s_tr, l_tr), vectors_of_index(idx)):
             assert tr.displacement == analysis.displacement(v), idx
         assert verify._suite_oracle(idx, lambda: cells) == {"ok": True}, idx
-
-
-def test_billiard_vertical_closes_in_one_period():
-    idx = DirectionIndex((2,))
-    x = coordinate_of_index(idx).value
-    s_tr, _ = periodic_orbits_for_coordinate(x, expected_long=4)
-    res = trace_billiard(s_tr.start, direction_of_coordinate(x), 200)
-    assert res.closed
-    assert res.length_squared == s_tr.length_squared
-
-
-def test_billiard_corner_needs_five_traversals():
-    # the base short orbit has invariant 2 mod 5, so the billiard orbit is
-    # five times the surface orbit
-    x = coordinate_of_index(DirectionIndex()).value
-    cells = tracer.strip_cells_for_coordinate(x)
-    lo, hi, s_tr = cells[0]
-    p = lo + (hi - lo) * g(Fraction(5, 13))
-    res = trace_billiard(section_point(p), direction_of_coordinate(x), 200)
-    assert res.closed
-    assert len(res.word) == 5 * len(s_tr.word)
-    assert res.length_squared == g(25) * s_tr.length_squared
 
 
 def test_billiard_budget_and_guards():
@@ -565,19 +538,6 @@ def test_flight_time_displacement_matches_the_unfolding_routes():
     assert len(seen) == 17
 
 
-def test_trace_json_report():
-    x = coordinate_of_index(DirectionIndex((2,))).value
-    s_tr, _ = periodic_orbits_for_coordinate(x, expected_long=4)
-    data = json.loads(json.dumps(s_tr.to_json()))
-    assert data["closed"] and data["word"]
-    # each coordinate is the pair [p, q] meaning p + q*s
-    (dx, zero_x), (zero_y, dy) = (
-        [GoldenNum.from_json(half) for half in data["displacement"][c]] for c in "xy")
-    assert zero_x == zero_y == ZERO
-    assert PlanePoint(dx, dy) == s_tr.displacement
-    assert GoldenNum.from_json(data["length_squared"]) == s_tr.length_squared
-
-
 def test_trace_json_matches_pinned_file():
     # both strips at 121 (periods 17/27), byte for byte as committed
     idx = DirectionIndex((1, 2, 1))
@@ -590,9 +550,11 @@ def test_trace_json_matches_pinned_file():
 
 
 def test_display_forms_build_no_pentanum(monkeypatch, tmp_path, capsys):
-    # messages, trace JSON and SVGs are written from the chart's Q[phi]
+    # points, trace JSON and SVGs are written from the chart's Q[phi]
     # coordinates through golden.decimal_of, never through Q[phi][s]; the
-    # strip search and a billiard report build no PentaNum either
+    # strip search and a billiard report build no PentaNum either.  The
+    # open-trace message prints a direction the same way (its text is
+    # test_strip_search_fails_loudly_below_the_exact_period's)
     def forbidden(*args):
         raise AssertionError("a PentaNum was built")
 
@@ -612,11 +574,3 @@ def test_display_forms_build_no_pentanum(monkeypatch, tmp_path, capsys):
         assert main(["render", *argv, "--out", str(tmp_path / "o.svg")]) == 0
     capsys.readouterr()
     assert analysis.billiard_report(idx).passed
-    # a strip trace cut short of its cap: index 1 has periods 2/3
-    trace = tracer.trace_surface
-    monkeypatch.setattr(tracer, "trace_surface",
-                        lambda start, direction, max_crossings: trace(start, direction, 2))
-    with pytest.raises(ArithmeticError) as err:
-        tracer.strip_cells_for_coordinate(x)
-    assert str(err.value) == ("trace in direction (-4 + 5/2*phi, (1)*s) made 2 "
-                              "crossings without closing (cap 6)")
